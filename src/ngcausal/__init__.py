@@ -7,7 +7,6 @@ each interaction).  Includes seeded VAR and Lorenz-96 generators and an
 ROC/AUC sweep harness.
 """
 
-from ._kernels import backend_name
 from .numerics import SeededRng, child_seed, finite_diff_grad, gauss_sample, matvec
 from .datasets import (LorenzConfig, LorenzGenConfig, SimulationError,
                        VarGenConfig, VarProcess, companion_matrix,
@@ -33,7 +32,7 @@ __all__ = [
     "FitResult", "LaggedDataset", "LorenzConfig", "LorenzGenConfig",
     "OptimizationError", "OptimizerConfig", "PenaltySpec", "SeededRng",
     "SimulationError", "SweepResult", "VarGenConfig", "VarProcess",
-    "apply_prox", "assemble_graph", "auc", "backend_name", "build_lagged",
+    "apply_prox", "assemble_graph", "auc", "build_lagged",
     "child_seed", "companion_matrix", "edge_rates", "finite_diff_grad", "fit",
     "forward", "gauss_sample", "grad", "granger_weights", "init_model",
     "lag_profile", "lambda_grid", "lambda_max_linear", "lorenz_derivative",

@@ -1,25 +1,19 @@
 """Hot numeric kernels: batched MLP loss/gradient and structured prox operators.
 
-Every kernel is written once as a plain numpy function and compiled a second
-time with numba's ``@njit``.  The active backend is picked at import time from
-the ``NGCAUSAL_BACKEND`` environment variable:
-
-* ``numba`` -- require the JIT backend (ImportError if numba is missing)
-* ``numpy`` -- force the pure-numpy fallback
-* unset     -- use numba when importable, numpy otherwise
-
-Both backends are importable side by side through ``IMPLS`` so tests and the
-benchmark script can compare them in one process.
-
 Model parameters travel as one flat float64 vector ``theta``.  Layer ``l``
 maps width ``dims[l]`` to ``dims[l+1]``; its weight matrix lives at
 ``theta[w_off[l] : w_off[l] + dims[l+1]*dims[l]]`` (row-major) and its bias at
 ``theta[b_off[l] : b_off[l] + dims[l+1]]``.  The first layer's input axis is
 ordered lag-major: input column ``k*p + j`` is series ``j`` at lag ``k+1``,
-so the column group of series ``j`` is ``w1[:, j::p]``.
-"""
+so the column group of series ``j`` is ``w1[:, j::p]``, and ``w1`` viewed as
+``(H, K, p)`` holds series ``j``'s group at ``[:, :, j]``.
 
-import os
+The norm and prox kernels work on all series at once but add squares in a
+fixed order, lag outer and hidden unit inner, one term at a time
+(``np.add.accumulate`` is sequential by definition, while ``sum`` may switch
+to pairwise summation).  Their results are therefore reproducible to the
+bit, and equal to a plain loop over (series, lag, unit) in that order.
+"""
 
 import numpy as np
 
@@ -27,47 +21,45 @@ ACT_TANH = 0
 ACT_RELU = 1
 
 
-def _mlp_loss(theta, dims, w_off, b_off, act, X, y):
-    """Sum of squared residuals of the network over all rows of X."""
-    L = dims.shape[0] - 1
-    a = X
-    for l in range(L):
-        din = dims[l]
-        dout = dims[l + 1]
-        W = theta[w_off[l]:w_off[l] + dout * din].reshape(dout, din)
-        b = theta[b_off[l]:b_off[l] + dout]
-        z = np.dot(a, W.T) + b
-        if l < L - 1:
-            if act == ACT_TANH:
-                a = np.tanh(z)
-            else:
-                a = np.maximum(z, 0.0)
-        else:
-            a = z
-    r = a[:, 0] - y
-    return np.dot(r, r)
+def forward(theta, dims, w_off, b_off, act, X):
+    """Activations of every layer for the rows of X.
 
-
-def _mlp_loss_grad(theta, dims, w_off, b_off, act, X, y, grad):
-    """Loss plus exact reverse-mode gradient, written into ``grad``."""
+    Returns ``[X, a_1, ..., a_L]``: the hidden activations after the
+    nonlinearity and, last, the linear output layer of shape (N, 1).
+    """
     L = dims.shape[0] - 1
-    N = X.shape[0]
     acts = [X]
-    zs = []
     for l in range(L):
         din = dims[l]
         dout = dims[l + 1]
         W = theta[w_off[l]:w_off[l] + dout * din].reshape(dout, din)
         b = theta[b_off[l]:b_off[l] + dout]
         z = np.dot(acts[l], W.T) + b
-        zs.append(z)
         if l < L - 1:
-            if act == ACT_TANH:
-                acts.append(np.tanh(z))
-            else:
-                acts.append(np.maximum(z, 0.0))
-    out = zs[L - 1]
-    r = out[:, 0] - y
+            z = np.tanh(z) if act == ACT_TANH else np.maximum(z, 0.0)
+        acts.append(z)
+    return acts
+
+
+def mlp_loss(theta, dims, w_off, b_off, act, X, y):
+    """Sum of squared residuals over all rows of X, and the activations
+    (from :func:`forward`) that :func:`mlp_loss_grad` can reuse."""
+    acts = forward(theta, dims, w_off, b_off, act, X)
+    r = acts[-1][:, 0] - y
+    return np.dot(r, r), acts
+
+
+def mlp_loss_grad(theta, dims, w_off, b_off, act, X, y, grad, acts=None):
+    """Loss plus exact reverse-mode gradient, written into ``grad``.
+
+    ``acts`` are the activations :func:`mlp_loss` returned for this same
+    ``theta`` and ``X``; given them, the forward pass is not run again.
+    """
+    if acts is None:
+        acts = forward(theta, dims, w_off, b_off, act, X)
+    L = dims.shape[0] - 1
+    N = X.shape[0]
+    r = acts[-1][:, 0] - y
     loss = np.dot(r, r)
 
     delta = (2.0 * r).reshape(N, 1)
@@ -80,169 +72,66 @@ def _mlp_loss_grad(theta, dims, w_off, b_off, act, X, y, grad):
         if l > 0:
             W = theta[w_off[l]:w_off[l] + dout * din].reshape(dout, din)
             da = np.dot(delta, W)
+            h = acts[l]
             if act == ACT_TANH:
-                h = acts[l]
                 delta = da * (1.0 - h * h)
             else:
-                delta = np.where(zs[l - 1] > 0.0, da, 0.0)
+                # relu: h > 0 exactly where the pre-activation was > 0
+                delta = np.where(h > 0.0, da, 0.0)
     return loss
 
 
-def _group_norms(w1, p, K):
+def _sq_norms(blocks):
+    """Euclidean norm of each column of a (n, p) array, adding squares in row order."""
+    return np.sqrt(np.add.accumulate(blocks * blocks, axis=0)[-1])
+
+
+def _lag_major(w1, p, K):
+    """First layer as a (K, H, p) array: [k, h, j] = w1[h, k*p + j]."""
+    H = w1.shape[0]
+    return w1.reshape(H, K, p).transpose(1, 0, 2)
+
+
+def group_norms(w1, p, K):
     """Frobenius norm of each input series' column group of the first layer."""
-    H = w1.shape[0]
-    out = np.empty(p)
-    for j in range(p):
-        s = 0.0
-        for k in range(K):
-            c = k * p + j
-            for h in range(H):
-                s += w1[h, c] * w1[h, c]
-        out[j] = np.sqrt(s)
-    return out
+    return _sq_norms(_lag_major(w1, p, K).reshape(-1, p))
 
 
-def _lag_norms(w1, p, K):
+def lag_norms(w1, p, K):
     """Per (series j, lag k) block norms of the first layer, shape (p, K)."""
-    H = w1.shape[0]
-    out = np.empty((p, K))
-    for j in range(p):
-        for k in range(K):
-            c = k * p + j
-            s = 0.0
-            for h in range(H):
-                s += w1[h, c] * w1[h, c]
-            out[j, k] = np.sqrt(s)
-    return out
+    # C order, as the loops returned: a caller's sum over the whole array
+    # adds in memory order, so the layout is part of the result's bits
+    return np.ascontiguousarray(_sq_norms(w1).reshape(K, p).T)
 
 
-def _prox_group(w1, p, K, thr):
-    """Blockwise group soft-threshold of every column group, in place.
+def _prox_suffixes(w1, p, K, thr, starts):
+    """Group soft-threshold of the lag suffixes (k0..K) of every column group,
+    for each k0 in ``starts`` in turn, in place.
 
-    A group whose norm is <= thr is written to exact zeros; otherwise it is
-    scaled by (1 - thr / norm).
+    A suffix whose norm is <= thr becomes exact (positive) zeros; otherwise it
+    is scaled by (1 - thr / norm).  A NaN norm fails the test, so its suffix
+    is scaled to NaN, not zeroed.
     """
-    H = w1.shape[0]
-    for j in range(p):
-        s = 0.0
-        for k in range(K):
-            c = k * p + j
-            for h in range(H):
-                s += w1[h, c] * w1[h, c]
-        nrm = np.sqrt(s)
-        if nrm <= thr:
-            for k in range(K):
-                c = k * p + j
-                for h in range(H):
-                    w1[h, c] = 0.0
-        else:
-            scale = 1.0 - thr / nrm
-            for k in range(K):
-                c = k * p + j
-                for h in range(H):
-                    w1[h, c] *= scale
+    w = np.ascontiguousarray(_lag_major(w1, p, K))
+    for k0 in starts:
+        suffix = w[k0:]
+        nrm = _sq_norms(suffix.reshape(-1, p))
+        keep = ~(nrm <= thr)
+        suffix[..., keep] *= 1.0 - thr / nrm[keep]
+        suffix[..., ~keep] = 0.0
+    w1[...] = w.transpose(1, 0, 2).reshape(w1.shape)
 
 
-def _prox_hier(w1, p, K, thr):
+def prox_group(w1, p, K, thr):
+    """Blockwise group soft-threshold of every column group, in place."""
+    _prox_suffixes(w1, p, K, thr, [0])
+
+
+def prox_hier(w1, p, K, thr):
     """Nested-suffix prox of every column group, in place.
 
-    For each series j the group soft-threshold is applied to the lag suffixes
+    For each series the group soft-threshold is applied to the lag suffixes
     (k..K) for k = K down to 1, innermost first, each with the same threshold.
     The result always has a suffix zero pattern over lags.
     """
-    H = w1.shape[0]
-    for j in range(p):
-        for k0 in range(K - 1, -1, -1):
-            s = 0.0
-            for k in range(k0, K):
-                c = k * p + j
-                for h in range(H):
-                    s += w1[h, c] * w1[h, c]
-            nrm = np.sqrt(s)
-            if nrm <= thr:
-                for k in range(k0, K):
-                    c = k * p + j
-                    for h in range(H):
-                        w1[h, c] = 0.0
-            else:
-                scale = 1.0 - thr / nrm
-                for k in range(k0, K):
-                    c = k * p + j
-                    for h in range(H):
-                        w1[h, c] *= scale
-
-
-_KERNELS = {
-    "mlp_loss": _mlp_loss,
-    "mlp_loss_grad": _mlp_loss_grad,
-    "group_norms": _group_norms,
-    "lag_norms": _lag_norms,
-    "prox_group": _prox_group,
-    "prox_hier": _prox_hier,
-}
-
-IMPLS = {"numpy": dict(_KERNELS)}
-
-try:
-    import numba
-
-    IMPLS["numba"] = {
-        name: numba.njit(cache=True)(fn) for name, fn in _KERNELS.items()
-    }
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-
-def _resolve_backend():
-    req = os.environ.get("NGCAUSAL_BACKEND", "").strip().lower()
-    if req in ("", "auto"):
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if req == "numpy":
-        return "numpy"
-    if req == "numba":
-        if not _HAVE_NUMBA:
-            raise ImportError(
-                "NGCAUSAL_BACKEND=numba but numba is not importable"
-            )
-        return "numba"
-    raise ValueError(
-        f"NGCAUSAL_BACKEND={req!r}: expected 'numba', 'numpy', or unset"
-    )
-
-
-BACKEND = _resolve_backend()
-
-mlp_loss = IMPLS[BACKEND]["mlp_loss"]
-mlp_loss_grad = IMPLS[BACKEND]["mlp_loss_grad"]
-group_norms = IMPLS[BACKEND]["group_norms"]
-lag_norms = IMPLS[BACKEND]["lag_norms"]
-prox_group = IMPLS[BACKEND]["prox_group"]
-prox_hier = IMPLS[BACKEND]["prox_hier"]
-
-
-def backend_name():
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return BACKEND
-
-
-def warmup():
-    """Trigger JIT compilation of every kernel on tiny inputs.
-
-    Call before forking worker processes so children inherit compiled code.
-    No-op cost on the numpy backend.
-    """
-    dims = np.array([2, 2, 1], dtype=np.int64)
-    w_off = np.array([0, 6], dtype=np.int64)
-    b_off = np.array([4, 8], dtype=np.int64)
-    theta = np.linspace(0.1, 0.9, 9)
-    X = np.ones((3, 2))
-    y = np.zeros(3)
-    g = np.zeros(9)
-    mlp_loss(theta, dims, w_off, b_off, ACT_TANH, X, y)
-    mlp_loss_grad(theta, dims, w_off, b_off, ACT_TANH, X, y, g)
-    w1 = theta[:4].reshape(2, 2).copy()
-    group_norms(w1, 2, 1)
-    lag_norms(w1, 2, 1)
-    prox_group(w1, 2, 1, 0.1)
-    prox_hier(w1, 2, 1, 0.1)
+    _prox_suffixes(w1, p, K, thr, range(K - 1, -1, -1))

@@ -12,7 +12,6 @@ import sys
 
 import numpy as np
 
-from . import _kernels as kernels
 from .datasets import SimulationError, standardize
 from .evaluation import (DegenerateTruthError, assemble_graph, auc, edge_rates,
                          lag_profile, lambda_grid, lambda_max_linear,
@@ -94,7 +93,6 @@ def cmd_fit(args):
     results = [None] * p
     failures = []
     if args.jobs > 1:
-        kernels.warmup()
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futs = {pool.submit(_fit_series_task, t): i for i, t in enumerate(tasks)}
             for fut in concurrent.futures.as_completed(futs):
@@ -214,6 +212,17 @@ def cmd_report(args):
 # -------------------------------------------------------------------- main
 
 
+def _positive_int(text):
+    """argparse type of --jobs: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ngcausal",
@@ -227,7 +236,7 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=None,
                         help="override generator.seed from the config")
         if jobs:
-            sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+            sp.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                             help="parallel fit workers (default: all cores)")
         sp.add_argument("--quiet", action="store_true", help="suppress progress output")
 

@@ -8,7 +8,6 @@ drives series i.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .numerics import SeededRng, gauss_sample
 
@@ -82,6 +81,10 @@ def make_sparse_var(rng, p, K, edge_prob=0.2, magnitude=0.1,
 
     if not np.any(coeffs):
         raise ValueError("cannot rescale an all-zero coefficient set")
+
+    # imported here: scipy.optimize takes most of the package's import time,
+    # which every CLI command would otherwise pay
+    from scipy.optimize import brentq
 
     def radius_at(scale):
         return spectral_radius(companion_matrix(scale * coeffs)) - target_radius

@@ -214,7 +214,6 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1, progress=None):
     p = ts.shape[1]
 
     if jobs > 1:
-        kernels.warmup()
         tasks = [(ts, K, i, kind, lambdas, arch, opt, seed) for i in range(p)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             per_series = list(pool.map(_series_path_task, tasks))

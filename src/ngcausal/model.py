@@ -211,15 +211,9 @@ def predict(model, X):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dims[0]:
         raise ValueError(f"inputs must be (N, {model.dims[0]}), got {X.shape}")
-    a = X
-    last = model.n_layers - 1
-    for l in range(model.n_layers):
-        z = a @ model.weight(l).T + model.bias(l)
-        if l < last:
-            a = np.tanh(z) if model.activation == "tanh" else np.maximum(z, 0.0)
-        else:
-            a = z
-    return a[:, 0]
+    acts = kernels.forward(model.theta, model.dims, model.w_off, model.b_off,
+                           model.act_code, X)
+    return acts[-1][:, 0]
 
 
 def forward(model, x):
@@ -234,15 +228,19 @@ def loss(model, data):
     """Sum of squared one-step prediction errors over all rows (no penalty)."""
     return float(kernels.mlp_loss(model.theta, model.dims, model.w_off,
                                   model.b_off, model.act_code,
-                                  data.inputs, data.targets))
+                                  data.inputs, data.targets)[0])
 
 
-def loss_and_grad(model, data):
-    """Loss plus its exact gradient as a flat vector in theta layout."""
+def loss_and_grad(model, data, acts=None):
+    """Loss plus its exact gradient as a flat vector in theta layout.
+
+    ``acts`` are activations that ``kernels.mlp_loss`` returned for this
+    model's current theta on ``data``; they stand in for a new forward pass.
+    """
     g = np.empty(model.n_params)
     val = kernels.mlp_loss_grad(model.theta, model.dims, model.w_off,
                                 model.b_off, model.act_code,
-                                data.inputs, data.targets, g)
+                                data.inputs, data.targets, g, acts)
     if not model.use_output_bias:
         g[model.b_off[-1]] = 0.0
     return float(val), g

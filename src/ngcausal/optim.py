@@ -73,22 +73,8 @@ def objective(model, data, spec):
     """Penalized training objective: squared-error loss plus penalty term."""
     return float(kernels.mlp_loss(model.theta, model.dims, model.w_off,
                                   model.b_off, model.act_code,
-                                  data.inputs, data.targets)
+                                  data.inputs, data.targets)[0]
                  + penalty_value(spec, model))
-
-
-def _prox_candidate(model, g, step, spec):
-    """Gradient step on all parameters, then the first-layer prox, off-model."""
-    cand = model.theta - step * g
-    if spec.kind != "none":
-        h1 = model.dims[1]
-        w1 = cand[:h1 * model.dims[0]].reshape(h1, model.dims[0])
-        thr = step * spec.lam
-        if spec.kind == "group":
-            kernels.prox_group(w1, model.p, model.K, thr)
-        else:
-            kernels.prox_hier(w1, model.p, model.K, thr)
-    return cand
 
 
 def prox_step(model, data, spec, step):
@@ -99,7 +85,7 @@ def prox_step(model, data, spec, step):
     if not np.all(np.isfinite(g)):
         raise OptimizationError("non-finite gradient")
     new_model = model.copy()
-    new_model.theta[:] = _prox_candidate(model, g, step, spec)
+    new_model.theta[:] = apply_prox(spec, model, model.theta - step * g, step)
     return new_model, objective(new_model, data, spec)
 
 
@@ -124,7 +110,13 @@ def fit(data, spec, arch, opt, seed, init_from=None, step0=None, progress=None):
     else:
         model = init_model(data.p, data.K, arch, SeededRng(seed))
 
-    obj = objective(model, data, spec)
+    # activations of the current theta: each accepted candidate's forward
+    # pass is reused by the next gradient instead of being run again
+    loss_val, acts = kernels.mlp_loss(model.theta, model.dims, model.w_off,
+                                      model.b_off, model.act_code,
+                                      data.inputs, data.targets)
+    loss_val = float(loss_val)
+    obj = loss_val + penalty_value(spec, model)
     if not np.isfinite(obj):
         raise OptimizationError("non-finite objective at initialization")
     trace = [obj]
@@ -134,14 +126,15 @@ def fit(data, spec, arch, opt, seed, init_from=None, step0=None, progress=None):
     iterations = 0
 
     for iterations in range(1, opt.max_iters + 1):
-        loss_val, g = loss_and_grad(model, data)
+        _, g = loss_and_grad(model, data, acts)
         if not np.all(np.isfinite(g)):
             raise OptimizationError(f"non-finite gradient at iteration {iterations}")
         while True:
-            cand = _prox_candidate(model, g, step, spec)
-            new_loss = float(kernels.mlp_loss(cand, model.dims, model.w_off,
-                                              model.b_off, model.act_code,
-                                              data.inputs, data.targets))
+            cand = apply_prox(spec, model, model.theta - step * g, step)
+            new_loss, new_acts = kernels.mlp_loss(cand, model.dims, model.w_off,
+                                                  model.b_off, model.act_code,
+                                                  data.inputs, data.targets)
+            new_loss = float(new_loss)
             if not opt.backtracking:
                 break
             delta = cand - model.theta
@@ -155,6 +148,7 @@ def fit(data, spec, arch, opt, seed, init_from=None, step0=None, progress=None):
                     f"backtracking drove the step below min_step={opt.min_step} "
                     f"at iteration {iterations}")
         model.theta[:] = cand
+        loss_val, acts = new_loss, new_acts
         new_obj = new_loss + penalty_value(spec, model)
         if not np.isfinite(new_obj):
             raise OptimizationError(f"non-finite objective at iteration {iterations}")

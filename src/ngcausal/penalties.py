@@ -82,20 +82,22 @@ def prox_hierarchical_column(col, threshold):
     return out
 
 
-def apply_prox(spec, model, step):
-    """Prox of step * lam applied in place to all first-layer column groups.
+def apply_prox(spec, model, theta, step):
+    """Prox of step * lam applied in place to the first-layer column groups of theta.
 
-    Deeper layers, biases, and output weights are untouched.  Returns the
-    (mutated) model.
+    ``theta`` is a flat parameter vector in ``model``'s layout, such as a
+    gradient-step candidate or ``model.theta`` itself.  Deeper layers,
+    biases, and output weights are untouched.  Returns ``theta``.
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     if spec.kind == "none":
-        return model
+        return theta
+    h1, d0 = model.dims[1], model.dims[0]
+    w1 = theta[:h1 * d0].reshape(h1, d0)
     thr = step * spec.lam
-    w1 = model.first_layer_packed
     if spec.kind == "group":
         kernels.prox_group(w1, model.p, model.K, thr)
     else:
         kernels.prox_hier(w1, model.p, model.K, thr)
-    return model
+    return theta

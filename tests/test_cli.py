@@ -233,3 +233,16 @@ class TestExitCodes:
         assert run("sweep", "--config", cfg, "--data", data_dir / "dataset.csv",
                    "--truth", dense, "--out", tmp_path / "x", "--jobs", 1,
                    "--quiet") == 3
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_bad_jobs_is_usage_error_2(self, tmp_path, capsys, command, jobs):
+        cfg = write_config(tmp_path / "c.yaml")
+        truth = ["--truth", tmp_path / "t.csv"] if command == "sweep" else []
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--config", cfg, "--data", tmp_path / "d.csv", *truth,
+                "--out", tmp_path / "o", "--jobs", jobs, "--quiet")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "argument --jobs" in err
+        assert not (tmp_path / "o").exists()

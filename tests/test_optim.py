@@ -7,7 +7,8 @@ from ngcausal.model import (Architecture, ComponentMLP, LaggedDataset,
 from ngcausal.numerics import SeededRng
 from ngcausal.optim import (FitResult, OptimizationError, OptimizerConfig,
                             fit, objective, prox_step, warm_start_fit)
-from ngcausal.penalties import PenaltySpec, penalty_value, prox_group_block
+from ngcausal.penalties import (PenaltySpec, apply_prox, penalty_value,
+                                prox_group_block)
 
 
 def assert_monotone_trace(trace):
@@ -186,6 +187,45 @@ class TestFit:
             prev = new_loss
         n = min(len(trace), len(res.objective_trace))
         assert np.allclose(res.objective_trace[:n], trace[:n], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["none", "group", "hierarchical"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_trace_equals_loop_with_fresh_gradients(self, kind, activation):
+        # fit reuses each accepted candidate's forward pass; a loop that runs
+        # loss_and_grad afresh every iteration must give the same bits
+        data = small_dataset(17, T=120)
+        arch = Architecture(hidden_sizes=(5, 3), activation=activation, init_scale=1.0)
+        spec = PenaltySpec(kind, 3.0)
+        opt = OptimizerConfig(max_iters=150, initial_step=0.05, rel_tol=1e-9)
+        res = fit(data, spec, arch, opt, seed=22)
+
+        model = init_model(3, 2, arch, SeededRng(22))
+        step = opt.initial_step
+        obj = objective(model, data, spec)
+        trace = [obj]
+        backtracks = 0
+        for _ in range(opt.max_iters):
+            val, g = loss_and_grad(model, data)
+            while True:
+                probe = model.copy()
+                probe.theta[:] = apply_prox(spec, model, model.theta - step * g, step)
+                new_loss = loss(probe, data)
+                delta = probe.theta - model.theta
+                if new_loss <= (val + g @ delta + (delta @ delta) / (2.0 * step)
+                                + 1e-12 * max(1.0, abs(val))):
+                    break
+                step *= opt.backtrack_factor
+                backtracks += 1
+            model = probe
+            new_obj = new_loss + penalty_value(spec, model)
+            trace.append(new_obj)
+            if abs(obj - new_obj) < opt.rel_tol * max(1.0, abs(obj)):
+                break
+            obj = new_obj
+        assert backtracks > 0
+        assert np.array_equal(res.objective_trace, np.asarray(trace))
+        assert np.array_equal(res.model.theta, model.theta)
+        assert res.final_step == step
 
     def test_fit_one_iteration_equals_prox_step(self):
         data = small_dataset(16)

@@ -156,14 +156,14 @@ class TestApplyProx:
     def test_none_unchanged(self):
         model = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(0))
         before = model.theta.copy()
-        apply_prox(PenaltySpec("none", 100.0), model, step=0.1)
+        apply_prox(PenaltySpec("none", 100.0), model, model.theta, step=0.1)
         assert np.array_equal(model.theta, before)
 
     def test_huge_lambda_zeroes_first_layer_only(self):
         model = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(1))
         deeper_before = model.weight(1).copy()
         biases_before = [b.copy() for b in model.biases]
-        apply_prox(PenaltySpec("group", 1e9), model, step=1.0)
+        apply_prox(PenaltySpec("group", 1e9), model, model.theta, step=1.0)
         assert np.array_equal(model.first_layer_packed, np.zeros((4, 6)))
         assert np.array_equal(model.weight(1), deeper_before)
         for b, before in zip(model.biases, biases_before):
@@ -173,7 +173,7 @@ class TestApplyProx:
         model = init_model(1, 3, Architecture(hidden_sizes=(2,), init_scale=1.0),
                            SeededRng(2))
         expected = prox_group_block(model.first_layer_packed.copy(), 0.07)
-        apply_prox(PenaltySpec("group", 0.7), model, step=0.1)
+        apply_prox(PenaltySpec("group", 0.7), model, model.theta, step=0.1)
         assert np.allclose(model.first_layer_packed, expected, rtol=1e-15)
 
     def test_group_matches_per_column_blocks(self):
@@ -181,7 +181,7 @@ class TestApplyProx:
                            SeededRng(3))
         expected = {j: prox_group_block(model.column_group(j).copy(), 0.05)
                     for j in range(4)}
-        apply_prox(PenaltySpec("group", 0.5), model, step=0.1)
+        apply_prox(PenaltySpec("group", 0.5), model, model.theta, step=0.1)
         for j in range(4):
             assert np.allclose(model.column_group(j), expected[j], rtol=1e-14)
 
@@ -190,7 +190,7 @@ class TestApplyProx:
                            SeededRng(4))
         expected = {j: prox_hierarchical_column(model.column_group(j).copy(), 0.06)
                     for j in range(3)}
-        apply_prox(PenaltySpec("hierarchical", 0.6), model, step=0.1)
+        apply_prox(PenaltySpec("hierarchical", 0.6), model, model.theta, step=0.1)
         for j in range(3):
             assert np.allclose(model.column_group(j), expected[j], rtol=1e-14)
 
@@ -204,8 +204,8 @@ class TestApplyProx:
         for k in range(2):
             w1p[:, k * 5:(k + 1) * 5] = w1[:, k * 5:(k + 1) * 5][:, perm]
         spec = PenaltySpec("group", 0.8)
-        apply_prox(spec, model, step=0.1)
-        apply_prox(spec, permuted, step=0.1)
+        apply_prox(spec, model, model.theta, step=0.1)
+        apply_prox(spec, permuted, permuted.theta, step=0.1)
         for k in range(2):
             assert np.allclose(permuted.first_layer_packed[:, k * 5:(k + 1) * 5],
                                model.first_layer_packed[:, k * 5:(k + 1) * 5][:, perm],
@@ -214,4 +214,4 @@ class TestApplyProx:
     def test_step_must_be_positive(self):
         model = ComponentMLP(2, 1, hidden_sizes=())
         with pytest.raises(ValueError):
-            apply_prox(PenaltySpec("group", 1.0), model, step=0.0)
+            apply_prox(PenaltySpec("group", 1.0), model, model.theta, step=0.0)
