@@ -8,6 +8,14 @@ ordered lag-major: input column ``k*p + j`` is series ``j`` at lag ``k+1``,
 so the column group of series ``j`` is ``w1[:, j::p]``, and ``w1`` viewed as
 ``(H, K, p)`` holds series ``j``'s group at ``[:, :, j]``.
 
+The MLP kernels store activations unit-major: every layer's output is a
+``(width, N)`` array, one row per unit and one column per data row, so a
+layer is ``W @ a_prev`` plus a bias broadcast along rows and the bias
+gradient is a sum along rows.  The design matrix ``X`` stays ``(N, p*K)``;
+the kernels read it as ``X.T``, which is C-contiguous when ``X`` is in
+Fortran order, as :func:`ngcausal.model.build_lagged` builds it.  Any memory
+order gives the same values up to rounding.
+
 The norm and prox kernels work on all series at once but add squares in a
 fixed order, lag outer and hidden unit inner, one term at a time
 (``np.add.accumulate`` is sequential by definition, while ``sum`` may switch
@@ -21,22 +29,31 @@ ACT_TANH = 0
 ACT_RELU = 1
 
 
-def forward(theta, dims, w_off, b_off, act, X):
-    """Activations of every layer for the rows of X.
+def _layer(theta, dims, w_off, b_off, l):
+    din = dims[l]
+    dout = dims[l + 1]
+    W = theta[w_off[l]:w_off[l] + dout * din].reshape(dout, din)
+    return W, theta[b_off[l]:b_off[l] + dout]
 
-    Returns ``[X, a_1, ..., a_L]``: the hidden activations after the
-    nonlinearity and, last, the linear output layer of shape (N, 1).
+
+def forward(theta, dims, w_off, b_off, act, X):
+    """Activations of every layer, unit-major, for the rows of X.
+
+    Returns ``[X.T, a_1, ..., a_L]``: the (p*K, N) input view, the hidden
+    activations after the nonlinearity, each (width, N), and last the
+    linear output layer of shape (1, N).
     """
     L = dims.shape[0] - 1
-    acts = [X]
+    acts = [X.T]
     for l in range(L):
-        din = dims[l]
-        dout = dims[l + 1]
-        W = theta[w_off[l]:w_off[l] + dout * din].reshape(dout, din)
-        b = theta[b_off[l]:b_off[l] + dout]
-        z = np.dot(acts[l], W.T) + b
+        W, b = _layer(theta, dims, w_off, b_off, l)
+        z = W @ acts[l]
+        z += b[:, None]
         if l < L - 1:
-            z = np.tanh(z) if act == ACT_TANH else np.maximum(z, 0.0)
+            if act == ACT_TANH:
+                np.tanh(z, out=z)
+            else:
+                np.maximum(z, 0.0, out=z)
         acts.append(z)
     return acts
 
@@ -45,7 +62,7 @@ def mlp_loss(theta, dims, w_off, b_off, act, X, y):
     """Sum of squared residuals over all rows of X, and the activations
     (from :func:`forward`) that :func:`mlp_loss_grad` can reuse."""
     acts = forward(theta, dims, w_off, b_off, act, X)
-    r = acts[-1][:, 0] - y
+    r = acts[-1][0] - y
     return np.dot(r, r), acts
 
 
@@ -58,26 +75,34 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, y, grad, acts=None):
     if acts is None:
         acts = forward(theta, dims, w_off, b_off, act, X)
     L = dims.shape[0] - 1
-    N = X.shape[0]
-    r = acts[-1][:, 0] - y
+    r = acts[-1][0] - y
     loss = np.dot(r, r)
 
-    delta = (2.0 * r).reshape(N, 1)
+    delta = 2.0 * r[None, :]
     for l in range(L - 1, -1, -1):
-        din = dims[l]
-        dout = dims[l + 1]
-        gW = np.dot(delta.T, acts[l])
-        grad[w_off[l]:w_off[l] + dout * din] = gW.ravel()
-        grad[b_off[l]:b_off[l] + dout] = np.sum(delta, 0)
+        W, _ = _layer(theta, dims, w_off, b_off, l)
+        # gW = delta @ a_in.T, computed as (a_in @ delta.T).T, which is
+        # faster at large N when X is in Fortran order
+        grad[w_off[l]:w_off[l] + W.size] = (acts[l] @ delta.T).T.ravel()
+        np.sum(delta, axis=1, out=grad[b_off[l]:b_off[l] + W.shape[0]])
         if l > 0:
-            W = theta[w_off[l]:w_off[l] + dout * din].reshape(dout, din)
-            da = np.dot(delta, W)
             h = acts[l]
             if act == ACT_TANH:
-                delta = da * (1.0 - h * h)
+                # (1 - h^2) * (W.T @ delta), built in one buffer; before a
+                # one-unit layer, W.T @ delta is an outer product, which two
+                # broadcast multiplies do faster than the GEMM
+                d = h * h
+                np.subtract(1.0, d, out=d)
+                if W.shape[0] == 1:
+                    d *= W.T
+                    d *= delta
+                else:
+                    d *= W.T @ delta
             else:
                 # relu: h > 0 exactly where the pre-activation was > 0
-                delta = np.where(h > 0.0, da, 0.0)
+                d = W.T @ delta
+                np.copyto(d, 0.0, where=~(h > 0.0))
+            delta = d
     return loss
 
 
@@ -116,9 +141,10 @@ def _prox_suffixes(w1, p, K, thr, starts):
     for k0 in starts:
         suffix = w[k0:]
         nrm = _sq_norms(suffix.reshape(-1, p))
-        keep = ~(nrm <= thr)
-        suffix[..., keep] *= 1.0 - thr / nrm[keep]
-        suffix[..., ~keep] = 0.0
+        # the scale of a zeroed suffix may be inf or NaN: overwritten below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            suffix *= 1.0 - thr / nrm
+        np.copyto(suffix, 0.0, where=nrm <= thr)
     w1[...] = w.transpose(1, 0, 2).reshape(w1.shape)
 
 

@@ -133,7 +133,10 @@ def lambda_max_linear(ts, K, center=True):
     """
     ts = np.asarray(ts, dtype=np.float64)
     p = ts.shape[1]
-    X = build_lagged(ts, K, 0).inputs
+    # A C-ordered copy keeps the grid bit-equal to the one computed before
+    # build_lagged returned Fortran order: X.T @ R rounds differently for the
+    # two memory orders.  It costs one copy of the design.
+    X = np.ascontiguousarray(build_lagged(ts, K, 0).inputs)
     Y = ts[K:]
     R = Y - Y.mean(axis=0) if center else Y
     G = X.T @ R                      # (p*K, p)

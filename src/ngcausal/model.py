@@ -196,7 +196,8 @@ def build_lagged(ts, K, i):
     if not (0 <= i < p):
         raise ValueError(f"series index {i} out of range for p={p}")
     N = T - K
-    X = np.empty((N, p * K))
+    # Fortran order: the MLP kernels read X.T, which is then C-contiguous
+    X = np.empty((N, p * K), order="F")
     for k in range(1, K + 1):
         X[:, (k - 1) * p:k * p] = ts[K - k:T - k]
     y = ts[K:, i].copy()
@@ -213,7 +214,7 @@ def predict(model, X):
         raise ValueError(f"inputs must be (N, {model.dims[0]}), got {X.shape}")
     acts = kernels.forward(model.theta, model.dims, model.w_off, model.b_off,
                            model.act_code, X)
-    return acts[-1][:, 0]
+    return acts[-1][0]
 
 
 def forward(model, x):

@@ -186,6 +186,22 @@ class TestLambdaGrid:
             active += int((granger_weights(res.model) > 0).sum())
         assert active >= 1
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_lambda_max_same_bits_for_c_and_f_ordered_design(self, seed, monkeypatch):
+        # a plain X.T @ R can round differently for the two memory orders;
+        # with x86-64 OpenBLAS it does on each of these seeds
+        ts = np.random.default_rng(seed).normal(size=(200, 3))
+        assert build_lagged(ts, 2, 0).inputs.flags.f_contiguous
+        from_f = lambda_max_linear(ts, 2)
+
+        def c_ordered(ts, K, i):
+            data = build_lagged(ts, K, i)
+            data.inputs = np.ascontiguousarray(data.inputs)
+            return data
+
+        monkeypatch.setattr("ngcausal.evaluation.build_lagged", c_ordered)
+        assert lambda_max_linear(ts, 2).hex() == from_f.hex()
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             lambda_grid(0.0)

@@ -7,7 +7,7 @@ from ngcausal.model import (Architecture, ComponentMLP, build_lagged, forward,
 from ngcausal.numerics import SeededRng, finite_diff_grad
 
 
-def random_instance(seed, p=None, K=None, hidden=None, N=None):
+def random_instance(seed, p=None, K=None, hidden=None, N=None, activation=None):
     """A random small model/dataset pair for gradient and loss checks."""
     gen = np.random.default_rng(seed)
     p = p if p is not None else int(gen.integers(1, 4))
@@ -16,7 +16,8 @@ def random_instance(seed, p=None, K=None, hidden=None, N=None):
         n_hidden = int(gen.integers(0, 3))
         hidden = tuple(int(gen.integers(1, 5)) for _ in range(n_hidden))
     N = N if N is not None else int(gen.integers(2, 9))
-    activation = "tanh" if gen.random() < 0.8 else "relu"
+    draw = "tanh" if gen.random() < 0.8 else "relu"   # drawn always: keeps the stream
+    activation = activation or draw
     arch = Architecture(hidden_sizes=hidden, activation=activation, init_scale=0.5)
     model = init_model(p, K, arch, SeededRng(seed))
     from ngcausal.model import LaggedDataset
@@ -60,6 +61,27 @@ class TestBuildLagged:
     def test_series_index_range(self):
         with pytest.raises(ValueError):
             build_lagged(np.zeros((5, 2)), K=1, i=2)
+
+    def test_inputs_are_fortran_ordered(self):
+        # the MLP kernels read inputs.T, a C-contiguous array in this order
+        data = build_lagged(SeededRng(2).gen.normal(size=(50, 3)), K=2, i=0)
+        assert data.inputs.shape == (48, 6)
+        assert data.inputs.flags.f_contiguous
+
+
+class TestMemoryOrder:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("hidden", [(), (5,), (6, 4)])
+    def test_c_and_f_ordered_inputs_agree(self, activation, hidden):
+        model, data = random_instance(21, p=3, K=2, hidden=hidden, N=240,
+                                      activation=activation)
+        out = {}
+        for order in "CF":
+            data.inputs = np.asarray(data.inputs, order=order)
+            assert data.inputs.flags[order + "_CONTIGUOUS"]
+            out[order] = (*loss_and_grad(model, data), predict(model, data.inputs))
+        for c, f in zip(out["C"], out["F"]):
+            np.testing.assert_allclose(c, f, rtol=1e-12, atol=0.0)
 
 
 class TestForward:
@@ -121,9 +143,8 @@ class TestGrad:
         data.targets[:] = predict(model, data.inputs)
         assert np.allclose(grad(model, data), 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_finite_differences(self, seed):
-        model, data = random_instance(seed)
+    @staticmethod
+    def assert_matches_finite_differences(model, data):
         _, g = loss_and_grad(model, data)
 
         def f(theta):
@@ -135,6 +156,22 @@ class TestGrad:
         fd = finite_diff_grad(f, model.theta, h=1e-6)
         rel = np.abs(g - fd) / np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
         assert rel.max() < 1e-5
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_finite_differences(self, seed):
+        self.assert_matches_finite_differences(*random_instance(seed))
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_matches_finite_differences_long_two_hidden_layers(self, activation):
+        # N >= 200 rows, and a hidden layer feeding a wider-than-one layer,
+        # so the backward pass takes the W.T @ delta GEMM as well as (tanh)
+        # the broadcast step before the one-unit output
+        model, data = random_instance(13, p=3, K=2, hidden=(6, 4), N=240,
+                                      activation=activation)
+        # nonzero biases: with zero ones, a row whose relu units are all off
+        # puts the next layer exactly on its kink, where differences fail
+        model.theta[:] = np.random.default_rng(13).normal(scale=0.5, size=model.n_params)
+        self.assert_matches_finite_differences(model, data)
 
     def test_zero_input_column_zero_first_layer_grad(self):
         model, data = random_instance(8, p=3, K=2, N=6)
