@@ -37,6 +37,17 @@ def _say(args, msg):
         print(msg)
 
 
+def _warn_capped(converged, lambdas, max_iters):
+    """One stderr line when any fit stopped at max_iters; converged is
+    (n_lambda, p) in grid order.  Printed even under --quiet."""
+    capped = np.argwhere(~np.asarray(converged, dtype=bool))
+    if capped.size:
+        li, i = capped[0]
+        print(f"warning: {len(capped)} fit(s) stopped at max_iters={max_iters} "
+              f"before converging; first at lambda {lambdas[li]:.6g}, series {i}",
+              file=sys.stderr)
+
+
 def _resolved_seed(cfg, args):
     return cfg.generator.seed if args.seed is None else args.seed
 
@@ -119,6 +130,8 @@ def cmd_fit(args):
         _say(args, f"series {i}: {res.iterations_run} iterations, "
                    f"objective {res.objective_trace[-1]:.6g}, converged={res.converged}")
 
+    _warn_capped([[r is None or r.converged for r in results]], [lam],
+                 cfg.optimizer.max_iters)
     if failures:
         for i, msg in sorted(failures):
             print(f"series {i}: optimization failed: {msg}", file=sys.stderr)
@@ -159,6 +172,7 @@ def cmd_sweep(args):
     progress = None if args.quiet else (lambda msg: print(msg))
     sweep = sweep_path(ts, K, kind, lams, arch, cfg.optimizer, seed,
                        jobs=args.jobs, progress=progress)
+    _warn_capped(sweep.converged, sweep.lambdas, cfg.optimizer.max_iters)
 
     graph_dir = os.path.join(out, "graphs")
     os.makedirs(graph_dir, exist_ok=True)

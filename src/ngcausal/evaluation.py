@@ -129,7 +129,10 @@ def lambda_max_linear(ts, K, center=True):
 
     For the linear model, the all-zero first layer is optimal once lambda
     reaches max over (series, input group) of 2 * ||X_g^T (y - mean(y))||;
-    used as the top anchor of sweep grids (approximate for MLP fits).
+    used as the top anchor of sweep grids (approximate for MLP fits).  The
+    returned value is that bound times (1 + 1e-9): at exactly the bound,
+    rounding can leave the argmax group's gradient norm at a converged fit
+    a few ulps above it, and that group keeps a tiny nonzero weight.
     """
     ts = np.asarray(ts, dtype=np.float64)
     p = ts.shape[1]
@@ -141,7 +144,7 @@ def lambda_max_linear(ts, K, center=True):
     R = Y - Y.mean(axis=0) if center else Y
     G = X.T @ R                      # (p*K, p)
     norms = np.sqrt((G.reshape(K, p, p) ** 2).sum(axis=0))  # (input j, output i)
-    lam_max = 2.0 * float(norms.max())
+    lam_max = 2.0 * float(norms.max()) * (1.0 + 1e-9)
     if lam_max <= 0:
         raise ValueError("data is constant: no usable penalty scale")
     return lam_max

@@ -7,13 +7,15 @@ Formats (all deterministic byte streams given identical inputs):
                    and round-trips losslessly.
 * checkpoint    -- versioned JSON; weights stored as C99 hex floats so a
                    reloaded model reproduces forward outputs bit-identically.
-* dataset CSV   -- header ``t,s0,...,s{p-1}``, one row per time step.
+* dataset CSV   -- header ``t,s0,...,s{p-1}``, one row per time step;
+                   every value must be finite.
 * matrix CSV    -- bare p x p rows (truth graphs as 0/1, weight graphs and
                    lag profiles at 17 significant digits).
 """
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -276,9 +278,12 @@ def read_dataset_csv(path):
             if len(parts) != p + 1:
                 raise DataError(f"{path}:{lineno}: expected {p + 1} fields, got {len(parts)}")
             try:
-                rows.append([float(v) for v in parts[1:]])
+                row = [float(v) for v in parts[1:]]
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise DataError(f"{path}:{lineno}: non-finite value")
+            rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.asarray(rows)

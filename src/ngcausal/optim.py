@@ -7,8 +7,15 @@ shrinks the step until the candidate passes the sufficient-decrease test
 
     loss(cand) <= loss + <grad, delta> + ||delta||^2 / (2 * step),
 
-which guarantees the penalized objective never increases.  The accepted step
-carries over to the next iteration and only ever shrinks within one fit.
+which guarantees the penalized objective never increases.  Each line search
+after the first starts from the short Barzilai-Borwein step s.y / y.y of the
+last accepted move (s the change in parameters, y the change in the loss
+gradient), floored at min_step, so the step can grow again after a
+backtrack; where s.y <= 0 it starts from the last accepted step instead.
+This is the start GISTA (Gong et al., ICML 2013) uses.  The first line
+search of a fit starts from initial_step, or from a warm start's previous
+final step capped at initial_step.  With backtracking off the step stays
+fixed at the starting step.
 
 The default rel_tol (1e-4) stops fits deliberately early.  Because only the
 first layer is penalized, prolonged optimization lets the network drain
@@ -124,11 +131,20 @@ def fit(data, spec, arch, opt, seed, init_from=None, step0=None, progress=None):
                                                       opt.initial_step)
     converged = False
     iterations = 0
+    g = delta = None
 
     for iterations in range(1, opt.max_iters + 1):
+        g_prev = g
         _, g = loss_and_grad(model, data, acts)
         if not np.all(np.isfinite(g)):
             raise OptimizationError(f"non-finite gradient at iteration {iterations}")
+        if delta is not None:
+            # short Barzilai-Borwein step from the last accepted move (delta
+            # is only set when backtracking, so a fixed step stays fixed)
+            y = g - g_prev
+            sy = delta @ y
+            if sy > 0:
+                step = max(sy / (y @ y), opt.min_step)
         while True:
             cand = apply_prox(spec, model, model.theta - step * g, step)
             new_loss, new_acts = kernels.mlp_loss(cand, model.dims, model.w_off,

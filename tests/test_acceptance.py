@@ -1,11 +1,15 @@
 """Acceptance gate for the paper's recovery and determinism claims.
 
-Fixed-seed VAR sweeps at the README defaults: p=10 series, T=1000 rows, a
-model with K=3 lags and one tanh hidden layer of width 10, a 20-point lambda
-grid anchored at the data's lambda_max, the default optimizer, and
-generator/initialization seeds 0-4.  Each penalty's mean AUC must stay
-above its floor: the mean measured with the row-major MLP kernels, minus
-0.02.  CHANGES.md records the measured means beside the floors.
+Fixed-seed sweeps at the README defaults: p=10 series, T=1000 rows, a model
+with K=3 lags and one tanh hidden layer of width 10, a 20-point lambda grid
+anchored at the data's lambda_max, the default optimizer, and
+generator/initialization seeds 0-4.  VAR data is swept with the group and
+the hierarchical penalty, Lorenz-96 data (F=5) with the group penalty.  Each
+mean AUC must stay above its floor: a measured mean minus 0.02 (the VAR
+ones with the row-major MLP kernels, the Lorenz one with the shrink-only
+step rule that preceded the Barzilai-Borwein start).  No fit may stop at
+max_iters, and each VAR penalty's five sweeps must take at most 15,000
+iterations in all.  CHANGES.md records the measured values.
 
 Run ``pytest tests/test_acceptance.py -v -s`` for one line per criterion.
 """
@@ -16,7 +20,7 @@ import pytest
 import yaml
 
 from ngcausal.cli import main
-from ngcausal.datasets import VarGenConfig
+from ngcausal.datasets import LorenzGenConfig, VarGenConfig
 from ngcausal.evaluation import run_experiment
 from ngcausal.model import Architecture
 from ngcausal.optim import OptimizerConfig
@@ -24,16 +28,35 @@ from ngcausal.optim import OptimizerConfig
 SEEDS = range(5)
 # measured means 0.9157 (group) and 0.8776 (hierarchical), minus 0.02
 AUC_FLOORS = {"group": 0.8957, "hierarchical": 0.8575}
+# measured mean 0.8640, minus 0.02
+LORENZ_AUC_FLOOR = 0.8440
+# total iterations of the five sweeps of one penalty; the shrink-only step
+# rule took about 30,500 (group) and 31,400 (hierarchical)
+VAR_ITERATION_CEILING = 15_000
+
+
+def _sweeps(generator, kind):
+    return run_experiment(generator, T=1000, K=3,
+                          arch=Architecture(hidden_sizes=(10,)),
+                          opt=OptimizerConfig(), penalty_kind=kind,
+                          seeds=SEEDS, grid_size=20, grid_ratio=100.0)
+
+
+def _capped_and_iterations(result):
+    capped = sum(int((~sw.converged).sum()) for sw in result.sweeps)
+    iters = sum(int(sw.iterations.sum()) for sw in result.sweeps)
+    return capped, iters
 
 
 @pytest.fixture(scope="module", params=sorted(AUC_FLOORS))
 def var_sweeps(request):
     kind = request.param
-    result = run_experiment(VarGenConfig(p=10, K=3), T=1000, K=3,
-                            arch=Architecture(hidden_sizes=(10,)),
-                            opt=OptimizerConfig(), penalty_kind=kind,
-                            seeds=SEEDS, grid_size=20, grid_ratio=100.0)
-    return kind, result
+    return kind, _sweeps(VarGenConfig(p=10, K=3), kind)
+
+
+@pytest.fixture(scope="module")
+def lorenz_sweeps():
+    return _sweeps(LorenzGenConfig(p=10, F=5.0), "group")
 
 
 def test_var_mean_auc_floor(var_sweeps):
@@ -48,9 +71,29 @@ def test_var_mean_auc_floor(var_sweeps):
 def test_var_fits_all_converge(var_sweeps):
     # early stopping sets graph quality: a fit capped at max_iters is a defect
     kind, result = var_sweeps
-    capped = sum(int((~sw.converged).sum()) for sw in result.sweeps)
-    iters = sum(int(sw.iterations.sum()) for sw in result.sweeps)
+    capped, iters = _capped_and_iterations(result)
     print(f"\nVAR {kind}: {iters} iterations, {capped} capped fits")
+    assert capped == 0
+
+
+def test_var_iteration_ceiling(var_sweeps):
+    kind, result = var_sweeps
+    _, iters = _capped_and_iterations(result)
+    print(f"\nVAR {kind}: {iters} iterations (ceiling {VAR_ITERATION_CEILING})")
+    assert iters <= VAR_ITERATION_CEILING
+
+
+def test_lorenz_mean_auc_floor(lorenz_sweeps):
+    mean = lorenz_sweeps.mean_auc()
+    print(f"\nLorenz group: mean AUC {mean:.4f} over seeds {list(SEEDS)} "
+          f"(floor {LORENZ_AUC_FLOOR}); per seed "
+          + ", ".join(f"{a:.4f}" for a in lorenz_sweeps.aucs))
+    assert mean >= LORENZ_AUC_FLOOR
+
+
+def test_lorenz_fits_all_converge(lorenz_sweeps):
+    capped, iters = _capped_and_iterations(lorenz_sweeps)
+    print(f"\nLorenz group: {iters} iterations, {capped} capped fits")
     assert capped == 0
 
 

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -224,6 +225,25 @@ class TestExitCodes:
         assert run("fit", "--config", cfg, "--data", bad,
                    "--out", tmp_path / "o", "--jobs", 1, "--quiet") == 3
 
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_nan_data_is_3_with_one_message(self, tmp_path, capsys, command, jobs):
+        cfg = write_config(tmp_path / "c.yaml")
+        data_dir = tmp_path / "d"
+        run("simulate", "--config", cfg, "--out", data_dir, "--quiet")
+        lines = (data_dir / "dataset.csv").read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[2] = "nan"
+        lines[5] = ",".join(fields)
+        (data_dir / "dataset.csv").write_text("\n".join(lines) + "\n")
+        truth = ["--truth", data_dir / "truth.csv"] if command == "sweep" else []
+        capsys.readouterr()
+        assert run(command, "--config", cfg, "--data", data_dir / "dataset.csv",
+                   *truth, "--out", tmp_path / "o", "--jobs", jobs, "--quiet") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "data error" in err[0] and "dataset.csv:6" in err[0]
+
     def test_degenerate_truth_is_3(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml")
         data_dir = tmp_path / "d"
@@ -246,3 +266,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage:" in err and "argument --jobs" in err
         assert not (tmp_path / "o").exists()
+
+
+class TestCappedFitWarning:
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_one_warning_line_even_when_quiet(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.yaml", penalty={"lam": 1.0},
+                           optimizer={"max_iters": 2})
+        data_dir = tmp_path / "d"
+        run("simulate", "--config", cfg, "--out", data_dir, "--quiet")
+        truth = ["--truth", data_dir / "truth.csv"] if command == "sweep" else []
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run(command, "--config", cfg, "--data", data_dir / "dataset.csv",
+                   *truth, "--out", out, "--jobs", 1, "--quiet") == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        m = re.fullmatch(r"warning: (\d+) fit\(s\) stopped at max_iters=2 before "
+                         r"converging; first at lambda (\S+), series (\d+)", err[0])
+        assert m
+        count, lam, series = int(m[1]), float(m[2]), int(m[3])
+        if command == "fit":
+            capped = [i for i in range(4) if not load_checkpoint(
+                out / f"checkpoint_series_{i}.json")[1]["converged"]]
+            assert (count, lam, series) == (len(capped), 1.0, capped[0])
+            assert (out / "graph.csv").exists()
+        else:
+            lambdas = [float(l.split(",")[0])
+                       for l in (out / "roc.csv").read_text().splitlines()[1:]]
+            assert 1 <= count <= 4 * len(lambdas)
+            assert any(abs(lam - x) <= 1e-5 * x for x in lambdas)
+            assert (out / "auc.csv").exists()
+
+    def test_no_warning_when_all_converge(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", penalty={"lam": 1.0})
+        data_dir = tmp_path / "d"
+        run("simulate", "--config", cfg, "--out", data_dir, "--quiet")
+        capsys.readouterr()
+        assert run("fit", "--config", cfg, "--data", data_dir / "dataset.csv",
+                   "--out", tmp_path / "o", "--jobs", 1, "--quiet") == 0
+        assert capsys.readouterr().err == ""

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,60 @@ def assert_monotone_trace(trace):
 def small_dataset(seed, p=3, K=2, T=60):
     ts = VarGenConfig(p=p, K=K, burn_in=50).generate(T, seed)[0]
     return build_lagged(standardize(ts)[0], K, 0)
+
+
+def reference_fit(data, spec, arch, opt, seed):
+    """Proximal gradient with a short Barzilai-Borwein start and backtracking,
+    running loss_and_grad afresh every iteration.
+
+    Returns (trace, model, final step, log); log holds one (rule, backtracks)
+    per iteration, rule being None on the first iteration, "bb" when s.y > 0
+    set the trial step and "kept" when it did not.
+    """
+    model = init_model(data.p, data.K, arch, SeededRng(seed))
+    step = opt.initial_step
+    obj = objective(model, data, spec)
+    trace = [obj]
+    log = []
+    g_prev = s = None
+    for _ in range(opt.max_iters):
+        val, g = loss_and_grad(model, data)
+        rule = None
+        if s is not None:
+            y = g - g_prev
+            sy = s @ y
+            rule = "kept"
+            if sy > 0:
+                step = max(sy / (y @ y), opt.min_step)
+                rule = "bb"
+        g_prev = g
+        backtracks = 0
+        while True:
+            probe = model.copy()
+            probe.theta[:] = apply_prox(spec, model, model.theta - step * g, step)
+            new_loss = loss(probe, data)
+            s = probe.theta - model.theta
+            if new_loss <= (val + g @ s + (s @ s) / (2.0 * step)
+                            + 1e-12 * max(1.0, abs(val))):
+                break
+            step *= opt.backtrack_factor
+            backtracks += 1
+        model = probe
+        new_obj = new_loss + penalty_value(spec, model)
+        trace.append(new_obj)
+        log.append((rule, backtracks))
+        if abs(obj - new_obj) < opt.rel_tol * max(1.0, abs(obj)):
+            break
+        obj = new_obj
+    return np.asarray(trace), model, step, log
+
+
+def fit_steps(data, spec, arch, opt, seed):
+    """The accepted step of every iteration of fit, as progress reports it."""
+    steps = []
+    res = fit(data, spec, arch, opt, seed=seed,
+              progress=lambda it, obj, step, active: steps.append(step))
+    return res, steps
 
 
 class TestObjective:
@@ -125,11 +181,13 @@ class TestFit:
 
     def test_monotone_descent_various_penalties(self):
         data = small_dataset(12)
-        for kind, lam, hidden in [("none", 0.0, (4,)), ("group", 1.0, (4,)),
-                                  ("hierarchical", 2.0, (3, 2)), ("group", 5.0, ())]:
-            res = fit(data, PenaltySpec(kind, lam), Architecture(hidden_sizes=hidden),
-                      OptimizerConfig(max_iters=500), seed=13)
-            assert_monotone_trace(res.objective_trace)
+        for activation in ("tanh", "relu"):
+            for kind, lam, hidden in [("none", 0.0, (4,)), ("group", 1.0, (4,)),
+                                      ("hierarchical", 2.0, (3, 2)), ("group", 5.0, ())]:
+                res = fit(data, PenaltySpec(kind, lam),
+                          Architecture(hidden_sizes=hidden, activation=activation),
+                          OptimizerConfig(max_iters=500), seed=13)
+                assert_monotone_trace(res.objective_trace)
 
     def test_relu_fit_runs_and_descends(self):
         data = small_dataset(17)
@@ -169,8 +227,14 @@ class TestFit:
         step = opt.initial_step
         trace = [loss(model, data)]
         prev = trace[0]
+        g_prev = delta = None
         for _ in range(opt.max_iters):
             val, g = loss_and_grad(model, data)
+            if delta is not None:
+                y = g - g_prev
+                if delta @ y > 0:
+                    step = max((delta @ y) / (y @ y), opt.min_step)
+            g_prev = g
             while True:
                 cand = model.theta - step * g
                 probe = ComponentMLP(3, 2, arch.hidden_sizes, theta=cand.copy())
@@ -199,33 +263,37 @@ class TestFit:
         opt = OptimizerConfig(max_iters=150, initial_step=0.05, rel_tol=1e-9)
         res = fit(data, spec, arch, opt, seed=22)
 
-        model = init_model(3, 2, arch, SeededRng(22))
-        step = opt.initial_step
-        obj = objective(model, data, spec)
-        trace = [obj]
-        backtracks = 0
-        for _ in range(opt.max_iters):
-            val, g = loss_and_grad(model, data)
-            while True:
-                probe = model.copy()
-                probe.theta[:] = apply_prox(spec, model, model.theta - step * g, step)
-                new_loss = loss(probe, data)
-                delta = probe.theta - model.theta
-                if new_loss <= (val + g @ delta + (delta @ delta) / (2.0 * step)
-                                + 1e-12 * max(1.0, abs(val))):
-                    break
-                step *= opt.backtrack_factor
-                backtracks += 1
-            model = probe
-            new_obj = new_loss + penalty_value(spec, model)
-            trace.append(new_obj)
-            if abs(obj - new_obj) < opt.rel_tol * max(1.0, abs(obj)):
-                break
-            obj = new_obj
-        assert backtracks > 0
-        assert np.array_equal(res.objective_trace, np.asarray(trace))
+        trace, model, step, log = reference_fit(data, spec, arch, opt, seed=22)
+        assert sum(backtracks for _, backtracks in log) > 0
+        assert np.array_equal(res.objective_trace, trace)
         assert np.array_equal(res.model.theta, model.theta)
         assert res.final_step == step
+
+    def test_nonpositive_curvature_keeps_previous_step(self):
+        # where s.y <= 0 along the last move (tanh is nonconvex) the trial
+        # step is the last accepted one, not a Barzilai-Borwein step
+        data = small_dataset(17, T=120)
+        arch = Architecture(hidden_sizes=(5, 3), init_scale=1.0)
+        spec = PenaltySpec("group", 3.0)
+        opt = OptimizerConfig(max_iters=150, initial_step=0.05, rel_tol=1e-9)
+        _, steps = fit_steps(data, spec, arch, opt, seed=22)
+        *_, log = reference_fit(data, spec, arch, opt, seed=22)
+        kept = [k for k, (rule, backtracks) in enumerate(log)
+                if rule == "kept" and backtracks == 0]
+        assert len(kept) > 0
+        assert any(rule == "bb" for rule, _ in log)
+        for k in kept:
+            assert steps[k] == steps[k - 1]
+
+    def test_fixed_step_without_backtracking(self):
+        data = small_dataset(18)
+        opt = OptimizerConfig(max_iters=40, backtracking=False, initial_step=1e-4,
+                              rel_tol=1e-15)
+        res, steps = fit_steps(data, PenaltySpec("group", 1.0),
+                               Architecture(hidden_sizes=(3,)), opt, seed=4)
+        assert len(steps) == 40
+        assert steps == [1e-4] * 40
+        assert res.final_step == 1e-4
 
     def test_fit_one_iteration_equals_prox_step(self):
         data = small_dataset(16)
@@ -248,6 +316,19 @@ class TestWarmStart:
         again = warm_start_fit(first, data, spec, opt)
         assert again.iterations_run == 1
         assert again.converged
+
+    @pytest.mark.parametrize("previous_step, first_step", [(1e-5, 1e-5), (1.0, 1e-4)])
+    def test_first_step_is_previous_final_step_capped(self, previous_step, first_step):
+        # steps small enough that the first iteration does not backtrack
+        data = small_dataset(23)
+        spec = PenaltySpec("group", 1.0)
+        opt = OptimizerConfig(initial_step=1e-4, max_iters=30)
+        first = fit(data, spec, Architecture(hidden_sizes=(3,)), opt, seed=1)
+        previous = dataclasses.replace(first, final_step=previous_step)
+        steps = []
+        warm_start_fit(previous, data, spec, opt,
+                       progress=lambda it, obj, step, active: steps.append(step))
+        assert steps[0] == first_step
 
     def test_matches_cold_start_objective(self):
         # run both to tight convergence on a convex (linear) instance, where
