@@ -21,7 +21,7 @@ from .penalties import (PenaltySpec, apply_prox, penalty_value,
 from .optim import (FitResult, OptimizationError, OptimizerConfig, fit,
                     objective, prox_step, warm_start_fit)
 from .evaluation import (DegenerateTruthError, ExperimentResult, SweepResult,
-                         assemble_graph, auc, edge_rates, lag_profile,
+                         auc, edge_rates, lag_profile,
                          lambda_grid, lambda_max_linear, roc_points,
                          roc_points_scores, run_experiment, sweep_path)
 
@@ -32,7 +32,7 @@ __all__ = [
     "FitResult", "LaggedDataset", "LorenzConfig", "LorenzGenConfig",
     "OptimizationError", "OptimizerConfig", "PenaltySpec", "SeededRng",
     "SimulationError", "SweepResult", "VarGenConfig", "VarProcess",
-    "apply_prox", "assemble_graph", "auc", "build_lagged",
+    "apply_prox", "auc", "build_lagged",
     "child_seed", "companion_matrix", "edge_rates", "finite_diff_grad", "fit",
     "forward", "gauss_sample", "grad", "granger_weights", "init_model",
     "lag_profile", "lambda_grid", "lambda_max_linear", "lorenz_derivative",

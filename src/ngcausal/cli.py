@@ -6,24 +6,19 @@ the same config and seed, independent of --jobs.
 """
 
 import argparse
-import concurrent.futures
 import os
 import sys
 
 import numpy as np
 
 from .datasets import SimulationError, standardize
-from .evaluation import (DegenerateTruthError, assemble_graph, auc, edge_rates,
-                         lag_profile, lambda_grid, lambda_max_linear,
-                         roc_points, sweep_path)
+from .evaluation import (DegenerateTruthError, auc, edge_rates, lambda_grid,
+                         lambda_max_linear, roc_points, sweep_path)
 from .io import (ConfigError, DataError, load_config, read_dataset_csv,
                  read_matrix_csv, read_auc_csv, save_checkpoint, save_config,
                  write_auc_csv, write_dataset_csv, write_edges_csv,
                  write_matrix_csv, write_roc_csv)
-from .model import build_lagged
-from .numerics import child_seed
-from .optim import OptimizationError, fit
-from .penalties import PenaltySpec
+from .optim import OptimizationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,17 +72,6 @@ def cmd_simulate(args):
 # --------------------------------------------------------------------- fit
 
 
-def _fit_one_series(ts, K, i, kind, lam, arch, opt, seed):
-    data = build_lagged(ts, K, i)
-    res = fit(data, PenaltySpec(kind=kind, lam=lam), arch, opt,
-              seed=child_seed(seed, i))
-    return res
-
-
-def _fit_series_task(payload):
-    return _fit_one_series(*payload)
-
-
 def cmd_fit(args):
     cfg = load_config(args.config)
     seed = _resolved_seed(cfg, args)
@@ -95,51 +79,21 @@ def cmd_fit(args):
     ts = read_dataset_csv(args.data)
     if cfg.evaluation.standardize:
         ts = standardize(ts)[0]
-    p = ts.shape[1]
-    K = cfg.model.K
-    arch = cfg.model.architecture()
     kind, lam = cfg.penalty.kind, cfg.penalty.lam
 
-    tasks = [(ts, K, i, kind, lam, arch, cfg.optimizer, seed) for i in range(p)]
-    results = [None] * p
-    failures = []
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futs = {pool.submit(_fit_series_task, t): i for i, t in enumerate(tasks)}
-            for fut in concurrent.futures.as_completed(futs):
-                i = futs[fut]
-                try:
-                    results[i] = fut.result()
-                except OptimizationError as exc:
-                    failures.append((i, str(exc)))
-    else:
-        for i, t in enumerate(tasks):
-            try:
-                results[i] = _fit_series_task(t)
-            except OptimizationError as exc:
-                failures.append((i, str(exc)))
+    progress = None if args.quiet else (lambda msg: print(msg))
+    sweep = sweep_path(ts, cfg.model.K, kind, [lam], cfg.model.architecture(),
+                       cfg.optimizer, seed, jobs=args.jobs, progress=progress)
+    _warn_capped(sweep.converged, sweep.lambdas, cfg.optimizer.max_iters)
 
-    for i, res in enumerate(results):
-        if res is None:
-            continue
-        write_matrix_csv(os.path.join(out, f"lags_series_{i}.csv"), lag_profile(res.model))
-        save_checkpoint(res.model, os.path.join(out, f"checkpoint_series_{i}.json"),
+    for i, model in enumerate(sweep.models):
+        write_matrix_csv(os.path.join(out, f"lags_series_{i}.csv"), sweep.lag_profiles[0][i])
+        save_checkpoint(model, os.path.join(out, f"checkpoint_series_{i}.json"),
                         metadata={"series_index": i, "penalty": kind, "lam": lam,
-                                  "seed": seed, "iterations": res.iterations_run,
-                                  "converged": bool(res.converged)})
-        _say(args, f"series {i}: {res.iterations_run} iterations, "
-                   f"objective {res.objective_trace[-1]:.6g}, converged={res.converged}")
-
-    _warn_capped([[r is None or r.converged for r in results]], [lam],
-                 cfg.optimizer.max_iters)
-    if failures:
-        for i, msg in sorted(failures):
-            print(f"series {i}: optimization failed: {msg}", file=sys.stderr)
-        return EXIT_OPTIM
-
-    graph = assemble_graph([r.model for r in results])
-    write_matrix_csv(os.path.join(out, "graph.csv"), graph)
-    _say(args, f"wrote {out}/graph.csv and {p} checkpoints")
+                                  "seed": seed, "iterations": int(sweep.iterations[0, i]),
+                                  "converged": bool(sweep.converged[0, i])})
+    write_matrix_csv(os.path.join(out, "graph.csv"), sweep.graphs[0])
+    _say(args, f"wrote {out}/graph.csv and {len(sweep.models)} checkpoints")
     return EXIT_OK
 
 

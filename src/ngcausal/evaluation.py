@@ -17,7 +17,7 @@ from . import _kernels as kernels
 from .datasets import standardize
 from .model import build_lagged, granger_weights
 from .numerics import child_seed
-from .optim import fit, warm_start_fit
+from .optim import OptimizationError, fit, warm_start_fit
 from .penalties import PenaltySpec
 
 
@@ -26,21 +26,6 @@ class DegenerateTruthError(ValueError):
 
 
 # ------------------------------------------------------------ graph building
-
-
-def assemble_graph(models):
-    """Stack per-series input-group norms into the (p, p) weight graph."""
-    if not models:
-        raise ValueError("no models given")
-    p, K = models[0].p, models[0].K
-    if len(models) != p:
-        raise ValueError(f"need one model per series: got {len(models)} for p={p}")
-    graph = np.empty((p, p))
-    for i, m in enumerate(models):
-        if m.p != p or m.K != K:
-            raise ValueError(f"model {i} has (p={m.p}, K={m.K}), expected (p={p}, K={K})")
-        graph[i] = granger_weights(m)
-    return graph
 
 
 def lag_profile(model):
@@ -142,9 +127,13 @@ def lambda_max_linear(ts, K, center=True):
     X = np.ascontiguousarray(build_lagged(ts, K, 0).inputs)
     Y = ts[K:]
     R = Y - Y.mean(axis=0) if center else Y
-    G = X.T @ R                      # (p*K, p)
-    norms = np.sqrt((G.reshape(K, p, p) ** 2).sum(axis=0))  # (input j, output i)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised on below
+        G = X.T @ R                      # (p*K, p)
+        norms = np.sqrt((G.reshape(K, p, p) ** 2).sum(axis=0))  # (input j, output i)
     lam_max = 2.0 * float(norms.max()) * (1.0 + 1e-9)
+    if not np.isfinite(lam_max):
+        raise ValueError(f"penalty scale of the data is not finite ({lam_max}); "
+                         "rescale or standardize the series")
     if lam_max <= 0:
         raise ValueError("data is constant: no usable penalty scale")
     return lam_max
@@ -164,7 +153,8 @@ def lambda_grid(lam_max, size=20, ratio=100.0):
 
 @dataclass
 class SweepResult:
-    """Per-lambda graphs and lag norms along one descending penalty path."""
+    """Per-lambda graphs and lag norms along one descending penalty path,
+    plus each series' model at the last lambda."""
 
     lambdas: np.ndarray
     graphs: list            # per lambda: (p, p) weights
@@ -172,6 +162,7 @@ class SweepResult:
     iterations: np.ndarray  # (n_lambda, p)
     converged: np.ndarray   # (n_lambda, p) bool
     objectives: np.ndarray  # (n_lambda, p) final penalized objective
+    models: list            # per series: ComponentMLP fit at lambdas[-1]
 
     def active_edges(self):
         return np.array([int(np.count_nonzero(g > 0)) for g in self.graphs])
@@ -181,16 +172,23 @@ class SweepResult:
 
 
 def _series_path(ts, K, i, kind, lambdas, arch, opt, seed, progress=None):
-    """Warm-started descent of one series' model down the lambda grid."""
+    """Warm-started descent of one series' model down the lambda grid: the
+    per-lambda records and the model at the last lambda."""
     data = build_lagged(ts, K, i)
     out = []
     prev = None
     for li, lam in enumerate(lambdas):
         spec = PenaltySpec(kind=kind, lam=float(lam))
-        if prev is None:
-            res = fit(data, spec, arch, opt, seed=child_seed(seed, i))
-        else:
-            res = warm_start_fit(prev, data, spec, opt)
+        try:
+            # fit raises on any non-finite value, so numpy's overflow
+            # warnings would only repeat that error
+            with np.errstate(over="ignore", invalid="ignore"):
+                if prev is None:
+                    res = fit(data, spec, arch, opt, seed=child_seed(seed, i))
+                else:
+                    res = warm_start_fit(prev, data, spec, opt)
+        except OptimizationError as exc:
+            raise OptimizationError(f"series {i} at lambda {lam:.6g}: {exc}") from exc
         prev = res
         out.append((granger_weights(res.model), lag_profile(res.model),
                     res.iterations_run, res.converged,
@@ -198,7 +196,7 @@ def _series_path(ts, K, i, kind, lambdas, arch, opt, seed, progress=None):
         if progress is not None:
             progress(f"series {i}: lambda {li + 1}/{len(lambdas)} "
                      f"({res.iterations_run} iters, objective {res.objective_trace[-1]:.6g})")
-    return out
+    return out, prev.model
 
 
 def _series_path_task(args):
@@ -210,11 +208,16 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1, progress=None):
 
     Fits for different series are independent and run on a process pool when
     jobs > 1.  Results are deterministic in (ts, configs, seed) regardless
-    of jobs.
+    of jobs.  ``models`` holds each series' model at the last lambda, so a
+    one-lambda sweep is a plain fit of every series.  A failing fit raises
+    OptimizationError naming its series and lambda; with several failures,
+    the lowest series index is reported whatever jobs is.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.ndim != 1 or lambdas.size == 0:
         raise ValueError("lambda grid must be a nonempty 1-d array")
+    if not np.all(np.isfinite(lambdas)):
+        raise ValueError("lambda grid must be finite")
     if np.any(np.diff(lambdas) >= 0):
         raise ValueError("lambda grid must be strictly decreasing")
     p = ts.shape[1]
@@ -236,7 +239,7 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1, progress=None):
     iterations = np.empty((n_lam, p), dtype=np.int64)
     converged = np.empty((n_lam, p), dtype=bool)
     objectives = np.empty((n_lam, p))
-    for i, path in enumerate(per_series):
+    for i, (path, _) in enumerate(per_series):
         for li, (gw, lp, iters, conv, obj) in enumerate(path):
             graphs[li][i] = gw
             lag_profiles[li][i] = lp
@@ -245,7 +248,8 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1, progress=None):
             objectives[li, i] = obj
     return SweepResult(lambdas=lambdas, graphs=graphs, lag_profiles=lag_profiles,
                        iterations=iterations, converged=converged,
-                       objectives=objectives)
+                       objectives=objectives,
+                       models=[model for _, model in per_series])
 
 
 # --------------------------------------------------------------- experiments

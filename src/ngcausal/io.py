@@ -77,6 +77,18 @@ class PenaltySection:
     grid_ratio: float = 100.0
     lambdas: tuple = ()   # explicit descending grid; empty = derive from data
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        lams = self.lambdas
+        if not all(math.isfinite(x) and x >= 0 for x in lams):
+            raise ValueError(f"lambdas must be finite and >= 0, got {list(lams)}")
+        if any(b >= a for a, b in zip(lams, lams[1:])):
+            raise ValueError(f"lambdas must be strictly decreasing, got {list(lams)}")
+        if self.grid_size < 2 or not self.grid_ratio > 1:
+            raise ValueError("need grid_size >= 2 and grid_ratio > 1, got "
+                             f"grid_size={self.grid_size}, grid_ratio={self.grid_ratio}")
+
 
 @dataclass
 class EvaluationSection:

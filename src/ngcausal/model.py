@@ -110,19 +110,9 @@ class ComponentMLP:
         """First layer as one (H1, K*p) matrix, lag blocks side by side."""
         return self.weight(0)
 
-    @property
-    def first_layer(self):
-        """The K per-lag weight matrices W[k], each (H1, p)."""
-        w1 = self.first_layer_packed
-        return [w1[:, k * self.p:(k + 1) * self.p] for k in range(self.K)]
-
     def column_group(self, j):
         """All first-layer weights fed by series j, shape (H1, K)."""
         return self.first_layer_packed[:, j::self.p]
-
-    @property
-    def output_weights(self):
-        return self.weight(self.n_layers - 1)[0]
 
     @property
     def output_bias(self):
@@ -133,12 +123,6 @@ class ComponentMLP:
     def copy(self):
         return ComponentMLP(self.p, self.K, self.hidden_sizes, self.activation,
                             self.use_output_bias, theta=self.theta.copy())
-
-    def same_architecture(self, other):
-        return (self.p == other.p and self.K == other.K
-                and self.hidden_sizes == other.hidden_sizes
-                and self.activation == other.activation
-                and self.use_output_bias == other.use_output_bias)
 
     def unpack(self, vec):
         """View a flat vector in this model's layout: (weight mats, bias vecs)."""

@@ -6,7 +6,8 @@ import pytest
 import yaml
 
 from ngcausal.cli import main
-from ngcausal.io import load_checkpoint, read_auc_csv, read_dataset_csv, read_matrix_csv
+from ngcausal.io import (load_checkpoint, read_auc_csv, read_dataset_csv,
+                         read_matrix_csv, write_dataset_csv)
 from ngcausal.model import granger_weights
 
 
@@ -99,17 +100,21 @@ class TestFit:
             lags = read_matrix_csv(out / f"lags_series_{i}.csv")
             assert lags.shape == (4, 1)
 
-    def test_refit_identical_bytes(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_refit_identical_bytes(self, tmp_path, jobs):
         cfg = write_config(tmp_path / "c.yaml", penalty={"lam": 2.0})
         data_dir = tmp_path / "d"
         run("simulate", "--config", cfg, "--out", data_dir, "--quiet")
         out1, out2 = tmp_path / "f1", tmp_path / "f2"
-        for out in (out1, out2):
+        # a rerun under --jobs 1, and a --jobs 2 run, both match a --jobs 1 run
+        for out, j in ((out1, 1), (out2, jobs)):
             assert run("fit", "--config", cfg, "--data", data_dir / "dataset.csv",
-                       "--out", out, "--jobs", 1, "--quiet") == 0
-        assert (out1 / "graph.csv").read_bytes() == (out2 / "graph.csv").read_bytes()
-        assert ((out1 / "checkpoint_series_0.json").read_bytes()
-                == (out2 / "checkpoint_series_0.json").read_bytes())
+                       "--out", out, "--jobs", j, "--quiet") == 0
+        names = sorted(os.listdir(out1))
+        assert names == sorted(os.listdir(out2))
+        assert len(names) == 2 * 4 + 1  # lags and checkpoint per series, graph
+        for name in names:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestSweep:
@@ -243,6 +248,55 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "data error" in err[0] and "dataset.csv:6" in err[0]
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_diverging_series_is_4_with_one_message(self, tmp_path, capfd, command, jobs):
+        # series 2 at 1e200 scale overflows its own squared loss; the tanh
+        # layer keeps the other series' fits finite
+        cfg = write_config(tmp_path / "c.yaml", model={"hidden": [4]},
+                           penalty={"lam": 1.0, "lambdas": [1.0]},
+                           evaluation={"standardize": False})
+        data_dir = tmp_path / "d"
+        run("simulate", "--config", cfg, "--out", data_dir, "--quiet")
+        ts = read_dataset_csv(data_dir / "dataset.csv")
+        ts[:, 2] *= 1e200
+        write_dataset_csv(data_dir / "dataset.csv", ts)
+        truth = ["--truth", data_dir / "truth.csv"] if command == "sweep" else []
+        out = tmp_path / "o"
+        capfd.readouterr()
+        assert run(command, "--config", cfg, "--data", data_dir / "dataset.csv",
+                   *truth, "--out", out, "--jobs", jobs, "--quiet") == 4
+        err = capfd.readouterr().err.splitlines()
+        assert err == ["optimization error: series 2 at lambda 1: "
+                       "non-finite objective at initialization"]
+        assert not list(out.glob("checkpoint_series_*"))
+
+    @pytest.mark.parametrize("command,penalty", [
+        ("fit", {"lam": -1.0}), ("fit", {"lam": float("nan")}),
+        ("fit", {"lam": float("inf")}), ("sweep", {"lambdas": [1.0, 2.0]}),
+        ("sweep", {"lambdas": [float("inf"), 1.0]})])
+    def test_bad_penalty_is_config_error_2(self, tmp_path, capsys, command, penalty):
+        cfg = write_config(tmp_path / "c.yaml", penalty=penalty)
+        truth = ["--truth", tmp_path / "t.csv"] if command == "sweep" else []
+        assert run(command, "--config", cfg, "--data", tmp_path / "d.csv", *truth,
+                   "--out", tmp_path / "o", "--jobs", 1, "--quiet") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: penalty")
+
+    def test_unbounded_penalty_scale_is_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", evaluation={"standardize": False})
+        data_dir = tmp_path / "d"
+        run("simulate", "--config", cfg, "--out", data_dir, "--quiet")
+        ts = read_dataset_csv(data_dir / "dataset.csv")
+        ts[:, 2] *= 1e200
+        write_dataset_csv(data_dir / "dataset.csv", ts)
+        capsys.readouterr()
+        assert run("sweep", "--config", cfg, "--data", data_dir / "dataset.csv",
+                   "--truth", data_dir / "truth.csv", "--out", tmp_path / "o",
+                   "--jobs", 1, "--quiet") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not finite" in err[0]
 
     def test_degenerate_truth_is_3(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml")

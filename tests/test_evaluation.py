@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ngcausal.datasets import VarGenConfig, standardize
-from ngcausal.evaluation import (DegenerateTruthError, assemble_graph, auc,
+from ngcausal.evaluation import (DegenerateTruthError, auc,
                                  edge_rates, lag_profile, lambda_grid,
                                  lambda_max_linear, roc_points,
                                  roc_points_scores, run_experiment, sweep_path)
@@ -24,24 +24,19 @@ def models_with_norms(norm_rows):
     return models
 
 
+def stack_graph(models):
+    """The (p, p) weight graph: row i is the Granger weights of series i's model."""
+    return np.array([granger_weights(m) for m in models])
+
+
 class TestAssembleGraph:
     def test_zero_models_give_zero_graph(self):
         models = [ComponentMLP(p=3, K=2, hidden_sizes=(2,)) for _ in range(3)]
-        assert np.array_equal(assemble_graph(models), np.zeros((3, 3)))
+        assert np.array_equal(stack_graph(models), np.zeros((3, 3)))
 
     def test_direct_placement(self):
         models = models_with_norms([[1.0, 0.0], [0.0, -2.0]])
-        assert np.array_equal(assemble_graph(models), [[1.0, 0.0], [0.0, 2.0]])
-
-    def test_shape_mismatch_rejected(self):
-        models = [ComponentMLP(p=2, K=1, hidden_sizes=()),
-                  ComponentMLP(p=2, K=2, hidden_sizes=())]
-        with pytest.raises(ValueError):
-            assemble_graph(models)
-
-    def test_wrong_model_count_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_graph([ComponentMLP(p=3, K=1, hidden_sizes=())])
+        assert np.array_equal(stack_graph(models), [[1.0, 0.0], [0.0, 2.0]])
 
     def test_zeroed_column_zeroes_graph_column(self):
         rng = SeededRng(0)
@@ -49,7 +44,7 @@ class TestAssembleGraph:
                              rng.child(i)) for i in range(4)]
         for m in models:
             m.column_group(2)[...] = 0.0
-        graph = assemble_graph(models)
+        graph = stack_graph(models)
         assert np.array_equal(graph[:, 2], np.zeros(4))
         assert np.all(graph[:, [0, 1, 3]] > 0)
 
@@ -202,6 +197,12 @@ class TestLambdaGrid:
         monkeypatch.setattr("ngcausal.evaluation.build_lagged", c_ordered)
         assert lambda_max_linear(ts, 2).hex() == from_f.hex()
 
+    def test_lambda_max_rejects_unbounded_scale(self):
+        ts = np.random.default_rng(0).normal(size=(100, 3))
+        ts[:, 1] *= 1e200
+        with pytest.raises(ValueError, match="not finite"):
+            lambda_max_linear(ts, 2)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             lambda_grid(0.0)
@@ -222,12 +223,19 @@ class TestSweepPath:
         for ga, gb in zip(a.graphs, b.graphs):
             assert np.array_equal(ga, gb)
         assert np.array_equal(a.iterations, b.iterations)
+        # models are each series' fit at the last lambda
+        assert len(a.models) == len(b.models) == 4
+        for i, (ma, mb) in enumerate(zip(a.models, b.models)):
+            assert np.array_equal(ma.theta, mb.theta)
+            assert np.array_equal(granger_weights(ma), a.graphs[-1][i])
+            assert np.array_equal(lag_profile(ma), a.lag_profiles[-1][i])
 
     def test_grid_must_descend(self):
         ts = standardize(VarGenConfig(p=4, K=1, burn_in=50).generate(80, 0)[0])[0]
-        with pytest.raises(ValueError):
-            sweep_path(ts, 1, "group", np.array([1.0, 2.0]),
-                       Architecture(hidden_sizes=()), OptimizerConfig(), seed=0)
+        for grid in ([1.0, 2.0], [np.inf, 1.0], [1.0, np.nan]):
+            with pytest.raises(ValueError):
+                sweep_path(ts, 1, "group", np.array(grid),
+                           Architecture(hidden_sizes=()), OptimizerConfig(), seed=0)
 
     def test_active_counts_monotone_on_linear_path(self):
         ts = standardize(VarGenConfig(p=5, K=2, burn_in=100).generate(300, 4)[0])[0]

@@ -70,6 +70,21 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError, match="optimizer"):
             config_from_dict({"optimizer": {"initial_step": -1.0}})
 
+    @pytest.mark.parametrize("penalty", [
+        {"lam": -1.0}, {"lam": float("nan")}, {"lam": float("inf")},
+        {"lambdas": [1.0, 2.0]}, {"lambdas": [1.0, 1.0]},
+        {"lambdas": [float("inf"), 1.0]}, {"lambdas": [1.0, float("nan")]},
+        {"lambdas": [1.0, -0.5]}, {"grid_size": 1}, {"grid_ratio": 1.0},
+        {"grid_ratio": float("nan")}])
+    def test_bad_penalty_values_rejected(self, penalty):
+        with pytest.raises(ConfigError, match="penalty"):
+            config_from_dict({"penalty": penalty})
+
+    def test_edge_penalty_values_accepted(self):
+        cfg = config_from_dict({"penalty": {"lam": 0.0, "lambdas": [1.0, 0.0],
+                                            "grid_size": 2, "grid_ratio": 1.5}})
+        assert cfg.penalty.lambdas == (1.0, 0.0)
+
     def test_generator_instance_uses_section_p(self):
         cfg = config_from_dict({"generator": {"kind": "lorenz", "p": 7}})
         assert cfg.generator.instance().p == 7

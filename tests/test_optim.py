@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -9,8 +10,7 @@ from ngcausal.model import (Architecture, ComponentMLP, LaggedDataset,
 from ngcausal.numerics import SeededRng
 from ngcausal.optim import (FitResult, OptimizationError, OptimizerConfig,
                             fit, objective, prox_step, warm_start_fit)
-from ngcausal.penalties import (PenaltySpec, apply_prox, penalty_value,
-                                prox_group_block)
+from ngcausal.penalties import PenaltySpec, apply_prox, penalty_value
 
 
 def assert_monotone_trace(trace):
@@ -371,10 +371,37 @@ class TestWarmStart:
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
+def exact_lasso(X, y, lam):
+    """Exact minimizer (w, b) of ||X w + b - y||^2 + lam * ||w||_1 for a few
+    columns, without ngcausal: centring removes the intercept, then each sign
+    pattern of w fixes the stationarity system 2 Xc_A' (Xc_A w_A - yc) =
+    -lam sign(w_A) on its support A; the pattern whose solution has those
+    signs and leaves |2 Xc_j' r| <= lam off the support satisfies KKT."""
+    xm, ym = X.mean(axis=0), y.mean()
+    Xc, yc = X - xm, y - ym
+    best = None
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=X.shape[1]):
+        signs = np.array(signs)
+        act = signs != 0
+        w = np.zeros(X.shape[1])
+        if act.any():
+            A = Xc[:, act]
+            w[act] = np.linalg.solve(2.0 * A.T @ A, 2.0 * A.T @ yc - lam * signs[act])
+        corr = 2.0 * Xc.T @ (Xc @ w - yc)
+        if (np.all(np.sign(w[act]) == signs[act])
+                and np.all(np.abs(corr[~act]) <= lam * (1 + 1e-9))):
+            obj = float((Xc @ w - yc) @ (Xc @ w - yc)) + lam * np.abs(w).sum()
+            if best is None or obj < best[0]:
+                best = (obj, w)
+    assert best is not None
+    w = best[1]
+    return w, ym - xm @ w
+
+
 class TestKktLinearCase:
     def test_group_lasso_optimality_conditions(self):
-        # K=1, no hidden layers: compare against a high-precision independent
-        # proximal solve, then check the stationarity structure of both
+        # K=1, no hidden layers: compare against an exact independent solve,
+        # then check the stationarity structure of both
         ts = standardize(VarGenConfig(p=4, K=1, burn_in=100).generate(250, 5)[0])[0]
         data = build_lagged(ts, 1, 0)
         X, y = data.inputs, data.targets
@@ -384,20 +411,7 @@ class TestKktLinearCase:
         res = fit(data, PenaltySpec("group", lam), Architecture(hidden_sizes=()),
                   OptimizerConfig(rel_tol=1e-14, max_iters=200_000), seed=0)
 
-        # independent fixed-step reference solve
-        w = np.zeros(4)
-        b = 0.0
-        L = 2.0 * np.linalg.norm(X, ord=2) ** 2 + 2.0 * X.shape[0]
-        eta = 1.0 / L
-        for _ in range(150_000):
-            r = X @ w + b - y
-            gw = 2.0 * X.T @ r
-            gb = 2.0 * r.sum()
-            w_new = w - eta * gw
-            for j in range(4):
-                w_new[j] = prox_group_block(np.array([w_new[j]]), eta * lam)[0]
-            b = b - eta * gb
-            w = w_new
+        w, b = exact_lasso(X, y, lam)
         ref_obj = float((X @ w + b - y) @ (X @ w + b - y)) + lam * np.abs(w).sum()
 
         assert abs(res.objective_trace[-1] - ref_obj) <= 1e-6 * max(1.0, ref_obj)
