@@ -7,19 +7,16 @@ each interaction).  Includes seeded VAR and Lorenz-96 generators and an
 ROC/AUC sweep harness.
 """
 
-from .numerics import SeededRng, child_seed, finite_diff_grad, gauss_sample, matvec
-from .datasets import (LorenzConfig, LorenzGenConfig, SimulationError,
-                       VarGenConfig, VarProcess, companion_matrix,
-                       lorenz_derivative, lorenz_truth, make_sparse_var,
-                       simulate_lorenz, simulate_var, spectral_radius,
-                       standardize)
+from .numerics import SeededRng, child_seed, gauss_sample
+from .datasets import (LorenzGenConfig, SimulationError, VarGenConfig,
+                       VarProcess, companion_matrix, lorenz_derivative,
+                       lorenz_truth, make_sparse_var, simulate_lorenz,
+                       simulate_var, spectral_radius, standardize)
 from .model import (Architecture, ComponentMLP, LaggedDataset, build_lagged,
-                    forward, grad, granger_weights, init_model, loss,
-                    loss_and_grad, predict)
-from .penalties import (PenaltySpec, apply_prox, penalty_value,
-                        prox_group_block, prox_hierarchical_column)
+                    granger_weights, init_model, loss, loss_and_grad, predict)
+from .penalties import PenaltySpec, apply_prox, penalty_value
 from .optim import (FitResult, OptimizationError, OptimizerConfig, fit,
-                    objective, prox_step, warm_start_fit)
+                    warm_start_fit)
 from .evaluation import (DegenerateTruthError, ExperimentResult, SweepResult,
                          auc, edge_rates, lag_profile,
                          lambda_grid, lambda_max_linear, roc_points,
@@ -29,16 +26,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Architecture", "ComponentMLP", "DegenerateTruthError", "ExperimentResult",
-    "FitResult", "LaggedDataset", "LorenzConfig", "LorenzGenConfig",
+    "FitResult", "LaggedDataset", "LorenzGenConfig",
     "OptimizationError", "OptimizerConfig", "PenaltySpec", "SeededRng",
     "SimulationError", "SweepResult", "VarGenConfig", "VarProcess",
     "apply_prox", "auc", "build_lagged",
-    "child_seed", "companion_matrix", "edge_rates", "finite_diff_grad", "fit",
-    "forward", "gauss_sample", "grad", "granger_weights", "init_model",
+    "child_seed", "companion_matrix", "edge_rates", "fit",
+    "gauss_sample", "granger_weights", "init_model",
     "lag_profile", "lambda_grid", "lambda_max_linear", "lorenz_derivative",
-    "lorenz_truth", "loss", "loss_and_grad", "make_sparse_var", "matvec",
-    "objective", "penalty_value", "predict", "prox_group_block",
-    "prox_hierarchical_column", "prox_step", "roc_points", "roc_points_scores",
+    "lorenz_truth", "loss", "loss_and_grad", "make_sparse_var",
+    "penalty_value", "predict", "roc_points", "roc_points_scores",
     "run_experiment", "simulate_lorenz", "simulate_var", "spectral_radius",
     "standardize", "sweep_path", "warm_start_fit",
 ]

@@ -36,7 +36,7 @@ def _layer(theta, dims, w_off, b_off, l):
     return W, theta[b_off[l]:b_off[l] + dout]
 
 
-def forward(theta, dims, w_off, b_off, act, X):
+def layer_activations(theta, dims, w_off, b_off, act, X):
     """Activations of every layer, unit-major, for the rows of X.
 
     Returns ``[X.T, a_1, ..., a_L]``: the (p*K, N) input view, the hidden
@@ -60,8 +60,8 @@ def forward(theta, dims, w_off, b_off, act, X):
 
 def mlp_loss(theta, dims, w_off, b_off, act, X, y):
     """Sum of squared residuals over all rows of X, and the activations
-    (from :func:`forward`) that :func:`mlp_loss_grad` can reuse."""
-    acts = forward(theta, dims, w_off, b_off, act, X)
+    (from :func:`layer_activations`) that :func:`mlp_loss_grad` can reuse."""
+    acts = layer_activations(theta, dims, w_off, b_off, act, X)
     r = acts[-1][0] - y
     return np.dot(r, r), acts
 
@@ -73,7 +73,7 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, y, grad, acts=None):
     ``theta`` and ``X``; given them, the forward pass is not run again.
     """
     if acts is None:
-        acts = forward(theta, dims, w_off, b_off, act, X)
+        acts = layer_activations(theta, dims, w_off, b_off, act, X)
     L = dims.shape[0] - 1
     r = acts[-1][0] - y
     loss = np.dot(r, r)

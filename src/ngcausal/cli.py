@@ -58,9 +58,9 @@ def _outdir(args):
 def cmd_simulate(args):
     cfg = load_config(args.config)
     seed = _resolved_seed(cfg, args)
-    out = _outdir(args)
     gen = cfg.generator.instance()
     ts, truth = gen.generate(cfg.generator.T, seed)
+    out = _outdir(args)
     write_dataset_csv(os.path.join(out, "dataset.csv"), ts)
     write_matrix_csv(os.path.join(out, "truth.csv"), truth, ints=True)
     save_config(cfg, os.path.join(out, "resolved_config.yaml"))
@@ -75,7 +75,6 @@ def cmd_simulate(args):
 def cmd_fit(args):
     cfg = load_config(args.config)
     seed = _resolved_seed(cfg, args)
-    out = _outdir(args)
     ts = read_dataset_csv(args.data)
     if cfg.evaluation.standardize:
         ts = standardize(ts)[0]
@@ -86,6 +85,7 @@ def cmd_fit(args):
                        cfg.optimizer, seed, jobs=args.jobs, progress=progress)
     _warn_capped(sweep.converged, sweep.lambdas, cfg.optimizer.max_iters)
 
+    out = _outdir(args)
     for i, model in enumerate(sweep.models):
         write_matrix_csv(os.path.join(out, f"lags_series_{i}.csv"), sweep.lag_profiles[0][i])
         save_checkpoint(model, os.path.join(out, f"checkpoint_series_{i}.json"),
@@ -103,12 +103,14 @@ def cmd_fit(args):
 def cmd_sweep(args):
     cfg = load_config(args.config)
     seed = _resolved_seed(cfg, args)
-    out = _outdir(args)
     ts = read_dataset_csv(args.data)
     truth = read_matrix_csv(args.truth)
     if truth.shape != (ts.shape[1], ts.shape[1]):
         raise DataError(f"truth graph {truth.shape} does not match dataset with "
                         f"p={ts.shape[1]}")
+    binary = np.isin(truth, (0.0, 1.0))
+    if not binary.all():
+        raise DataError(f"truth graph entries must be 0 or 1, got {truth[~binary][0]:g}")
     T = ts.shape[0]
     if cfg.evaluation.standardize:
         ts = standardize(ts)[0]
@@ -128,19 +130,21 @@ def cmd_sweep(args):
                        jobs=args.jobs, progress=progress)
     _warn_capped(sweep.converged, sweep.lambdas, cfg.optimizer.max_iters)
 
-    graph_dir = os.path.join(out, "graphs")
-    os.makedirs(graph_dir, exist_ok=True)
-    for li, g in enumerate(sweep.graphs):
-        write_matrix_csv(os.path.join(graph_dir, f"graph_{li:02d}.csv"), g)
-
+    # score before writing, so a degenerate truth graph leaves no output
     include_diag = cfg.evaluation.include_diagonal
     rates = [edge_rates(truth, g, include_diag) for g in sweep.graphs]
-    write_roc_csv(os.path.join(out, "roc.csv"), sweep.lambdas, rates)
     auc_val = auc(roc_points(truth, sweep.graphs, include_diag))
     try:
         auc_nd = auc(roc_points(truth, sweep.graphs, include_diagonal=False))
     except DegenerateTruthError:
         auc_nd = float("nan")
+
+    out = _outdir(args)
+    graph_dir = os.path.join(out, "graphs")
+    os.makedirs(graph_dir, exist_ok=True)
+    for li, g in enumerate(sweep.graphs):
+        write_matrix_csv(os.path.join(graph_dir, f"graph_{li:02d}.csv"), g)
+    write_roc_csv(os.path.join(out, "roc.csv"), sweep.lambdas, rates)
     write_auc_csv(os.path.join(out, "auc.csv"), cfg.generator.kind, T, seed,
                   kind, auc_val, auc_nd)
     write_edges_csv(os.path.join(out, "edges.csv"), sweep.lambdas,

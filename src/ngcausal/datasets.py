@@ -151,19 +151,9 @@ def lorenz_truth(p):
     return truth
 
 
-@dataclass
-class LorenzConfig:
-    """Euler-discretized Lorenz-96 generator settings."""
-
-    p: int = 10
-    F: float = 5.0
-    dt: float = 0.01
-    noise_sigma: float = 0.01
-    burn_in: int = 1000
-
-
 def simulate_lorenz(cfg, T, rng, init=None):
-    """Euler-step the Lorenz-96 ring and return (series, truth graph).
+    """Euler-step the Lorenz-96 ring set up by ``cfg`` (a LorenzGenConfig)
+    and return (series, truth graph).
 
     x_{t+1} = x_t + dt * drift(x_t) + e_t with e_t ~ Normal(0, sigma^2 I).
     The initial state is the equilibrium F plus a small seeded perturbation
@@ -241,7 +231,7 @@ class VarGenConfig:
 
 @dataclass
 class LorenzGenConfig:
-    """Lorenz-96 generator settings for experiment runs."""
+    """Euler-discretized Lorenz-96 generator settings for experiment runs."""
 
     p: int = 10
     F: float = 5.0
@@ -250,6 +240,4 @@ class LorenzGenConfig:
     burn_in: int = 1000
 
     def generate(self, T, seed):
-        cfg = LorenzConfig(p=self.p, F=self.F, dt=self.dt,
-                           noise_sigma=self.noise_sigma, burn_in=self.burn_in)
-        return simulate_lorenz(cfg, T, SeededRng(seed))
+        return simulate_lorenz(self, T, SeededRng(seed))

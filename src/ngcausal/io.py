@@ -24,6 +24,7 @@ import yaml
 from .datasets import LorenzGenConfig, VarGenConfig
 from .model import ComponentMLP, Architecture
 from .optim import OptimizerConfig
+from .penalties import PENALTY_KINDS
 
 
 class ConfigError(Exception):
@@ -185,8 +186,9 @@ def config_from_dict(data):
     )
     if cfg.generator.kind not in ("var", "lorenz"):
         raise ConfigError(f"generator.kind: expected 'var' or 'lorenz', got {cfg.generator.kind!r}")
-    if cfg.penalty.kind not in ("none", "group", "hierarchical"):
-        raise ConfigError(f"penalty.kind: expected none/group/hierarchical, got {cfg.penalty.kind!r}")
+    if cfg.penalty.kind not in PENALTY_KINDS:
+        raise ConfigError(f"penalty.kind: expected {'/'.join(PENALTY_KINDS)}, "
+                          f"got {cfg.penalty.kind!r}")
     try:
         cfg.model.architecture()
     except ValueError as exc:

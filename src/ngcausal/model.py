@@ -40,8 +40,8 @@ class Architecture:
 class ComponentMLP:
     """Flat-parameter MLP whose first layer is grouped by input series and lag.
 
-    All weights and biases live in one float64 vector ``theta``; the
-    ``weights``/``biases`` properties expose reshaped views into it, so
+    All weights and biases live in one float64 vector ``theta``;
+    ``weight(l)`` and ``bias(l)`` return reshaped views into it, so
     in-place edits through a view mutate the model.
     """
 
@@ -98,41 +98,15 @@ class ComponentMLP:
         return self.theta[self.b_off[l]:self.b_off[l] + dout]
 
     @property
-    def weights(self):
-        return [self.weight(l) for l in range(self.n_layers)]
-
-    @property
-    def biases(self):
-        return [self.bias(l) for l in range(self.n_layers)]
-
-    @property
     def first_layer_packed(self):
         """First layer as one (H1, K*p) matrix, lag blocks side by side."""
         return self.weight(0)
-
-    def column_group(self, j):
-        """All first-layer weights fed by series j, shape (H1, K)."""
-        return self.first_layer_packed[:, j::self.p]
-
-    @property
-    def output_bias(self):
-        return float(self.bias(self.n_layers - 1)[0])
 
     # ------------------------------------------------------------ misc
 
     def copy(self):
         return ComponentMLP(self.p, self.K, self.hidden_sizes, self.activation,
                             self.use_output_bias, theta=self.theta.copy())
-
-    def unpack(self, vec):
-        """View a flat vector in this model's layout: (weight mats, bias vecs)."""
-        vec = np.asarray(vec)
-        ws, bs = [], []
-        for l in range(self.n_layers):
-            din, dout = self.dims[l], self.dims[l + 1]
-            ws.append(vec[self.w_off[l]:self.w_off[l] + dout * din].reshape(dout, din))
-            bs.append(vec[self.b_off[l]:self.b_off[l] + dout])
-        return ws, bs
 
     def __repr__(self):
         return (f"ComponentMLP(p={self.p}, K={self.K}, hidden={self.hidden_sizes}, "
@@ -196,17 +170,9 @@ def predict(model, X):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dims[0]:
         raise ValueError(f"inputs must be (N, {model.dims[0]}), got {X.shape}")
-    acts = kernels.forward(model.theta, model.dims, model.w_off, model.b_off,
-                           model.act_code, X)
+    acts = kernels.layer_activations(model.theta, model.dims, model.w_off,
+                                     model.b_off, model.act_code, X)
     return acts[-1][0]
-
-
-def forward(model, x):
-    """Prediction for a single stacked-lag input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.dims[0],):
-        raise ValueError(f"input must have length {model.dims[0]}, got shape {x.shape}")
-    return float(predict(model, x[np.newaxis, :])[0])
 
 
 def loss(model, data):
@@ -229,11 +195,6 @@ def loss_and_grad(model, data, acts=None):
     if not model.use_output_bias:
         g[model.b_off[-1]] = 0.0
     return float(val), g
-
-
-def grad(model, data):
-    """Gradient of :func:`loss` for every weight and bias (flat, theta layout)."""
-    return loss_and_grad(model, data)[1]
 
 
 def granger_weights(model):

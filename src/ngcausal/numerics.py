@@ -1,7 +1,6 @@
-"""Seeded random streams, small dense helpers, and finite-difference checks.
+"""Seeded random streams and Gaussian sampling.
 
-All arithmetic is float64; 32-bit floats make finite-difference gradient
-verification unreliable.
+All arithmetic is float64.
 """
 
 import numpy as np
@@ -12,42 +11,25 @@ class SeededRng:
 
     Wraps ``numpy.random.Generator`` over PCG64 keyed by a ``SeedSequence``,
     so streams are stable across runs and platforms.  A ``SeededRng`` is
-    single-owner; parallel work must use :meth:`child` streams, never share
-    one instance.
+    single-owner; parallel work must seed its own streams with
+    :func:`child_seed`, never share one instance.
     """
 
-    def __init__(self, seed, _spawn_key=()):
+    def __init__(self, seed):
         seed = int(seed)
         if seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed}")
         self.seed = seed
-        self._spawn_key = tuple(int(k) for k in _spawn_key)
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=self._spawn_key)
-        self.gen = np.random.Generator(np.random.PCG64(seq))
-
-    def child(self, index):
-        """Independent stream derived by hashing (seed, stream index)."""
-        return SeededRng(self.seed, _spawn_key=self._spawn_key + (int(index),))
+        self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
     def __repr__(self):
-        return f"SeededRng(seed={self.seed}, spawn_key={self._spawn_key})"
+        return f"SeededRng(seed={self.seed})"
 
 
 def child_seed(seed, index):
     """Derive an integer child seed from (parent seed, stream index)."""
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
     return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
-def matvec(m, v):
-    """Matrix-vector product with an explicit dimension check."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1:
-        raise ValueError(f"expected 2-d matrix and 1-d vector, got {m.ndim}-d and {v.ndim}-d")
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix is {m.shape}, vector has length {v.shape[0]}")
-    return m @ v
 
 
 def gauss_sample(rng, n, sigma):
@@ -59,18 +41,3 @@ def gauss_sample(rng, n, sigma):
     if sigma == 0.0:
         return np.zeros(n)
     return rng.gen.normal(0.0, sigma, size=n)
-
-
-def finite_diff_grad(f, x, h=1e-6):
-    """Central-difference gradient of a scalar function, coordinate by coordinate."""
-    if h <= 0:
-        raise ValueError(f"h must be > 0, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    g = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        g[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return g

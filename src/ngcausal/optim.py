@@ -76,26 +76,6 @@ class FitResult:
     final_step: float
 
 
-def objective(model, data, spec):
-    """Penalized training objective: squared-error loss plus penalty term."""
-    return float(kernels.mlp_loss(model.theta, model.dims, model.w_off,
-                                  model.b_off, model.act_code,
-                                  data.inputs, data.targets)[0]
-                 + penalty_value(spec, model))
-
-
-def prox_step(model, data, spec, step):
-    """One proximal gradient update at a fixed step; returns (new model, new objective)."""
-    if step <= 0:
-        raise ValueError(f"step must be > 0, got {step}")
-    _, g = loss_and_grad(model, data)
-    if not np.all(np.isfinite(g)):
-        raise OptimizationError("non-finite gradient")
-    new_model = model.copy()
-    new_model.theta[:] = apply_prox(spec, model, model.theta - step * g, step)
-    return new_model, objective(new_model, data, spec)
-
-
 def fit(data, spec, arch, opt, seed, init_from=None, step0=None, progress=None):
     """Run proximal gradient descent to convergence from a seeded init.
 

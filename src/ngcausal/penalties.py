@@ -50,38 +50,6 @@ def penalty_value(spec, model):
     return float(spec.lam * np.sqrt(suffix_sq).sum())
 
 
-def prox_group_block(block, threshold):
-    """Group soft-threshold: 0 if ||block|| <= threshold, else shrink toward 0.
-
-    Returns a new array; zeros are exact (no epsilon residue).
-    """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    block = np.asarray(block, dtype=np.float64)
-    nrm = np.linalg.norm(block.ravel())
-    if nrm <= threshold:
-        return np.zeros_like(block)
-    return (1.0 - threshold / nrm) * block
-
-
-def prox_hierarchical_column(col, threshold):
-    """Nested-suffix prox of one series' (H1, K) column group.
-
-    Applies the group soft-threshold to lag suffixes (k..K) for k = K down
-    to 1, each with the same threshold.  The zero lag blocks of the result
-    always form a suffix.
-    """
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    out = np.array(col, dtype=np.float64, copy=True)
-    if out.ndim != 2:
-        raise ValueError(f"column group must be 2-d (H1, K), got {out.ndim}-d")
-    K = out.shape[1]
-    for k in range(K - 1, -1, -1):
-        out[:, k:] = prox_group_block(out[:, k:], threshold)
-    return out
-
-
 def apply_prox(spec, model, theta, step):
     """Prox of step * lam applied in place to the first-layer column groups of theta.
 

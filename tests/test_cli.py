@@ -168,6 +168,23 @@ class TestSweep:
         assert run("sweep", "--config", cfg, "--data", data_dir / "dataset.csv",
                    "--truth", bad_truth, "--out", tmp_path / "x", "--quiet") == 3
 
+    @pytest.mark.parametrize("entry", ["nan", "7"])
+    def test_non_binary_truth_is_3(self, simulated, tmp_path, capsys, entry):
+        # rejected before any fit: a NaN edge would be scored as a negative
+        # and a 7 as a positive
+        cfg, data_dir = simulated
+        rows = [l.split(",") for l in (data_dir / "truth.csv").read_text().splitlines()]
+        rows[0][1] = entry
+        bad_truth = tmp_path / "bad.csv"
+        bad_truth.write_text("\n".join(",".join(r) for r in rows) + "\n")
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert run("sweep", "--config", cfg, "--data", data_dir / "dataset.csv",
+                   "--truth", bad_truth, "--out", out, "--jobs", 1, "--quiet") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "0 or 1" in err[0] and entry in err[0]
+        assert not out.exists()
+
 
 class TestReport:
     def make_sweep(self, tmp_path, cfg_name, out_name, seed):
@@ -248,6 +265,7 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert "data error" in err[0] and "dataset.csv:6" in err[0]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["fit", "sweep"])
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -270,7 +288,7 @@ class TestExitCodes:
         err = capfd.readouterr().err.splitlines()
         assert err == ["optimization error: series 2 at lambda 1: "
                        "non-finite objective at initialization"]
-        assert not list(out.glob("checkpoint_series_*"))
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,penalty", [
         ("fit", {"lam": -1.0}), ("fit", {"lam": float("nan")}),
@@ -307,6 +325,7 @@ class TestExitCodes:
         assert run("sweep", "--config", cfg, "--data", data_dir / "dataset.csv",
                    "--truth", dense, "--out", tmp_path / "x", "--jobs", 1,
                    "--quiet") == 3
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["fit", "sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ngcausal.datasets import (LorenzConfig, SimulationError, companion_matrix,
+from ngcausal.datasets import (LorenzGenConfig, SimulationError,
+                               VarGenConfig, companion_matrix,
                                lorenz_derivative, lorenz_truth, make_sparse_var,
                                simulate_lorenz, simulate_var, spectral_radius,
-                               standardize, VarGenConfig, LorenzGenConfig)
+                               standardize)
 from ngcausal.numerics import SeededRng
 
 
@@ -136,7 +137,7 @@ class TestLorenzDerivative:
 
 class TestSimulateLorenz:
     def test_equilibrium_init_stays_constant(self):
-        cfg = LorenzConfig(p=6, F=5.0, noise_sigma=0.0, burn_in=0)
+        cfg = LorenzGenConfig(p=6, F=5.0, noise_sigma=0.0, burn_in=0)
         ts, _ = simulate_lorenz(cfg, 20, SeededRng(0), init=5.0 * np.ones(6))
         assert np.allclose(ts, 5.0, atol=1e-12)
 
@@ -154,20 +155,20 @@ class TestSimulateLorenz:
                 assert truth[i, j] == truth[(i + 1) % p, (j + 1) % p]
 
     def test_trajectory_bounded_and_nonconstant(self):
-        cfg = LorenzConfig(p=10, F=5.0, dt=0.01, noise_sigma=0.01, burn_in=1000)
+        cfg = LorenzGenConfig(p=10, F=5.0, dt=0.01, noise_sigma=0.01, burn_in=1000)
         ts, truth = simulate_lorenz(cfg, 1000, SeededRng(1))
         assert np.all(np.abs(ts) < 50)
         assert ts.std(axis=0).min() > 1e-3
         assert np.array_equal(truth, lorenz_truth(10))
 
     def test_deterministic_in_seed(self):
-        cfg = LorenzConfig(p=5, burn_in=10)
+        cfg = LorenzGenConfig(p=5, burn_in=10)
         a, _ = simulate_lorenz(cfg, 50, SeededRng(3))
         b, _ = simulate_lorenz(cfg, 50, SeededRng(3))
         assert np.array_equal(a, b)
 
     def test_divergence_raises(self):
-        cfg = LorenzConfig(p=5, F=5.0, dt=50.0, noise_sigma=0.0, burn_in=0)
+        cfg = LorenzGenConfig(p=5, F=5.0, dt=50.0, noise_sigma=0.0, burn_in=0)
         with pytest.raises(SimulationError):
             simulate_lorenz(cfg, 2000, SeededRng(0))
 
@@ -177,7 +178,7 @@ class TestSimulateLorenz:
         init = F + 0.05 * np.cos(np.arange(p))
 
         def integrate(dt):
-            cfg = LorenzConfig(p=p, F=F, dt=dt, noise_sigma=0.0, burn_in=0)
+            cfg = LorenzGenConfig(p=p, F=F, dt=dt, noise_sigma=0.0, burn_in=0)
             ts, _ = simulate_lorenz(cfg, int(round(horizon / dt)), SeededRng(0), init=init)
             return ts[-1]
 

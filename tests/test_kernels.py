@@ -1,72 +1,14 @@
-"""The vectorized norm and prox kernels against plain-loop oracles.
-
-The oracles add squares one at a time, series outer, lag, then hidden unit
-inner, and zero a group when its norm is <= the threshold.  The kernels must
-agree with them to the bit: same values, same NaNs, same signs of zeros.
+"""The vectorized norm and prox kernels against the plain-loop oracles of
+``oracles.py``: the kernels must agree with them to the bit, with the same
+values, the same NaNs and the same signs of zeros.
 """
 
 import numpy as np
 import pytest
 
 from ngcausal import _kernels as kernels
-
-
-def oracle_group_norms(w1, p, K):
-    H = w1.shape[0]
-    out = np.empty(p)
-    for j in range(p):
-        s = 0.0
-        for k in range(K):
-            c = k * p + j
-            for h in range(H):
-                s += w1[h, c] * w1[h, c]
-        out[j] = np.sqrt(s)
-    return out
-
-
-def oracle_lag_norms(w1, p, K):
-    H = w1.shape[0]
-    out = np.empty((p, K))
-    for j in range(p):
-        for k in range(K):
-            c = k * p + j
-            s = 0.0
-            for h in range(H):
-                s += w1[h, c] * w1[h, c]
-            out[j, k] = np.sqrt(s)
-    return out
-
-
-def _oracle_shrink_suffix(w1, p, j, k0, K, thr):
-    H = w1.shape[0]
-    s = 0.0
-    for k in range(k0, K):
-        c = k * p + j
-        for h in range(H):
-            s += w1[h, c] * w1[h, c]
-    nrm = np.sqrt(s)
-    if nrm <= thr:
-        for k in range(k0, K):
-            c = k * p + j
-            for h in range(H):
-                w1[h, c] = 0.0
-    else:
-        scale = 1.0 - thr / nrm
-        for k in range(k0, K):
-            c = k * p + j
-            for h in range(H):
-                w1[h, c] *= scale
-
-
-def oracle_prox_group(w1, p, K, thr):
-    for j in range(p):
-        _oracle_shrink_suffix(w1, p, j, 0, K, thr)
-
-
-def oracle_prox_hier(w1, p, K, thr):
-    for j in range(p):
-        for k0 in range(K - 1, -1, -1):
-            _oracle_shrink_suffix(w1, p, j, k0, K, thr)
+from oracles import (oracle_group_norms, oracle_lag_norms, oracle_prox_group,
+                     oracle_prox_hier)
 
 
 def assert_bit_equal(actual, expected):

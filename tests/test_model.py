@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from ngcausal.model import (Architecture, ComponentMLP, build_lagged, forward,
-                            grad, granger_weights, init_model, loss,
-                            loss_and_grad, predict)
-from ngcausal.numerics import SeededRng, finite_diff_grad
+from ngcausal.model import (Architecture, ComponentMLP, build_lagged,
+                            granger_weights, init_model, loss, loss_and_grad,
+                            predict)
+from ngcausal.numerics import SeededRng
+from oracles import finite_diff_grad
 
 
 def random_instance(seed, p=None, K=None, hidden=None, N=None, activation=None):
@@ -84,35 +85,41 @@ class TestMemoryOrder:
             np.testing.assert_allclose(c, f, rtol=1e-12, atol=0.0)
 
 
+def predict_one(model, x):
+    """Prediction for one stacked-lag input vector."""
+    return predict(model, np.asarray(x, dtype=np.float64)[None])[0]
+
+
 class TestForward:
     def test_zero_network_outputs_zero(self):
         model = ComponentMLP(p=3, K=2, hidden_sizes=(4,))
-        assert forward(model, np.ones(6)) == 0.0
+        assert predict_one(model, np.ones(6)) == 0.0
 
     def test_linear_reduction(self):
-        # no hidden layers: forward(x) = w x + bias, the one-lag linear map
+        # no hidden layers: output = w x + bias, the one-lag linear map
         model = ComponentMLP(p=1, K=1, hidden_sizes=())
         model.weight(0)[0, 0] = 0.5
         model.bias(0)[0] = 0.25
-        assert forward(model, np.array([2.0])) == 0.5 * 2.0 + 0.25
+        assert predict_one(model, [2.0]) == 0.5 * 2.0 + 0.25
 
     def test_tanh_hand_case(self):
         # H1=1, first-layer row (1, 0), unit decoder: output = tanh(0.5)
         model = ComponentMLP(p=2, K=1, hidden_sizes=(1,), activation="tanh")
         model.weight(0)[0] = [1.0, 0.0]
         model.weight(1)[0, 0] = 1.0
-        out = forward(model, np.array([0.5, 7.0]))
+        out = predict_one(model, [0.5, 7.0])
         assert np.isclose(out, np.tanh(0.5), atol=1e-15)
         assert np.isclose(out, 0.46211715726000974, atol=1e-12)
 
     def test_dimension_mismatch(self):
         model = ComponentMLP(p=2, K=2, hidden_sizes=(3,))
         with pytest.raises(ValueError):
-            forward(model, np.ones(3))
+            predict_one(model, np.ones(3))
 
     def test_matches_batched_predict(self):
+        # rows do not interact: one row at a time gives the batched values
         model, data = random_instance(0, N=6)
-        one_by_one = np.array([forward(model, x) for x in data.inputs])
+        one_by_one = np.array([predict_one(model, x) for x in data.inputs])
         assert np.allclose(one_by_one, predict(model, data.inputs), rtol=1e-12, atol=1e-14)
 
 
@@ -132,7 +139,7 @@ class TestLoss:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_row_recomputation(self, seed):
         model, data = random_instance(seed)
-        total = sum((forward(model, x) - t) ** 2
+        total = sum((predict_one(model, x) - t) ** 2
                     for x, t in zip(data.inputs, data.targets))
         assert np.isclose(loss(model, data), total, rtol=1e-10, atol=1e-12)
 
@@ -141,7 +148,7 @@ class TestGrad:
     def test_zero_residual_zero_gradient(self):
         model, data = random_instance(4)
         data.targets[:] = predict(model, data.inputs)
-        assert np.allclose(grad(model, data), 0.0, atol=1e-12)
+        assert np.allclose(loss_and_grad(model, data)[1], 0.0, atol=1e-12)
 
     @staticmethod
     def assert_matches_finite_differences(model, data):
@@ -177,8 +184,8 @@ class TestGrad:
         model, data = random_instance(8, p=3, K=2, N=6)
         j = 1
         data.inputs[:, j::3] = 0.0
-        g = grad(model, data)
-        gw1 = model.unpack(g)[0][0]
+        g = loss_and_grad(model, data)[1]
+        gw1 = g[:model.weight(0).size].reshape(model.weight(0).shape)
         assert np.all(gw1[:, j::3] == 0.0)
 
 
@@ -197,13 +204,13 @@ class TestGrangerWeights:
         model, _ = random_instance(5, p=3, K=2, hidden=(4,))
         gw = granger_weights(model)
         for j in range(3):
-            assert (gw[j] == 0.0) == np.all(model.column_group(j) == 0.0)
+            assert (gw[j] == 0.0) == np.all(model.first_layer_packed[:, j::3] == 0.0)
 
     def test_zero_group_makes_prediction_invariant(self):
         # sufficiency: zero outgoing weights -> output ignores that series
         model, data = random_instance(6, p=4, K=2, hidden=(5,), N=10)
         j = 2
-        model.column_group(j)[...] = 0.0
+        model.first_layer_packed[:, j::4] = 0.0
         base = predict(model, data.inputs)
         gen = np.random.default_rng(0)
         for _ in range(5):
@@ -229,10 +236,10 @@ class TestLinearEquivalence:
 
         r = X @ w + b - y
         assert np.isclose(loss(model, data), r @ r, rtol=1e-10)
-        g = grad(model, data)
-        gw, gb = model.unpack(g)
-        assert np.allclose(gw[0][0], 2.0 * X.T @ r, rtol=1e-10, atol=1e-12)
-        assert np.isclose(gb[0][0], 2.0 * r.sum(), rtol=1e-10)
+        g = loss_and_grad(model, data)[1]
+        assert np.allclose(g[model.w_off[0]:model.b_off[0]], 2.0 * X.T @ r,
+                           rtol=1e-10, atol=1e-12)
+        assert np.isclose(g[model.b_off[0]], 2.0 * r.sum(), rtol=1e-10)
 
 
 class TestArchitecture:
@@ -248,9 +255,9 @@ class TestArchitecture:
         arch = Architecture(hidden_sizes=(3,), output_bias=False)
         model = init_model(2, 2, arch, SeededRng(0))
         _, data = random_instance(1, p=2, K=2, N=5)
-        g = grad(model, data)
+        g = loss_and_grad(model, data)[1]
         assert g[model.b_off[-1]] == 0.0
-        assert model.output_bias == 0.0
+        assert model.bias(model.n_layers - 1)[0] == 0.0
 
     def test_init_is_seeded(self):
         arch = Architecture(hidden_sizes=(4, 3))

@@ -2,35 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngcausal.numerics import (SeededRng, child_seed, finite_diff_grad,
-                               gauss_sample, matvec)
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(2), [3.0, 4.0]), [3.0, 4.0])
-
-    def test_zero(self):
-        assert np.array_equal(matvec(np.zeros((2, 2)), [3.0, 4.0]), [0.0, 0.0])
-
-    def test_hand_case(self):
-        # [[1,2],[3,4]] @ (1,1) = (3, 7) by hand
-        assert np.array_equal(matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]), [3.0, 7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matvec(np.eye(3), [1.0, 2.0])
-
-    @given(st.integers(0, 2**31), st.integers(1, 6), st.integers(1, 6))
-    @settings(max_examples=50, deadline=None)
-    def test_distributes_over_addition(self, seed, r, c):
-        gen = np.random.default_rng(seed)
-        m = gen.normal(size=(r, c))
-        u = gen.normal(size=c)
-        v = gen.normal(size=c)
-        lhs = matvec(m, u + v)
-        rhs = matvec(m, u) + matvec(m, v)
-        assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+from ngcausal.numerics import SeededRng, child_seed, gauss_sample
+from oracles import finite_diff_grad
 
 
 class TestSeededRng:
@@ -45,12 +18,14 @@ class TestSeededRng:
         assert not np.array_equal(a, b)
 
     def test_child_streams_reproducible_and_distinct(self):
-        r = SeededRng(9)
-        c0 = r.child(0).gen.normal(size=8)
-        c1 = r.child(1).gen.normal(size=8)
-        again = SeededRng(9).child(0).gen.normal(size=8)
+        # the per-series streams of sweep_path: SeededRng(child_seed(seed, i))
+        c0 = SeededRng(child_seed(9, 0)).gen.normal(size=8)
+        c1 = SeededRng(child_seed(9, 1)).gen.normal(size=8)
+        again = SeededRng(child_seed(9, 0)).gen.normal(size=8)
+        parent = SeededRng(9).gen.normal(size=8)
         assert np.array_equal(c0, again)
         assert not np.array_equal(c0, c1)
+        assert not np.array_equal(c0, parent)
 
     def test_child_seed_deterministic(self):
         assert child_seed(42, 3) == child_seed(42, 3)
@@ -85,6 +60,8 @@ class TestGaussSample:
 
 
 class TestFiniteDiffGrad:
+    """The finite-difference oracle of ``oracles.py`` that the gradient tests use."""
+
     def test_quadratic_exact(self):
         g = finite_diff_grad(lambda v: float(v @ v), np.array([1.0, 2.0]), h=1e-5)
         assert np.allclose(g, [2.0, 4.0], atol=1e-6)

@@ -9,7 +9,7 @@ from ngcausal.model import (Architecture, ComponentMLP, LaggedDataset,
                             build_lagged, init_model, loss, loss_and_grad)
 from ngcausal.numerics import SeededRng
 from ngcausal.optim import (FitResult, OptimizationError, OptimizerConfig,
-                            fit, objective, prox_step, warm_start_fit)
+                            fit, warm_start_fit)
 from ngcausal.penalties import PenaltySpec, apply_prox, penalty_value
 
 
@@ -34,7 +34,7 @@ def reference_fit(data, spec, arch, opt, seed):
     """
     model = init_model(data.p, data.K, arch, SeededRng(seed))
     step = opt.initial_step
-    obj = objective(model, data, spec)
+    obj = loss(model, data) + penalty_value(spec, model)
     trace = [obj]
     log = []
     g_prev = s = None
@@ -78,24 +78,39 @@ def fit_steps(data, spec, arch, opt, seed):
     return res, steps
 
 
+def fit_objective(model, data, spec):
+    """The penalized objective fit records for model: its trace's first entry."""
+    res = fit(data, spec, None, OptimizerConfig(max_iters=1), seed=None,
+              init_from=model)
+    return res.objective_trace[0]
+
+
+def one_prox_step(model, data, spec, step):
+    """One proximal gradient step at a fixed step size: one iteration of fit
+    without backtracking.  Returns (new model, new objective)."""
+    opt = OptimizerConfig(initial_step=step, max_iters=1, backtracking=False)
+    res = fit(data, spec, None, opt, seed=None, init_from=model)
+    return res.model, res.objective_trace[-1]
+
+
 class TestObjective:
     def test_lambda_zero_equals_loss(self):
         data = small_dataset(0)
         model = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(1))
-        assert objective(model, data, PenaltySpec("group", 0.0)) == loss(model, data)
+        assert fit_objective(model, data, PenaltySpec("group", 0.0)) == loss(model, data)
 
     def test_zero_model_zero_targets(self):
         model = ComponentMLP(2, 1, hidden_sizes=(3,))
         data = LaggedDataset(inputs=np.ones((4, 2)), targets=np.zeros(4),
                              series_index=0, p=2, K=1)
-        assert objective(model, data, PenaltySpec("group", 3.0)) == 0.0
+        assert fit_objective(model, data, PenaltySpec("group", 3.0)) == 0.0
 
     def test_recomposition(self):
         data = small_dataset(2)
         model = init_model(3, 2, Architecture(hidden_sizes=(5,), init_scale=1.0),
                            SeededRng(3))
         spec = PenaltySpec("hierarchical", 0.8)
-        assert np.isclose(objective(model, data, spec),
+        assert np.isclose(fit_objective(model, data, spec),
                           loss(model, data) + penalty_value(spec, model),
                           rtol=1e-10)
 
@@ -105,8 +120,8 @@ class TestProxStep:
         data = small_dataset(4)
         model = init_model(3, 2, Architecture(hidden_sizes=()), SeededRng(5))
         spec = PenaltySpec("group", 0.0)
-        before = objective(model, data, spec)
-        _, after = prox_step(model, data, spec, step=1e-4)
+        before = loss(model, data) + penalty_value(spec, model)
+        _, after = one_prox_step(model, data, spec, step=1e-4)
         assert after < before
 
     def test_fixed_point_when_gradient_zero(self):
@@ -114,7 +129,7 @@ class TestProxStep:
         data = small_dataset(6)
         data.targets[:] = 0.0
         model = ComponentMLP(3, 2, hidden_sizes=(3,))
-        new_model, _ = prox_step(model, data, PenaltySpec("group", 0.0), step=1e-3)
+        new_model, _ = one_prox_step(model, data, PenaltySpec("group", 0.0), step=1e-3)
         assert np.array_equal(new_model.theta, model.theta)
 
     def test_scalar_soft_threshold_hand_computation(self):
@@ -131,7 +146,7 @@ class TestProxStep:
         gb = 2.0 * float(r.sum())
         pre = w - step * gw
         shrunk = max(0.0, 1.0 - step * lam / abs(pre)) * pre
-        new_model, _ = prox_step(model, data, PenaltySpec("group", lam), step)
+        new_model, _ = one_prox_step(model, data, PenaltySpec("group", lam), step)
         assert np.isclose(new_model.weight(0)[0, 0], shrunk, rtol=1e-12)
         assert np.isclose(new_model.bias(0)[0], b - step * gb, rtol=1e-12)
 
@@ -139,7 +154,7 @@ class TestProxStep:
         data = small_dataset(8)
         model = init_model(3, 2, Architecture(hidden_sizes=(2,)), SeededRng(9))
         before = model.theta.copy()
-        prox_step(model, data, PenaltySpec("group", 1.0), step=1e-3)
+        one_prox_step(model, data, PenaltySpec("group", 1.0), step=1e-3)
         assert np.array_equal(model.theta, before)
 
 
@@ -302,8 +317,9 @@ class TestFit:
         model = init_model(3, 2, arch, SeededRng(5))
         opt = OptimizerConfig(max_iters=1, backtracking=False, initial_step=1e-4)
         res = fit(data, spec, arch, opt, seed=5)
-        stepped, _ = prox_step(model, data, spec, 1e-4)
-        assert np.array_equal(res.model.theta, stepped.theta)
+        _, g = loss_and_grad(model, data)
+        stepped = apply_prox(spec, model, model.theta - 1e-4 * g, 1e-4)
+        assert np.array_equal(res.model.theta, stepped)
 
 
 class TestWarmStart:

@@ -5,8 +5,28 @@ from scipy.optimize import minimize_scalar
 
 from ngcausal.model import ComponentMLP, init_model, Architecture
 from ngcausal.numerics import SeededRng
-from ngcausal.penalties import (PenaltySpec, apply_prox, penalty_value,
-                                prox_group_block, prox_hierarchical_column)
+from ngcausal.penalties import PenaltySpec, apply_prox, penalty_value
+from oracles import oracle_prox_group, oracle_prox_hier
+
+
+def prox_column(kind, col, threshold):
+    """apply_prox on one series' (H, K) column group: a p=1 model whose first
+    layer is col, at step 1, so the threshold is lam."""
+    col = np.asarray(col, dtype=np.float64)
+    model = ComponentMLP(p=1, K=col.shape[1], hidden_sizes=(col.shape[0],))
+    model.first_layer_packed[...] = col
+    apply_prox(PenaltySpec(kind, threshold), model, model.theta, step=1.0)
+    return model.first_layer_packed.copy()
+
+
+def group_prox(v, threshold):
+    """Group soft-threshold of a vector, through apply_prox."""
+    return prox_column("group", np.reshape(v, (-1, 1)), threshold)[:, 0]
+
+
+def hier_prox(col, threshold):
+    """Nested-suffix prox of one (H, K) column group, through apply_prox."""
+    return prox_column("hierarchical", col, threshold)
 
 
 def prox_objective_minimizer(v, t):
@@ -53,12 +73,12 @@ class TestPenaltyValue:
         model = init_model(4, 3, Architecture(hidden_sizes=(5,), init_scale=1.0),
                            SeededRng(2))
         lam = 1.7
-        direct_group = lam * sum(np.linalg.norm(model.column_group(j))
-                                 for j in range(4))
+        groups = [model.first_layer_packed[:, j::4] for j in range(4)]
+        direct_group = lam * sum(np.linalg.norm(g) for g in groups)
         assert np.isclose(penalty_value(PenaltySpec("group", lam), model),
                           direct_group, rtol=1e-12)
-        direct_hier = lam * sum(np.linalg.norm(model.column_group(j)[:, k:])
-                                for j in range(4) for k in range(3))
+        direct_hier = lam * sum(np.linalg.norm(g[:, k:])
+                                for g in groups for k in range(3))
         assert np.isclose(penalty_value(PenaltySpec("hierarchical", lam), model),
                           direct_hier, rtol=1e-12)
 
@@ -72,28 +92,28 @@ class TestPenaltyValue:
 class TestProxGroupBlock:
     def test_shrinks_by_closed_form(self):
         v = np.array([1.2, 1.6])  # norm 2
-        out = prox_group_block(v, 0.5)
+        out = group_prox(v, 0.5)
         assert np.allclose(out, 0.75 * v, rtol=1e-15)
 
     def test_below_threshold_exact_zero(self):
         v = np.array([0.1, -0.05, 0.02])
-        out = prox_group_block(v, 1.0)
+        out = group_prox(v, 1.0)
         assert np.array_equal(out, np.zeros(3))
 
     def test_threshold_zero_identity(self):
         v = SeededRng(0).gen.normal(size=7)
-        assert np.array_equal(prox_group_block(v, 0.0), v)
+        assert np.array_equal(group_prox(v, 0.0), v)
 
     def test_boundary_maps_to_zero(self):
         v = np.array([3.0, 4.0])
-        assert np.array_equal(prox_group_block(v, 5.0), np.zeros(2))
+        assert np.array_equal(group_prox(v, 5.0), np.zeros(2))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_prox_objective_minimizer(self, seed):
         gen = np.random.default_rng(seed)
         v = gen.normal(size=int(gen.integers(1, 8)))
         t = float(gen.uniform(0, 2.0 * np.linalg.norm(v) + 0.1))
-        assert np.allclose(prox_group_block(v, t),
+        assert np.allclose(group_prox(v, t),
                            prox_objective_minimizer(v, t), atol=1e-6)
 
     @given(st.integers(0, 2**31), st.floats(0.0, 5.0))
@@ -102,40 +122,40 @@ class TestProxGroupBlock:
         gen = np.random.default_rng(seed)
         u = gen.normal(size=5)
         v = gen.normal(size=5)
-        du = prox_group_block(u, t) - prox_group_block(v, t)
+        du = group_prox(u, t) - group_prox(v, t)
         assert np.linalg.norm(du) <= np.linalg.norm(u - v) + 1e-12
 
     @given(st.integers(0, 2**31), st.floats(0.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_never_grows_norm(self, seed, t):
         v = np.random.default_rng(seed).normal(size=4)
-        assert np.linalg.norm(prox_group_block(v, t)) <= np.linalg.norm(v) + 1e-12
+        assert np.linalg.norm(group_prox(v, t)) <= np.linalg.norm(v) + 1e-12
 
 
 class TestProxHierarchicalColumn:
     def test_small_column_fully_zeroed(self):
         # step 1 zeroes lag 2 (0.1 < 0.2); step 2 zeroes the remaining (0.1, 0)
         col = np.array([[0.1, 0.1]])
-        out = prox_hierarchical_column(col, 0.2)
+        out = hier_prox(col, 0.2)
         assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_two_step_hand_case(self):
         # lag 2 zeroed first, then (5, 0) shrinks by (1 - 0.2/5) = 0.96
         col = np.array([[5.0, 0.1]])
-        out = prox_hierarchical_column(col, 0.2)
+        out = hier_prox(col, 0.2)
         assert np.allclose(out, [[4.8, 0.0]], rtol=1e-15)
         assert out[0, 1] == 0.0
 
     def test_threshold_zero_identity(self):
         col = SeededRng(1).gen.normal(size=(3, 4))
-        assert np.array_equal(prox_hierarchical_column(col, 0.0), col)
+        assert np.array_equal(hier_prox(col, 0.0), col)
 
     @given(st.integers(0, 2**31), st.floats(0.0, 2.0), st.integers(1, 4),
            st.integers(1, 5))
     @settings(max_examples=80, deadline=None)
     def test_zero_pattern_is_suffix(self, seed, t, h, k):
         col = np.random.default_rng(seed).normal(size=(h, k))
-        out = prox_hierarchical_column(col, t)
+        out = hier_prox(col, t)
         zero_lags = [np.all(out[:, q] == 0.0) for q in range(k)]
         # once a lag is zero, all deeper lags are zero
         for q in range(k - 1):
@@ -148,7 +168,7 @@ class TestProxHierarchicalColumn:
         gen = np.random.default_rng(seed)
         u = gen.normal(size=(2, 3))
         v = gen.normal(size=(2, 3))
-        du = prox_hierarchical_column(u, t) - prox_hierarchical_column(v, t)
+        du = hier_prox(u, t) - hier_prox(v, t)
         assert np.linalg.norm(du) <= np.linalg.norm(u - v) + 1e-12
 
 
@@ -162,37 +182,40 @@ class TestApplyProx:
     def test_huge_lambda_zeroes_first_layer_only(self):
         model = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(1))
         deeper_before = model.weight(1).copy()
-        biases_before = [b.copy() for b in model.biases]
+        biases_before = [model.bias(l).copy() for l in range(model.n_layers)]
         apply_prox(PenaltySpec("group", 1e9), model, model.theta, step=1.0)
         assert np.array_equal(model.first_layer_packed, np.zeros((4, 6)))
         assert np.array_equal(model.weight(1), deeper_before)
-        for b, before in zip(model.biases, biases_before):
-            assert np.array_equal(b, before)
+        for l, before in enumerate(biases_before):
+            assert np.array_equal(model.bias(l), before)
 
     def test_single_column_reduces_to_block_prox(self):
         model = init_model(1, 3, Architecture(hidden_sizes=(2,), init_scale=1.0),
                            SeededRng(2))
-        expected = prox_group_block(model.first_layer_packed.copy(), 0.07)
+        expected = model.first_layer_packed.copy()
+        oracle_prox_group(expected, 1, 3, 0.1 * 0.7)
         apply_prox(PenaltySpec("group", 0.7), model, model.theta, step=0.1)
         assert np.allclose(model.first_layer_packed, expected, rtol=1e-15)
 
     def test_group_matches_per_column_blocks(self):
         model = init_model(4, 2, Architecture(hidden_sizes=(3,), init_scale=1.0),
                            SeededRng(3))
-        expected = {j: prox_group_block(model.column_group(j).copy(), 0.05)
-                    for j in range(4)}
+        expected = {j: model.first_layer_packed[:, j::4].copy() for j in range(4)}
+        for col in expected.values():
+            oracle_prox_group(col, 1, 2, 0.1 * 0.5)
         apply_prox(PenaltySpec("group", 0.5), model, model.theta, step=0.1)
         for j in range(4):
-            assert np.allclose(model.column_group(j), expected[j], rtol=1e-14)
+            assert np.allclose(model.first_layer_packed[:, j::4], expected[j], rtol=1e-14)
 
     def test_hierarchical_matches_per_column(self):
         model = init_model(3, 3, Architecture(hidden_sizes=(2,), init_scale=1.0),
                            SeededRng(4))
-        expected = {j: prox_hierarchical_column(model.column_group(j).copy(), 0.06)
-                    for j in range(3)}
+        expected = {j: model.first_layer_packed[:, j::3].copy() for j in range(3)}
+        for col in expected.values():
+            oracle_prox_hier(col, 1, 3, 0.1 * 0.6)
         apply_prox(PenaltySpec("hierarchical", 0.6), model, model.theta, step=0.1)
         for j in range(3):
-            assert np.allclose(model.column_group(j), expected[j], rtol=1e-14)
+            assert np.allclose(model.first_layer_packed[:, j::3], expected[j], rtol=1e-14)
 
     def test_commutes_with_series_permutation(self):
         rng = SeededRng(5)

@@ -1,0 +1,33 @@
+"""The package's exported names: each one resolves, none twice, and the
+test-only helpers that were folded into the production code paths stay out."""
+
+import pytest
+
+import ngcausal
+
+REMOVED = ["matvec", "finite_diff_grad", "prox_group_block",
+           "prox_hierarchical_column", "prox_step", "objective", "forward",
+           "grad", "LorenzConfig"]
+
+
+def test_every_exported_name_resolves():
+    for name in ngcausal.__all__:
+        assert getattr(ngcausal, name) is not None, name
+
+
+def test_no_duplicate_exports():
+    assert len(ngcausal.__all__) == len(set(ngcausal.__all__))
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_helper_not_exported(name):
+    assert name not in ngcausal.__all__
+    assert not hasattr(ngcausal, name)
+
+
+@pytest.mark.parametrize("owner,name", [
+    ("ComponentMLP", "column_group"), ("ComponentMLP", "unpack"),
+    ("ComponentMLP", "weights"), ("ComponentMLP", "biases"),
+    ("ComponentMLP", "output_bias"), ("SeededRng", "child")])
+def test_removed_method_absent(owner, name):
+    assert not hasattr(getattr(ngcausal, owner), name)
