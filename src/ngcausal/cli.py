@@ -16,8 +16,8 @@ from .evaluation import (DegenerateTruthError, auc, edge_rates, lambda_grid,
                          lambda_max_linear, roc_points, sweep_path)
 from .io import (ConfigError, DataError, load_config, read_dataset_csv,
                  read_matrix_csv, read_auc_csv, save_checkpoint, save_config,
-                 write_auc_csv, write_dataset_csv, write_edges_csv,
-                 write_matrix_csv, write_roc_csv)
+                 write_auc_csv, write_auc_rows, write_dataset_csv,
+                 write_edges_csv, write_matrix_csv, write_roc_csv)
 from .optim import OptimizationError
 
 EXIT_OK = 0
@@ -158,25 +158,19 @@ def cmd_sweep(args):
 
 
 def cmd_report(args):
-    rows = []
-    bad = []
+    rows, bad = [], 0
     for d in args.dirs:
         path = os.path.join(d, "auc.csv")
         try:
             rows.append(read_auc_csv(path))
         except (DataError, OSError) as exc:
-            bad.append(f"{path}: {exc}")
-    for msg in bad:
-        print(msg, file=sys.stderr)
+            print(f"{path}: {exc}", file=sys.stderr)
+            bad += 1
     if not rows:
         print("no readable sweep outputs; nothing to report", file=sys.stderr)
         return EXIT_DATA
     rows.sort(key=lambda r: (r["generator"], r["T"], r["seed"], r["penalty"]))
-    with open(args.out, "w") as fh:
-        fh.write("generator,T,seed,penalty,auc,auc_excl_diag\n")
-        for r in rows:
-            fh.write(f"{r['generator']},{r['T']},{r['seed']},{r['penalty']},"
-                     f"{r['auc']:.17g},{r['auc_excl_diag']:.17g}\n")
+    write_auc_rows(args.out, rows)
     _say(args, f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_DATA if bad else EXIT_OK
 

@@ -70,23 +70,16 @@ def roc_points(truth, estimates, include_diagonal=True):
     (then TPR).  Returns an (n, 2) array of (FPR, TPR) rows.
     """
     pts = [(0.0, 0.0), (1.0, 1.0)]
-    for g in estimates:
-        pts.append(edge_rates(truth, g, include_diagonal))
-    pts.sort()
-    return np.asarray(pts)
+    pts += [edge_rates(truth, g, include_diagonal) for g in estimates]
+    return np.asarray(sorted(pts))
 
 
 def roc_points_scores(truth, graph, include_diagonal=True):
     """Alternative mode: ROC by sweeping a threshold over one graph's weights."""
     graph = np.asarray(graph)
     mask = _considered_mask(np.asarray(truth).shape[0], include_diagonal)
-    thresholds = np.unique(graph[mask])
-    pts = [(0.0, 0.0), (1.0, 1.0)]
-    for thr in thresholds:
-        pred = np.where(graph > thr, 1.0, 0.0)
-        pts.append(edge_rates(truth, pred, include_diagonal))
-    pts.sort()
-    return np.asarray(pts)
+    return roc_points(truth, [graph > thr for thr in np.unique(graph[mask])],
+                      include_diagonal)
 
 
 def auc(points):

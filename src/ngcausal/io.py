@@ -1,10 +1,11 @@
 """Config files, model checkpoints, and the CSV formats the CLI emits.
 
-Formats (all deterministic byte streams given identical inputs):
+Formats (all deterministic byte streams given identical inputs, each written
+to ``path + ".tmp"`` and renamed over ``path``, so no reader sees half a file):
 
 * config        -- YAML with sections generator/model/penalty/optimizer/
-                   evaluation/output; every tunable constant is visible here
-                   and round-trips losslessly.
+                   evaluation; every tunable constant is visible here and
+                   round-trips losslessly.
 * checkpoint    -- versioned JSON; weights stored as C99 hex floats so a
                    reloaded model reproduces forward outputs bit-identically.
 * dataset CSV   -- header ``t,s0,...,s{p-1}``, one row per time step;
@@ -13,9 +14,11 @@ Formats (all deterministic byte streams given identical inputs):
                    lag profiles at 17 significant digits).
 """
 
+import contextlib
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +39,20 @@ class DataError(Exception):
 
 
 FLOAT_FMT = "{:.17g}"
+
+
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Write ``path + ".tmp"``, then rename it over ``path``; on error delete it."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # ----------------------------------------------------------------- config
@@ -93,14 +110,8 @@ class PenaltySection:
 
 @dataclass
 class EvaluationSection:
-    seeds: tuple = (0, 1, 2, 3, 4)
     include_diagonal: bool = True
     standardize: bool = True
-
-
-@dataclass
-class OutputSection:
-    dir: str = "out"
 
 
 @dataclass
@@ -110,7 +121,6 @@ class ExperimentConfig:
     penalty: PenaltySection = field(default_factory=PenaltySection)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
-    output: OutputSection = field(default_factory=OutputSection)
 
 
 def _check_scalar(section, key, value, typ):
@@ -172,7 +182,7 @@ def config_from_dict(data):
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"config root: expected a mapping, got {type(data).__name__}")
-    known = {"generator", "model", "penalty", "optimizer", "evaluation", "output"}
+    known = {"generator", "model", "penalty", "optimizer", "evaluation"}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"config root: unknown section(s) {sorted(unknown)}")
@@ -182,7 +192,6 @@ def config_from_dict(data):
         penalty=_fill_dataclass(PenaltySection, data.get("penalty"), "penalty"),
         optimizer=_fill_dataclass(OptimizerConfig, data.get("optimizer"), "optimizer"),
         evaluation=_fill_dataclass(EvaluationSection, data.get("evaluation"), "evaluation"),
-        output=_fill_dataclass(OutputSection, data.get("output"), "output"),
     )
     if cfg.generator.kind not in ("var", "lorenz"):
         raise ConfigError(f"generator.kind: expected 'var' or 'lorenz', got {cfg.generator.kind!r}")
@@ -196,16 +205,13 @@ def config_from_dict(data):
     return cfg
 
 
-def _to_plain(obj):
+def config_to_dict(obj):
+    """Plain dicts and lists of a config (or any part of one), ready for YAML."""
     if dataclasses.is_dataclass(obj):
-        return {f.name: _to_plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: config_to_dict(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, tuple):
-        return [_to_plain(v) for v in obj]
+        return [config_to_dict(v) for v in obj]
     return obj
-
-
-def config_to_dict(cfg):
-    return _to_plain(cfg)
 
 
 def load_config(path):
@@ -220,7 +226,7 @@ def load_config(path):
 
 
 def save_config(cfg, path):
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=True)
 
 
@@ -240,7 +246,7 @@ def save_checkpoint(model, path, metadata=None):
         "theta_hex": [float(v).hex() for v in model.theta],
         "metadata": metadata or {},
     }
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
@@ -268,7 +274,7 @@ def load_checkpoint(path):
 def write_dataset_csv(path, ts):
     ts = np.asarray(ts)
     p = ts.shape[1]
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write("t," + ",".join(f"s{j}" for j in range(p)) + "\n")
         for t, row in enumerate(ts):
             fh.write(str(t) + "," + ",".join(FLOAT_FMT.format(v) for v in row) + "\n")
@@ -305,7 +311,7 @@ def read_dataset_csv(path):
 
 def write_matrix_csv(path, M, ints=False):
     M = np.asarray(M)
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         for row in M:
             if ints:
                 fh.write(",".join(str(int(v)) for v in row) + "\n")
@@ -315,15 +321,14 @@ def write_matrix_csv(path, M, ints=False):
 
 def read_matrix_csv(path):
     try:
-        M = np.loadtxt(path, delimiter=",", ndmin=2)
+        return np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: malformed matrix CSV: {exc}") from exc
-    return M
 
 
 def write_roc_csv(path, lambdas, rates):
     """Per-lambda operating points; rates is a list of (fpr, tpr)."""
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write("lambda,fpr,tpr\n")
         for lam, (fpr, tpr) in zip(lambdas, rates):
             fh.write(f"{FLOAT_FMT.format(lam)},{FLOAT_FMT.format(fpr)},{FLOAT_FMT.format(tpr)}\n")
@@ -333,10 +338,17 @@ AUC_HEADER = "generator,T,seed,penalty,auc,auc_excl_diag"
 
 
 def write_auc_csv(path, generator, T, seed, penalty, auc_value, auc_excl_diag):
-    with open(path, "w") as fh:
+    write_auc_rows(path, [{"generator": generator, "T": T, "seed": seed, "penalty": penalty,
+                           "auc": auc_value, "auc_excl_diag": auc_excl_diag}])
+
+
+def write_auc_rows(path, rows):
+    """auc.csv rows, dicts as read_auc_csv returns them, under one header."""
+    with _atomic_open(path) as fh:
         fh.write(AUC_HEADER + "\n")
-        fh.write(f"{generator},{T},{seed},{penalty},"
-                 f"{FLOAT_FMT.format(auc_value)},{FLOAT_FMT.format(auc_excl_diag)}\n")
+        for r in rows:
+            fh.write(f"{r['generator']},{r['T']},{r['seed']},{r['penalty']},"
+                     f"{FLOAT_FMT.format(r['auc'])},{FLOAT_FMT.format(r['auc_excl_diag'])}\n")
 
 
 def read_auc_csv(path):
@@ -364,7 +376,7 @@ def read_auc_csv(path):
 
 
 def write_edges_csv(path, lambdas, active_edges, active_lag_pairs):
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write("lambda,active_edges,active_lag_pairs\n")
         for lam, e, q in zip(lambdas, active_edges, active_lag_pairs):
             fh.write(f"{FLOAT_FMT.format(lam)},{int(e)},{int(q)}\n")

@@ -235,6 +235,15 @@ class TestExitCodes:
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o",
                    "--quiet") == 2
 
+    @pytest.mark.parametrize("section,key", [("evaluation", "seeds"), ("output", "dir")])
+    def test_removed_setting_is_2(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path / "c.yaml", **{section: {key: "x"}})
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o",
+                   "--quiet") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and section in err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_file_is_io_5(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml")
         assert run("fit", "--config", cfg, "--data", tmp_path / "absent.csv",

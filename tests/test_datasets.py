@@ -58,6 +58,18 @@ class TestMakeSparseVar:
         # iterative oracle agrees (looser: subspace iteration accuracy)
         assert abs(power_iteration_radius(C) - target) <= 1e-6
 
+    @pytest.mark.parametrize("p,K", [(10, 3), (8, 3), (6, 2), (7, 4)])
+    def test_radius_within_eigvals_accuracy_of_target(self, p, K):
+        # The scale is bisected to adjacent floats around the target as
+        # spectral_radius computes it, but eigvals of these companion forms
+        # (equal coefficients at every lag, near-repeated eigenvalues) is
+        # accurate to ~1e-5 only.  Worst miss over these 80 systems: 2.4e-5
+        # (p=10, K=3, seed 15).
+        for seed in range(20):
+            proc = make_sparse_var(SeededRng(seed), p=p, K=K)
+            rho = spectral_radius(companion_matrix(proc.coeffs))
+            assert abs(rho - 0.95) <= 5e-5, seed
+
     def test_truth_consistent_with_coefficients(self):
         proc = make_sparse_var(SeededRng(11), p=7, K=4, edge_prob=0.3)
         for i in range(7):

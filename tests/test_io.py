@@ -27,7 +27,7 @@ class TestConfigRoundTrip:
         cfg.penalty.kind = "hierarchical"
         cfg.penalty.lambdas = (10.0, 1.0, 0.1)
         cfg.optimizer.rel_tol = 1e-7
-        cfg.evaluation.seeds = (3, 4)
+        cfg.evaluation.include_diagonal = False
         path = tmp_path / "cfg.yaml"
         save_config(cfg, path)
         assert load_config(path) == cfg
@@ -49,6 +49,13 @@ class TestConfigRoundTrip:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
             config_from_dict({"mystery": {}})
+
+    def test_unread_settings_removed(self):
+        # nothing read evaluation.seeds or output.dir: --seed and --out set them
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['seeds'\]"):
+            config_from_dict({"evaluation": {"seeds": [0, 1]}})
+        with pytest.raises(ConfigError, match=r"unknown section\(s\) \['output'\]"):
+            config_from_dict({"output": {"dir": "out"}})
 
     def test_type_error_names_field(self):
         with pytest.raises(ConfigError, match="generator.p"):
@@ -199,5 +206,30 @@ class TestCsv:
         raw = yaml.safe_load(path.read_text())
         assert isinstance(raw, dict)
         assert set(raw) == {"generator", "model", "penalty", "optimizer",
-                            "evaluation", "output"}
+                            "evaluation"}
         assert raw["model"]["hidden"] == [10]
+
+
+class TestAtomicWrites:
+    """Every writer renames a finished tmp file over its target."""
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, np.eye(3))
+        before = path.read_bytes()
+        # the third row fails to format after two rows have been written
+        bad = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, "x"]], dtype=object)
+        with pytest.raises(ValueError):
+            write_matrix_csv(path, bad)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.csv"]
+
+    def test_failed_checkpoint_keeps_earlier_file(self, tmp_path):
+        model = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(0))
+        path = tmp_path / "ck.json"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_checkpoint(model, path, metadata={"bad": object()})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ck.json"]

@@ -1,5 +1,10 @@
 """The package's exported names: each one resolves, none twice, and the
-test-only helpers that were folded into the production code paths stay out."""
+test-only helpers that were folded into the production code paths stay out.
+The runtime loads numpy and PyYAML only."""
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -31,3 +36,21 @@ def test_removed_helper_not_exported(name):
     ("ComponentMLP", "output_bias"), ("SeededRng", "child")])
 def test_removed_method_absent(owner, name):
     assert not hasattr(getattr(ngcausal, owner), name)
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+import ngcausal, ngcausal.cli
+from ngcausal import LorenzGenConfig, VarGenConfig
+VarGenConfig().generate(50, 0)
+LorenzGenConfig(p=6, burn_in=20).generate(30, 0)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_never_loads_scipy():
+    src = os.path.dirname(os.path.dirname(ngcausal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
