@@ -15,8 +15,7 @@ from .datasets import (LorenzGenConfig, SimulationError, VarGenConfig,
 from .model import (Architecture, ComponentMLP, LaggedDataset, build_lagged,
                     granger_weights, init_model, loss, loss_and_grad, predict)
 from .penalties import PenaltySpec, apply_prox, penalty_value
-from .optim import (FitResult, OptimizationError, OptimizerConfig, fit,
-                    warm_start_fit)
+from .optim import FitResult, OptimizationError, OptimizerConfig, fit
 from .evaluation import (DegenerateTruthError, ExperimentResult, SweepResult,
                          auc, edge_rates, lag_profile,
                          lambda_grid, lambda_max_linear, roc_points,
@@ -36,5 +35,5 @@ __all__ = [
     "lorenz_truth", "loss", "loss_and_grad", "make_sparse_var",
     "penalty_value", "predict", "roc_points", "roc_points_scores",
     "run_experiment", "simulate_lorenz", "simulate_var", "spectral_radius",
-    "standardize", "sweep_path", "warm_start_fit",
+    "standardize", "sweep_path",
 ]

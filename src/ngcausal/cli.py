@@ -44,7 +44,24 @@ def _warn_capped(converged, lambdas, max_iters):
 
 
 def _resolved_seed(cfg, args):
-    return cfg.generator.seed if args.seed is None else args.seed
+    seed = cfg.generator.seed if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
+def _fit_ready(ts, cfg):
+    """The series as the fits see them: standardized when configured.  A
+    series too short for K lags or with a constant column is a DataError."""
+    T, K = ts.shape[0], cfg.model.K
+    if T <= K:
+        raise DataError(f"need T > K, got T={T}, K={K}")
+    if not cfg.evaluation.standardize:
+        return ts
+    try:
+        return standardize(ts)[0]
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def _outdir(args):
@@ -58,8 +75,10 @@ def _outdir(args):
 def cmd_simulate(args):
     cfg = load_config(args.config)
     seed = _resolved_seed(cfg, args)
-    gen = cfg.generator.instance()
-    ts, truth = gen.generate(cfg.generator.T, seed)
+    try:
+        ts, truth = cfg.generator.instance().generate(cfg.generator.T, seed)
+    except ValueError as exc:
+        raise ConfigError(f"generator: {exc}") from exc
     out = _outdir(args)
     write_dataset_csv(os.path.join(out, "dataset.csv"), ts)
     write_matrix_csv(os.path.join(out, "truth.csv"), truth, ints=True)
@@ -75,9 +94,7 @@ def cmd_simulate(args):
 def cmd_fit(args):
     cfg = load_config(args.config)
     seed = _resolved_seed(cfg, args)
-    ts = read_dataset_csv(args.data)
-    if cfg.evaluation.standardize:
-        ts = standardize(ts)[0]
+    ts = _fit_ready(read_dataset_csv(args.data), cfg)
     kind, lam = cfg.penalty.kind, cfg.penalty.lam
 
     progress = None if args.quiet else (lambda msg: print(msg))
@@ -112,8 +129,7 @@ def cmd_sweep(args):
     if not binary.all():
         raise DataError(f"truth graph entries must be 0 or 1, got {truth[~binary][0]:g}")
     T = ts.shape[0]
-    if cfg.evaluation.standardize:
-        ts = standardize(ts)[0]
+    ts = _fit_ready(ts, cfg)
     K = cfg.model.K
     arch = cfg.model.architecture()
     kind = cfg.penalty.kind
@@ -121,8 +137,11 @@ def cmd_sweep(args):
     if cfg.penalty.lambdas:
         lams = np.asarray(cfg.penalty.lambdas, dtype=np.float64)
     else:
-        lams = lambda_grid(lambda_max_linear(ts, K),
-                           cfg.penalty.grid_size, cfg.penalty.grid_ratio)
+        try:
+            lam_max = lambda_max_linear(ts, K)
+        except ValueError as exc:  # no finite, positive penalty scale
+            raise DataError(str(exc)) from exc
+        lams = lambda_grid(lam_max, cfg.penalty.grid_size, cfg.penalty.grid_ratio)
     _say(args, f"sweeping {lams.size} lambdas in [{lams[-1]:.4g}, {lams[0]:.4g}]")
 
     progress = None if args.quiet else (lambda msg: print(msg))
@@ -236,7 +255,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, SimulationError, DegenerateTruthError, ValueError) as exc:
+    except (DataError, SimulationError, DegenerateTruthError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OptimizationError as exc:

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import _kernels as kernels
 from .datasets import standardize
-from .model import build_lagged, granger_weights
-from .numerics import child_seed
-from .optim import OptimizationError, fit, warm_start_fit
+from .model import build_lagged, granger_weights, init_model
+from .numerics import SeededRng, child_seed
+from .optim import OptimizationError, fit
 from .penalties import PenaltySpec
 
 
@@ -168,28 +168,26 @@ def _series_path(ts, K, i, kind, lambdas, arch, opt, seed, progress=None):
     """Warm-started descent of one series' model down the lambda grid: the
     per-lambda records and the model at the last lambda."""
     data = build_lagged(ts, K, i)
+    model = init_model(data.p, data.K, arch, SeededRng(child_seed(seed, i)))
+    step = None
     out = []
-    prev = None
     for li, lam in enumerate(lambdas):
         spec = PenaltySpec(kind=kind, lam=float(lam))
         try:
             # fit raises on any non-finite value, so numpy's overflow
             # warnings would only repeat that error
             with np.errstate(over="ignore", invalid="ignore"):
-                if prev is None:
-                    res = fit(data, spec, arch, opt, seed=child_seed(seed, i))
-                else:
-                    res = warm_start_fit(prev, data, spec, opt)
+                res = fit(data, spec, model, opt, step)
         except OptimizationError as exc:
             raise OptimizationError(f"series {i} at lambda {lam:.6g}: {exc}") from exc
-        prev = res
-        out.append((granger_weights(res.model), lag_profile(res.model),
+        model, step = res.model, res.final_step
+        out.append((granger_weights(model), lag_profile(model),
                     res.iterations_run, res.converged,
                     float(res.objective_trace[-1])))
         if progress is not None:
             progress(f"series {i}: lambda {li + 1}/{len(lambdas)} "
                      f"({res.iterations_run} iters, objective {res.objective_trace[-1]:.6g})")
-    return out, prev.model
+    return out, model
 
 
 def _series_path_task(args):

@@ -82,6 +82,10 @@ class ModelSection:
     output_bias: bool = True
     init_scale: float = 0.1
 
+    def __post_init__(self):
+        if self.K < 1:
+            raise ValueError(f"K must be >= 1, got {self.K}")
+
     def architecture(self):
         return Architecture(hidden_sizes=self.hidden, activation=self.activation,
                             output_bias=self.output_bias, init_scale=self.init_scale)

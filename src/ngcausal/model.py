@@ -35,6 +35,8 @@ class Architecture:
             raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}; expected one of {sorted(ACTIVATIONS)}")
+        if not (np.isfinite(self.init_scale) and self.init_scale >= 0):
+            raise ValueError(f"init_scale must be finite and >= 0, got {self.init_scale}")
 
 
 class ComponentMLP:

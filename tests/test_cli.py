@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from ngcausal import cli
 from ngcausal.cli import main
 from ngcausal.io import (load_checkpoint, read_auc_csv, read_dataset_csv,
                          read_matrix_csv, write_dataset_csv)
@@ -29,6 +30,23 @@ def write_config(path, **overrides):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def failing_dataset(case):
+    """(series, config overrides, message) of a dataset that fit or sweep
+    rejects for a reason in the data itself."""
+    ts = np.random.default_rng(0).normal(size=(60, 4))
+    if case == "short":
+        return ts[:2], {"model": {"K": 2}}, "need T > K, got T=2, K=2"
+    if case == "constant column":
+        ts[:, 1] = 3.0
+        return ts, {}, "zero-variance column(s) [1]: cannot standardize"
+    raw = {"evaluation": {"standardize": False}}
+    if case == "constant data":
+        return np.ones_like(ts), raw, "data is constant: no usable penalty scale"
+    ts[:, 2] *= 1e200
+    return ts, raw, ("penalty scale of the data is not finite (inf); "
+                     "rescale or standardize the series")
 
 
 class TestSimulate:
@@ -324,6 +342,78 @@ class TestExitCodes:
                    "--jobs", 1, "--quiet") == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "not finite" in err[0]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("command,case", [
+        ("fit", "short"), ("sweep", "short"), ("fit", "constant column"),
+        ("sweep", "constant column"), ("sweep", "constant data"),
+        ("sweep", "unbounded scale")])
+    def test_data_dependent_failure_is_3(self, tmp_path, capsys, command, case, jobs):
+        ts, overrides, message = failing_dataset(case)
+        cfg = write_config(tmp_path / "c.yaml", **overrides)
+        write_dataset_csv(tmp_path / "d.csv", ts)
+        truth = tmp_path / "t.csv"
+        truth.write_text("1,1,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n")
+        truth = ["--truth", truth] if command == "sweep" else []
+        out = tmp_path / "o"
+        assert run(command, "--config", cfg, "--data", tmp_path / "d.csv", *truth,
+                   "--out", out, "--jobs", jobs, "--quiet") == 3
+        assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_program_bug_is_not_a_data_error(self, tmp_path, capsys, monkeypatch, command):
+        # a ValueError from inside the program is a bug: it surfaces as a
+        # traceback, not as exit 3 with a "data error" line
+        def broken_sweep(*args, **kwargs):
+            raise ValueError("bug")
+
+        cfg = write_config(tmp_path / "c.yaml")
+        data_dir = tmp_path / "d"
+        run("simulate", "--config", cfg, "--out", data_dir, "--quiet")
+        monkeypatch.setattr(cli, "sweep_path", broken_sweep)
+        truth = ["--truth", data_dir / "truth.csv"] if command == "sweep" else []
+        capsys.readouterr()
+        with pytest.raises(ValueError, match="bug"):
+            run(command, "--config", cfg, "--data", data_dir / "dataset.csv", *truth,
+                "--out", tmp_path / "o", "--jobs", 1, "--quiet")
+        assert "data error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "sweep"])
+    @pytest.mark.parametrize("overrides,seed,message", [
+        ({"model": {"K": 0}}, [], "model: K must be >= 1, got 0"),
+        ({"model": {"init_scale": -1.0}}, [],
+         "model: init_scale must be finite and >= 0, got -1.0"),
+        ({"generator": {"seed": -1}}, [], "seed must be a nonnegative integer, got -1"),
+        ({}, ["--seed", -1], "seed must be a nonnegative integer, got -1")])
+    def test_bad_model_or_seed_is_config_error_2(self, tmp_path, capsys, command,
+                                                  overrides, seed, message):
+        cfg = write_config(tmp_path / "c.yaml", **overrides)
+        data = [] if command == "simulate" else ["--data", tmp_path / "d.csv"]
+        truth = ["--truth", tmp_path / "t.csv"] if command == "sweep" else []
+        assert run(command, "--config", cfg, *data, *truth, *seed,
+                   "--out", tmp_path / "o", "--quiet") == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("generator,message", [
+        ({"T": 0}, "T must be >= 1, got 0"),
+        ({"var": {"edge_prob": 2.0}}, "edge_prob must be in (0, 1], got 2.0"),
+        ({"kind": "lorenz", "p": 3}, "p must be >= 4, got 3")])
+    def test_bad_generator_setting_is_config_error_2(self, tmp_path, capsys,
+                                                      generator, message):
+        cfg = write_config(tmp_path / "c.yaml", generator=generator)
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: generator: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["backtracking", "backtrack_factor"])
+    def test_removed_optimizer_key_is_2(self, tmp_path, capsys, key):
+        # resolved configs written before these settings were deleted carry them
+        cfg = write_config(tmp_path / "c.yaml", optimizer={key: True})
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: optimizer: unknown key(s) ['{key}']"]
 
     def test_degenerate_truth_is_3(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml")

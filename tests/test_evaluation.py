@@ -164,8 +164,8 @@ class TestLambdaGrid:
         opt = OptimizerConfig(rel_tol=1e-12, max_iters=50_000)
         for i in range(5):
             data = build_lagged(ts, 2, i)
-            res = fit(data, PenaltySpec("group", lam_max),
-                      Architecture(hidden_sizes=()), opt, seed=i)
+            model = init_model(5, 2, Architecture(hidden_sizes=()), SeededRng(i))
+            res = fit(data, PenaltySpec("group", lam_max), model, opt)
             assert np.array_equal(granger_weights(res.model), np.zeros(5))
 
     def test_slightly_below_lambda_max_activates(self):
@@ -175,8 +175,8 @@ class TestLambdaGrid:
         active = 0
         for i in range(5):
             data = build_lagged(ts, 2, i)
-            res = fit(data, PenaltySpec("group", 0.98 * lam_max),
-                      Architecture(hidden_sizes=()), opt, seed=i)
+            model = init_model(5, 2, Architecture(hidden_sizes=()), SeededRng(i))
+            res = fit(data, PenaltySpec("group", 0.98 * lam_max), model, opt)
             active += int((granger_weights(res.model) > 0).sum())
         assert active >= 1
 

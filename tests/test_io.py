@@ -19,6 +19,15 @@ class TestConfigRoundTrip:
         cfg = ExperimentConfig()
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
+    def test_readme_config_block_is_the_defaults(self):
+        # the README documents every setting with its default value
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        section = text.split("## Config file", 1)[1]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert config_from_dict(yaml.safe_load(block)) == ExperimentConfig()
+
     def test_file_round_trip(self, tmp_path):
         cfg = ExperimentConfig()
         cfg.generator.kind = "lorenz"

@@ -8,8 +8,7 @@ from ngcausal.datasets import VarGenConfig, standardize
 from ngcausal.model import (Architecture, ComponentMLP, LaggedDataset,
                             build_lagged, init_model, loss, loss_and_grad)
 from ngcausal.numerics import SeededRng
-from ngcausal.optim import (FitResult, OptimizationError, OptimizerConfig,
-                            fit, warm_start_fit)
+from ngcausal.optim import FitResult, OptimizationError, OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec, apply_prox, penalty_value
 
 
@@ -24,15 +23,20 @@ def small_dataset(seed, p=3, K=2, T=60):
     return build_lagged(standardize(ts)[0], K, 0)
 
 
+def seeded_model(data, arch, seed):
+    """The seeded initial model of data's series, as sweep_path builds it."""
+    return init_model(data.p, data.K, arch, SeededRng(seed))
+
+
 def reference_fit(data, spec, arch, opt, seed):
     """Proximal gradient with a short Barzilai-Borwein start and backtracking,
     running loss_and_grad afresh every iteration.
 
-    Returns (trace, model, final step, log); log holds one (rule, backtracks)
-    per iteration, rule being None on the first iteration, "bb" when s.y > 0
-    set the trial step and "kept" when it did not.
+    Returns (trace, model, final step, log); log holds one (rule, backtracks,
+    accepted step) per iteration, rule being None on the first iteration,
+    "bb" when s.y > 0 set the trial step and "kept" when it did not.
     """
-    model = init_model(data.p, data.K, arch, SeededRng(seed))
+    model = seeded_model(data, arch, seed)
     step = opt.initial_step
     obj = loss(model, data) + penalty_value(spec, model)
     trace = [obj]
@@ -58,38 +62,28 @@ def reference_fit(data, spec, arch, opt, seed):
             if new_loss <= (val + g @ s + (s @ s) / (2.0 * step)
                             + 1e-12 * max(1.0, abs(val))):
                 break
-            step *= opt.backtrack_factor
+            step *= 0.5
             backtracks += 1
         model = probe
         new_obj = new_loss + penalty_value(spec, model)
         trace.append(new_obj)
-        log.append((rule, backtracks))
+        log.append((rule, backtracks, step))
         if abs(obj - new_obj) < opt.rel_tol * max(1.0, abs(obj)):
             break
         obj = new_obj
     return np.asarray(trace), model, step, log
 
 
-def fit_steps(data, spec, arch, opt, seed):
-    """The accepted step of every iteration of fit, as progress reports it."""
-    steps = []
-    res = fit(data, spec, arch, opt, seed=seed,
-              progress=lambda it, obj, step, active: steps.append(step))
-    return res, steps
-
-
 def fit_objective(model, data, spec):
     """The penalized objective fit records for model: its trace's first entry."""
-    res = fit(data, spec, None, OptimizerConfig(max_iters=1), seed=None,
-              init_from=model)
-    return res.objective_trace[0]
+    return fit(data, spec, model, OptimizerConfig(max_iters=1)).objective_trace[0]
 
 
 def one_prox_step(model, data, spec, step):
     """One proximal gradient step at a fixed step size: one iteration of fit
-    without backtracking.  Returns (new model, new objective)."""
-    opt = OptimizerConfig(initial_step=step, max_iters=1, backtracking=False)
-    res = fit(data, spec, None, opt, seed=None, init_from=model)
+    whose first trial step is accepted.  Returns (new model, new objective)."""
+    res = fit(data, spec, model, OptimizerConfig(initial_step=step, max_iters=1))
+    assert res.final_step == step, "the step backtracked"
     return res.model, res.objective_trace[-1]
 
 
@@ -162,7 +156,8 @@ class TestFit:
     def test_huge_lambda_gives_empty_row(self):
         data = small_dataset(10)
         res = fit(data, PenaltySpec("group", 1e8),
-                  Architecture(hidden_sizes=(4,)), OptimizerConfig(), seed=0)
+                  seeded_model(data, Architecture(hidden_sizes=(4,)), 0),
+                  OptimizerConfig())
         assert np.array_equal(res.model.first_layer_packed, np.zeros((4, 6)))
         assert_monotone_trace(res.objective_trace)
 
@@ -177,8 +172,9 @@ class TestFit:
         # least-squares oracle for the same design
         A = np.column_stack([data.inputs[:, 0], np.ones(data.n_rows)])
         coef_ref = np.linalg.lstsq(A, data.targets, rcond=None)[0]
-        res = fit(data, PenaltySpec("group", 0.0), Architecture(hidden_sizes=()),
-                  OptimizerConfig(rel_tol=1e-14, max_iters=100_000), seed=0)
+        res = fit(data, PenaltySpec("group", 0.0),
+                  seeded_model(data, Architecture(hidden_sizes=()), 0),
+                  OptimizerConfig(rel_tol=1e-14, max_iters=100_000))
         assert abs(res.model.weight(0)[0, 0] - coef_ref[0]) < 1e-3
         assert abs(res.model.weight(0)[0, 0] - 0.5) < 1e-3
 
@@ -186,8 +182,8 @@ class TestFit:
         data = small_dataset(11)
         arch = Architecture(hidden_sizes=(3,))
         opt = OptimizerConfig(max_iters=200)
-        a = fit(data, PenaltySpec("group", 2.0), arch, opt, seed=42)
-        b = fit(data, PenaltySpec("group", 2.0), arch, opt, seed=42)
+        a = fit(data, PenaltySpec("group", 2.0), seeded_model(data, arch, 42), opt)
+        b = fit(data, PenaltySpec("group", 2.0), seeded_model(data, arch, 42), opt)
         assert np.array_equal(a.model.theta, b.model.theta)
         assert np.array_equal(a.objective_trace, b.objective_trace)
         assert a.iterations_run == b.iterations_run
@@ -199,16 +195,16 @@ class TestFit:
         for activation in ("tanh", "relu"):
             for kind, lam, hidden in [("none", 0.0, (4,)), ("group", 1.0, (4,)),
                                       ("hierarchical", 2.0, (3, 2)), ("group", 5.0, ())]:
-                res = fit(data, PenaltySpec(kind, lam),
-                          Architecture(hidden_sizes=hidden, activation=activation),
-                          OptimizerConfig(max_iters=500), seed=13)
+                arch = Architecture(hidden_sizes=hidden, activation=activation)
+                res = fit(data, PenaltySpec(kind, lam), seeded_model(data, arch, 13),
+                          OptimizerConfig(max_iters=500))
                 assert_monotone_trace(res.objective_trace)
 
     def test_relu_fit_runs_and_descends(self):
         data = small_dataset(17)
-        res = fit(data, PenaltySpec("group", 1.0),
-                  Architecture(hidden_sizes=(4,), activation="relu"),
-                  OptimizerConfig(max_iters=300), seed=3)
+        arch = Architecture(hidden_sizes=(4,), activation="relu")
+        res = fit(data, PenaltySpec("group", 1.0), seeded_model(data, arch, 3),
+                  OptimizerConfig(max_iters=300))
         assert_monotone_trace(res.objective_trace)
 
     def test_step_underflow_raises(self):
@@ -218,17 +214,8 @@ class TestFit:
         data = LaggedDataset(inputs=X, targets=y, series_index=0, p=1, K=1)
         opt = OptimizerConfig(initial_step=1e-2, min_step=9e-3)
         with pytest.raises(OptimizationError, match="min_step"):
-            fit(data, PenaltySpec("group", 0.0), Architecture(hidden_sizes=()),
-                opt, seed=0)
-
-    def test_progress_sink_called(self):
-        data = small_dataset(14)
-        events = []
-        fit(data, PenaltySpec("group", 1.0), Architecture(hidden_sizes=(2,)),
-            OptimizerConfig(max_iters=25), seed=0,
-            progress=lambda it, obj, step, active: events.append((it, obj, step, active)))
-        assert events and events[0][0] == 1
-        assert all(isinstance(e[3], int) for e in events)
+            fit(data, PenaltySpec("group", 0.0),
+                seeded_model(data, Architecture(hidden_sizes=()), 0), opt)
 
     def test_lambda_zero_matches_plain_gradient_descent(self):
         # the prox at lambda = 0 is the identity, so the trace must equal an
@@ -236,9 +223,9 @@ class TestFit:
         data = small_dataset(15)
         arch = Architecture(hidden_sizes=(3,))
         opt = OptimizerConfig(max_iters=60, rel_tol=1e-15)
-        res = fit(data, PenaltySpec("group", 0.0), arch, opt, seed=21)
+        model = seeded_model(data, arch, 21)
+        res = fit(data, PenaltySpec("group", 0.0), model, opt)
 
-        model = init_model(3, 2, arch, SeededRng(21))
         step = opt.initial_step
         trace = [loss(model, data)]
         prev = trace[0]
@@ -258,7 +245,7 @@ class TestFit:
                 if new_loss <= (val + g @ delta + (delta @ delta) / (2 * step)
                                 + 1e-12 * max(1.0, abs(val))):
                     break
-                step *= opt.backtrack_factor
+                step *= 0.5
             model.theta[:] = cand
             trace.append(new_loss)
             if abs(prev - new_loss) < opt.rel_tol * max(1.0, abs(prev)):
@@ -276,47 +263,42 @@ class TestFit:
         arch = Architecture(hidden_sizes=(5, 3), activation=activation, init_scale=1.0)
         spec = PenaltySpec(kind, 3.0)
         opt = OptimizerConfig(max_iters=150, initial_step=0.05, rel_tol=1e-9)
-        res = fit(data, spec, arch, opt, seed=22)
+        res = fit(data, spec, seeded_model(data, arch, 22), opt)
 
         trace, model, step, log = reference_fit(data, spec, arch, opt, seed=22)
-        assert sum(backtracks for _, backtracks in log) > 0
+        assert sum(backtracks for _, backtracks, _ in log) > 0
         assert np.array_equal(res.objective_trace, trace)
         assert np.array_equal(res.model.theta, model.theta)
         assert res.final_step == step
 
     def test_nonpositive_curvature_keeps_previous_step(self):
         # where s.y <= 0 along the last move (tanh is nonconvex) the trial
-        # step is the last accepted one, not a Barzilai-Borwein step
+        # step is the last accepted one, not a Barzilai-Borwein step; fit is
+        # held to this reference loop bit for bit, so its steps are the log's
         data = small_dataset(17, T=120)
         arch = Architecture(hidden_sizes=(5, 3), init_scale=1.0)
         spec = PenaltySpec("group", 3.0)
         opt = OptimizerConfig(max_iters=150, initial_step=0.05, rel_tol=1e-9)
-        _, steps = fit_steps(data, spec, arch, opt, seed=22)
-        *_, log = reference_fit(data, spec, arch, opt, seed=22)
-        kept = [k for k, (rule, backtracks) in enumerate(log)
+        res = fit(data, spec, seeded_model(data, arch, 22), opt)
+        trace, model, step, log = reference_fit(data, spec, arch, opt, seed=22)
+        assert np.array_equal(res.objective_trace, trace)
+        assert np.array_equal(res.model.theta, model.theta)
+        assert res.final_step == step
+        kept = [k for k, (rule, backtracks, _) in enumerate(log)
                 if rule == "kept" and backtracks == 0]
         assert len(kept) > 0
-        assert any(rule == "bb" for rule, _ in log)
+        assert any(rule == "bb" for rule, _, _ in log)
         for k in kept:
-            assert steps[k] == steps[k - 1]
-
-    def test_fixed_step_without_backtracking(self):
-        data = small_dataset(18)
-        opt = OptimizerConfig(max_iters=40, backtracking=False, initial_step=1e-4,
-                              rel_tol=1e-15)
-        res, steps = fit_steps(data, PenaltySpec("group", 1.0),
-                               Architecture(hidden_sizes=(3,)), opt, seed=4)
-        assert len(steps) == 40
-        assert steps == [1e-4] * 40
-        assert res.final_step == 1e-4
+            assert log[k][2] == log[k - 1][2]
 
     def test_fit_one_iteration_equals_prox_step(self):
         data = small_dataset(16)
         arch = Architecture(hidden_sizes=(3,))
         spec = PenaltySpec("group", 0.5)
-        model = init_model(3, 2, arch, SeededRng(5))
-        opt = OptimizerConfig(max_iters=1, backtracking=False, initial_step=1e-4)
-        res = fit(data, spec, arch, opt, seed=5)
+        model = seeded_model(data, arch, 5)
+        opt = OptimizerConfig(max_iters=1, initial_step=1e-4)
+        res = fit(data, spec, model, opt)
+        assert res.final_step == 1e-4, "the step backtracked"
         _, g = loss_and_grad(model, data)
         stepped = apply_prox(spec, model, model.theta - 1e-4 * g, 1e-4)
         assert np.array_equal(res.model.theta, stepped)
@@ -327,24 +309,23 @@ class TestWarmStart:
         data = small_dataset(20)
         spec = PenaltySpec("group", 3.0)
         opt = OptimizerConfig()
-        first = fit(data, spec, Architecture(hidden_sizes=(3,)), opt, seed=1)
+        first = fit(data, spec, seeded_model(data, Architecture(hidden_sizes=(3,)), 1), opt)
         assert first.converged
-        again = warm_start_fit(first, data, spec, opt)
+        again = fit(data, spec, first.model, opt, first.final_step)
         assert again.iterations_run == 1
         assert again.converged
 
-    @pytest.mark.parametrize("previous_step, first_step", [(1e-5, 1e-5), (1.0, 1e-4)])
+    @pytest.mark.parametrize("previous_step, first_step",
+                             [(1e-5, 1e-5), (1.0, 1e-4), (1e-20, 1e-12), (None, 1e-4)])
     def test_first_step_is_previous_final_step_capped(self, previous_step, first_step):
-        # steps small enough that the first iteration does not backtrack
+        # steps small enough that the first iteration does not backtrack, so
+        # a one-iteration fit ends on its first trial step
         data = small_dataset(23)
         spec = PenaltySpec("group", 1.0)
         opt = OptimizerConfig(initial_step=1e-4, max_iters=30)
-        first = fit(data, spec, Architecture(hidden_sizes=(3,)), opt, seed=1)
-        previous = dataclasses.replace(first, final_step=previous_step)
-        steps = []
-        warm_start_fit(previous, data, spec, opt,
-                       progress=lambda it, obj, step, active: steps.append(step))
-        assert steps[0] == first_step
+        first = fit(data, spec, seeded_model(data, Architecture(hidden_sizes=(3,)), 1), opt)
+        one = dataclasses.replace(opt, max_iters=1)
+        assert fit(data, spec, first.model, one, previous_step).final_step == first_step
 
     def test_matches_cold_start_objective(self):
         # run both to tight convergence on a convex (linear) instance, where
@@ -352,20 +333,29 @@ class TestWarmStart:
         data = small_dataset(21)
         opt = OptimizerConfig(rel_tol=1e-12, max_iters=100_000)
         arch = Architecture(hidden_sizes=())
-        hi = fit(data, PenaltySpec("group", 4.0), arch, opt, seed=2)
-        lo_warm = warm_start_fit(hi, data, PenaltySpec("group", 2.0), opt)
-        lo_cold = fit(data, PenaltySpec("group", 2.0), arch, opt, seed=2)
+        hi = fit(data, PenaltySpec("group", 4.0), seeded_model(data, arch, 2), opt)
+        lo_warm = fit(data, PenaltySpec("group", 2.0), hi.model, opt, hi.final_step)
+        lo_cold = fit(data, PenaltySpec("group", 2.0), seeded_model(data, arch, 2), opt)
         a, b = lo_warm.objective_trace[-1], lo_cold.objective_trace[-1]
         assert abs(a - b) / max(1.0, abs(b)) < 1e-4
 
-    def test_architecture_mismatch_rejected(self):
+    def _mismatch(self, p, K):
         data = small_dataset(22)
-        res = fit(data, PenaltySpec("group", 1.0), Architecture(hidden_sizes=(2,)),
-                  OptimizerConfig(max_iters=20), seed=0)
+        res = fit(data, PenaltySpec("group", 1.0),
+                  seeded_model(data, Architecture(hidden_sizes=(2,)), 0),
+                  OptimizerConfig(max_iters=20))
         other = build_lagged(standardize(
-            VarGenConfig(p=4, K=2, burn_in=20).generate(40, 0)[0])[0], 2, 0)
-        with pytest.raises(ValueError, match="mismatch"):
-            warm_start_fit(res, other, PenaltySpec("group", 1.0), OptimizerConfig())
+            VarGenConfig(p=p, K=K, burn_in=20).generate(40, 0)[0])[0], K, 0)
+        with pytest.raises(ValueError, match=f"model expects p=3, K=2 but data has "
+                                             f"p={p}, K={K}"):
+            fit(other, PenaltySpec("group", 1.0), res.model, OptimizerConfig(),
+                res.final_step)
+
+    def test_architecture_mismatch_rejected(self):
+        self._mismatch(p=4, K=2)
+
+    def test_lag_order_mismatch_rejected(self):
+        self._mismatch(p=3, K=3)
 
     def test_sparsity_monotone_on_linear_path(self):
         # convex case: active group count never grows as lambda rises
@@ -376,13 +366,12 @@ class TestWarmStart:
         arch = Architecture(hidden_sizes=())
         opt = OptimizerConfig()
         counts = []
-        prev = None
+        model, step = seeded_model(data, arch, 0), None
         from ngcausal.model import granger_weights
         for lam in lams:
-            spec = PenaltySpec("group", float(lam))
-            prev = (fit(data, spec, arch, opt, seed=0) if prev is None
-                    else warm_start_fit(prev, data, spec, opt))
-            counts.append(int((granger_weights(prev.model) > 0).sum()))
+            res = fit(data, PenaltySpec("group", float(lam)), model, opt, step)
+            model, step = res.model, res.final_step
+            counts.append(int((granger_weights(model) > 0).sum()))
         # lams descend, so counts must be non-decreasing along the sweep
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
@@ -424,8 +413,9 @@ class TestKktLinearCase:
         lam = 0.25 * 2.0 * max(np.linalg.norm(X[:, [j]].T @ (y - y.mean()))
                                for j in range(4))
 
-        res = fit(data, PenaltySpec("group", lam), Architecture(hidden_sizes=()),
-                  OptimizerConfig(rel_tol=1e-14, max_iters=200_000), seed=0)
+        res = fit(data, PenaltySpec("group", lam),
+                  seeded_model(data, Architecture(hidden_sizes=()), 0),
+                  OptimizerConfig(rel_tol=1e-14, max_iters=200_000))
 
         w, b = exact_lasso(X, y, lam)
         ref_obj = float((X @ w + b - y) @ (X @ w + b - y)) + lam * np.abs(w).sum()
@@ -443,13 +433,39 @@ class TestKktLinearCase:
             else:
                 assert abs(abs(corr[j]) - lam) <= 1e-3 * lam
 
+    def test_group_lasso_kkt_with_two_lag_groups(self):
+        # K=2: each series' group holds two lags, so stationarity is a vector
+        # condition.  Inactive groups need ||2 X_g' r|| <= lam; active ones
+        # need 2 X_g' r = -lam w_g / ||w_g||, met here within 1.9e-7 * lam
+        p, K = 4, 2
+        ts = standardize(VarGenConfig(p=p, K=K, burn_in=100).generate(250, 1)[0])[0]
+        data = build_lagged(ts, K, 0)
+        X, y = data.inputs, data.targets
+        lam = 0.25 * 2.0 * max(np.linalg.norm(X[:, j::p].T @ (y - y.mean()))
+                               for j in range(p))
+
+        res = fit(data, PenaltySpec("group", lam),
+                  seeded_model(data, Architecture(hidden_sizes=()), 0),
+                  OptimizerConfig(rel_tol=1e-14, max_iters=200_000))
+        assert res.converged
+
+        w, b = res.model.weight(0)[0], res.model.bias(0)[0]
+        corr = 2.0 * X.T @ (X @ w + b - y)
+        active = [j for j in range(p) if np.any(w[j::p] != 0)]
+        assert 0 < len(active) < p
+        for j in range(p):
+            w_g, c_g = w[j::p], corr[j::p]
+            if j in active:
+                assert np.all(w_g != 0)
+                assert np.linalg.norm(c_g + lam * w_g / np.linalg.norm(w_g)) <= 1e-5 * lam
+            else:
+                assert np.linalg.norm(c_g) <= lam * (1 + 1e-9)
+
 
 class TestOptimizerConfigValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError):
             OptimizerConfig(initial_step=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(backtrack_factor=1.0)
         with pytest.raises(ValueError):
             OptimizerConfig(min_step=1.0, initial_step=0.5)
         with pytest.raises(ValueError):
@@ -457,8 +473,9 @@ class TestOptimizerConfigValidation:
 
     def test_fit_result_fields(self):
         data = small_dataset(30)
-        res = fit(data, PenaltySpec("none", 0.0), Architecture(hidden_sizes=()),
-                  OptimizerConfig(max_iters=10), seed=0)
+        res = fit(data, PenaltySpec("none", 0.0),
+                  seeded_model(data, Architecture(hidden_sizes=()), 0),
+                  OptimizerConfig(max_iters=10))
         assert isinstance(res, FitResult)
         assert res.objective_trace.shape == (res.iterations_run + 1,)
         assert res.final_step > 0

@@ -12,7 +12,7 @@ import ngcausal
 
 REMOVED = ["matvec", "finite_diff_grad", "prox_group_block",
            "prox_hierarchical_column", "prox_step", "objective", "forward",
-           "grad", "LorenzConfig"]
+           "grad", "LorenzConfig", "warm_start_fit"]
 
 
 def test_every_exported_name_resolves():
@@ -33,7 +33,8 @@ def test_removed_helper_not_exported(name):
 @pytest.mark.parametrize("owner,name", [
     ("ComponentMLP", "column_group"), ("ComponentMLP", "unpack"),
     ("ComponentMLP", "weights"), ("ComponentMLP", "biases"),
-    ("ComponentMLP", "output_bias"), ("SeededRng", "child")])
+    ("ComponentMLP", "output_bias"), ("SeededRng", "child"),
+    ("OptimizerConfig", "backtracking"), ("OptimizerConfig", "backtrack_factor")])
 def test_removed_method_absent(owner, name):
     assert not hasattr(getattr(ngcausal, owner), name)
 
