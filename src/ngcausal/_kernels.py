@@ -20,7 +20,9 @@ The norm and prox kernels work on all series at once but add squares in a
 fixed order, lag outer and hidden unit inner, one term at a time
 (``np.add.accumulate`` is sequential by definition, while ``sum`` may switch
 to pairwise summation).  Their results are therefore reproducible to the
-bit, and equal to a plain loop over (series, lag, unit) in that order.
+bit, and equal to a plain loop over (series, lag, unit) in that order.  Each
+prox kernel also returns the unscaled penalty of its result, summed exactly
+as ``penalty_value`` sums it, so the optimizer need not compute it again.
 """
 
 import numpy as np
@@ -58,24 +60,35 @@ def layer_activations(theta, dims, w_off, b_off, act, X):
     return acts
 
 
-def mlp_loss(theta, dims, w_off, b_off, act, X, y):
-    """Sum of squared residuals over all rows of X, and the activations
-    (from :func:`layer_activations`) that :func:`mlp_loss_grad` can reuse."""
+def _forward(theta, dims, w_off, b_off, act, X, y):
+    """Activations of :func:`layer_activations` with the output row replaced,
+    in place, by the residual ``output - y``."""
     acts = layer_activations(theta, dims, w_off, b_off, act, X)
-    r = acts[-1][0] - y
+    acts[-1][0] -= y
+    return acts
+
+
+def mlp_loss(theta, dims, w_off, b_off, act, X, y):
+    """Sum of squared residuals over all rows of X, and the forward pass that
+    :func:`mlp_loss_grad` can reuse: the activations of
+    :func:`layer_activations` whose last entry holds the (1, N) residual
+    instead of the output."""
+    acts = _forward(theta, dims, w_off, b_off, act, X, y)
+    r = acts[-1][0]
     return np.dot(r, r), acts
 
 
 def mlp_loss_grad(theta, dims, w_off, b_off, act, X, y, grad, acts=None):
     """Loss plus exact reverse-mode gradient, written into ``grad``.
 
-    ``acts`` are the activations :func:`mlp_loss` returned for this same
-    ``theta`` and ``X``; given them, the forward pass is not run again.
+    ``acts`` is the forward pass :func:`mlp_loss` returned for this same
+    ``theta``, ``X`` and ``y``; given it, neither the forward pass nor the
+    residual is computed again.
     """
     if acts is None:
-        acts = layer_activations(theta, dims, w_off, b_off, act, X)
+        acts = _forward(theta, dims, w_off, b_off, act, X, y)
     L = dims.shape[0] - 1
-    r = acts[-1][0] - y
+    r = acts[-1][0]
     loss = np.dot(r, r)
 
     delta = 2.0 * r[None, :]
@@ -84,7 +97,7 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, y, grad, acts=None):
         # gW = delta @ a_in.T, computed as (a_in @ delta.T).T, which is
         # faster at large N when X is in Fortran order
         grad[w_off[l]:w_off[l] + W.size] = (acts[l] @ delta.T).T.ravel()
-        np.sum(delta, axis=1, out=grad[b_off[l]:b_off[l] + W.shape[0]])
+        delta.sum(axis=1, out=grad[b_off[l]:b_off[l] + W.shape[0]])
         if l > 0:
             h = acts[l]
             if act == ACT_TANH:
@@ -117,6 +130,13 @@ def _lag_major(w1, p, K):
     return w1.reshape(H, K, p).transpose(1, 0, 2)
 
 
+def _block_norms(w):
+    """Per (series j, lag k) block norms of a lag-major (K, H, p) layer, shape (p, K)."""
+    # C order: a caller's sum over the whole array adds in memory order, so
+    # the layout is part of the result's bits
+    return np.ascontiguousarray(np.sqrt(np.add.accumulate(w * w, axis=1)[:, -1]).T)
+
+
 def group_norms(w1, p, K):
     """Frobenius norm of each input series' column group of the first layer."""
     return _sq_norms(_lag_major(w1, p, K).reshape(-1, p))
@@ -124,33 +144,45 @@ def group_norms(w1, p, K):
 
 def lag_norms(w1, p, K):
     """Per (series j, lag k) block norms of the first layer, shape (p, K)."""
-    # C order, as the loops returned: a caller's sum over the whole array
-    # adds in memory order, so the layout is part of the result's bits
-    return np.ascontiguousarray(_sq_norms(w1).reshape(K, p).T)
+    return _block_norms(_lag_major(w1, p, K))
+
+
+def suffix_norm_sum(block_norms):
+    """Sum over series of all lag-suffix (k..K) norms, from the (p, K) block
+    norms :func:`lag_norms` returns: the unscaled hierarchical penalty."""
+    suffix_sq = (block_norms ** 2)[:, ::-1].cumsum(axis=1)[:, ::-1]
+    return np.sqrt(suffix_sq).sum()
 
 
 def _prox_suffixes(w1, p, K, thr, starts):
     """Group soft-threshold of the lag suffixes (k0..K) of every column group,
-    for each k0 in ``starts`` in turn, in place.
+    for each k0 in ``starts`` in turn, in place.  Returns the lag-major
+    (K, H, p) copy of the result.
 
     A suffix whose norm is <= thr becomes exact (positive) zeros; otherwise it
     is scaled by (1 - thr / norm).  A NaN norm fails the test, so its suffix
     is scaled to NaN, not zeroed.
     """
     w = np.ascontiguousarray(_lag_major(w1, p, K))
-    for k0 in starts:
-        suffix = w[k0:]
-        nrm = _sq_norms(suffix.reshape(-1, p))
-        # the scale of a zeroed suffix may be inf or NaN: overwritten below
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # the scale of a zeroed suffix may be inf or NaN: overwritten below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k0 in starts:
+            suffix = w[k0:]
+            nrm = _sq_norms(suffix.reshape(-1, p))
             suffix *= 1.0 - thr / nrm
-        np.copyto(suffix, 0.0, where=nrm <= thr)
+            np.copyto(suffix, 0.0, where=nrm <= thr)
     w1[...] = w.transpose(1, 0, 2).reshape(w1.shape)
+    return w
 
 
 def prox_group(w1, p, K, thr):
-    """Blockwise group soft-threshold of every column group, in place."""
-    _prox_suffixes(w1, p, K, thr, [0])
+    """Blockwise group soft-threshold of every column group, in place.
+
+    Returns the sum of the result's group norms, added as
+    ``group_norms(w1, p, K).sum()`` adds them.
+    """
+    w = _prox_suffixes(w1, p, K, thr, [0])
+    return _sq_norms(w.reshape(-1, p)).sum()
 
 
 def prox_hier(w1, p, K, thr):
@@ -158,6 +190,9 @@ def prox_hier(w1, p, K, thr):
 
     For each series the group soft-threshold is applied to the lag suffixes
     (k..K) for k = K down to 1, innermost first, each with the same threshold.
-    The result always has a suffix zero pattern over lags.
+    The result always has a suffix zero pattern over lags.  Returns the sum
+    of the result's lag-suffix norms, as
+    ``suffix_norm_sum(lag_norms(w1, p, K))`` computes it.
     """
-    _prox_suffixes(w1, p, K, thr, range(K - 1, -1, -1))
+    w = _prox_suffixes(w1, p, K, thr, range(K - 1, -1, -1))
+    return suffix_norm_sum(_block_norms(w))

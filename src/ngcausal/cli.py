@@ -43,6 +43,16 @@ def _warn_capped(converged, lambdas, max_iters):
               file=sys.stderr)
 
 
+def _report_fits(args, sweep):
+    """One line per (series, lambda) fit, series outer, whatever --jobs was."""
+    n_lam = sweep.lambdas.size
+    for i in range(sweep.iterations.shape[1]):
+        for li in range(n_lam):
+            _say(args, f"series {i}: lambda {li + 1}/{n_lam} "
+                       f"({sweep.iterations[li, i]} iters, "
+                       f"objective {sweep.objectives[li, i]:.6g})")
+
+
 def _resolved_seed(cfg, args):
     seed = cfg.generator.seed if args.seed is None else args.seed
     if seed < 0:
@@ -97,9 +107,9 @@ def cmd_fit(args):
     ts = _fit_ready(read_dataset_csv(args.data), cfg)
     kind, lam = cfg.penalty.kind, cfg.penalty.lam
 
-    progress = None if args.quiet else (lambda msg: print(msg))
     sweep = sweep_path(ts, cfg.model.K, kind, [lam], cfg.model.architecture(),
-                       cfg.optimizer, seed, jobs=args.jobs, progress=progress)
+                       cfg.optimizer, seed, jobs=args.jobs)
+    _report_fits(args, sweep)
     _warn_capped(sweep.converged, sweep.lambdas, cfg.optimizer.max_iters)
 
     out = _outdir(args)
@@ -144,9 +154,8 @@ def cmd_sweep(args):
         lams = lambda_grid(lam_max, cfg.penalty.grid_size, cfg.penalty.grid_ratio)
     _say(args, f"sweeping {lams.size} lambdas in [{lams[-1]:.4g}, {lams[0]:.4g}]")
 
-    progress = None if args.quiet else (lambda msg: print(msg))
-    sweep = sweep_path(ts, K, kind, lams, arch, cfg.optimizer, seed,
-                       jobs=args.jobs, progress=progress)
+    sweep = sweep_path(ts, K, kind, lams, arch, cfg.optimizer, seed, jobs=args.jobs)
+    _report_fits(args, sweep)
     _warn_capped(sweep.converged, sweep.lambdas, cfg.optimizer.max_iters)
 
     # score before writing, so a degenerate truth graph leaves no output

@@ -164,29 +164,30 @@ class SweepResult:
         return np.array([int(np.count_nonzero(lp > 0)) for lp in self.lag_profiles])
 
 
-def _series_path(ts, K, i, kind, lambdas, arch, opt, seed, progress=None):
+def _series_path(ts, K, i, kind, lambdas, arch, opt, seed):
     """Warm-started descent of one series' model down the lambda grid: the
-    per-lambda records and the model at the last lambda."""
+    per-lambda records and the model at the last lambda.
+
+    Each fit starts from the previous fit's model, final step and last
+    forward pass, which is dropped with the path: ``models`` keeps none.
+    """
     data = build_lagged(ts, K, i)
     model = init_model(data.p, data.K, arch, SeededRng(child_seed(seed, i)))
-    step = None
+    step = forward = None
     out = []
-    for li, lam in enumerate(lambdas):
+    for lam in lambdas:
         spec = PenaltySpec(kind=kind, lam=float(lam))
         try:
             # fit raises on any non-finite value, so numpy's overflow
             # warnings would only repeat that error
             with np.errstate(over="ignore", invalid="ignore"):
-                res = fit(data, spec, model, opt, step)
+                res = fit(data, spec, model, opt, step, forward)
         except OptimizationError as exc:
             raise OptimizationError(f"series {i} at lambda {lam:.6g}: {exc}") from exc
-        model, step = res.model, res.final_step
+        model, step, forward = res.model, res.final_step, res.forward
         out.append((granger_weights(model), lag_profile(model),
                     res.iterations_run, res.converged,
                     float(res.objective_trace[-1])))
-        if progress is not None:
-            progress(f"series {i}: lambda {li + 1}/{len(lambdas)} "
-                     f"({res.iterations_run} iters, objective {res.objective_trace[-1]:.6g})")
     return out, model
 
 
@@ -194,7 +195,7 @@ def _series_path_task(args):
     return _series_path(*args)
 
 
-def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1, progress=None):
+def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     """Fit every series down a descending lambda grid; assemble per-lambda graphs.
 
     Fits for different series are independent and run on a process pool when
@@ -213,16 +214,12 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1, progress=None):
         raise ValueError("lambda grid must be strictly decreasing")
     p = ts.shape[1]
 
+    tasks = [(ts, K, i, kind, lambdas, arch, opt, seed) for i in range(p)]
     if jobs > 1:
-        tasks = [(ts, K, i, kind, lambdas, arch, opt, seed) for i in range(p)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             per_series = list(pool.map(_series_path_task, tasks))
-        if progress is not None:
-            progress(f"finished {p} series x {lambdas.size} lambdas on {jobs} workers")
     else:
-        per_series = [_series_path(ts, K, i, kind, lambdas, arch, opt, seed,
-                                   progress=progress)
-                      for i in range(p)]
+        per_series = [_series_path(*task) for task in tasks]
 
     n_lam = lambdas.size
     graphs = [np.empty((p, p)) for _ in range(n_lam)]
@@ -281,8 +278,7 @@ def run_experiment(generator, T, K, arch, opt, penalty_kind, seeds,
                 else lambda_grid(lambda_max_linear(ts, K), grid_size, grid_ratio))
         if progress is not None:
             progress(f"seed {seed}: lambda grid [{lams[-1]:.4g}, {lams[0]:.4g}]")
-        sw = sweep_path(ts, K, penalty_kind, lams, arch, opt, seed,
-                        jobs=jobs, progress=progress)
+        sw = sweep_path(ts, K, penalty_kind, lams, arch, opt, seed, jobs=jobs)
         aucs[si] = auc(roc_points(truth, sw.graphs, include_diagonal=True))
         try:
             aucs_nd[si] = auc(roc_points(truth, sw.graphs, include_diagonal=False))

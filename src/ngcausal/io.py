@@ -199,6 +199,8 @@ def config_from_dict(data):
     )
     if cfg.generator.kind not in ("var", "lorenz"):
         raise ConfigError(f"generator.kind: expected 'var' or 'lorenz', got {cfg.generator.kind!r}")
+    if cfg.generator.p < 1:
+        raise ConfigError(f"generator.p: must be >= 1, got {cfg.generator.p}")
     if cfg.penalty.kind not in PENALTY_KINDS:
         raise ConfigError(f"penalty.kind: expected {'/'.join(PENALTY_KINDS)}, "
                           f"got {cfg.penalty.kind!r}")

@@ -16,8 +16,6 @@ is a well-defined edge decision.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels as kernels
 
 PENALTY_KINDS = ("none", "group", "hierarchical")
@@ -44,10 +42,7 @@ def penalty_value(spec, model):
     w1 = model.first_layer_packed
     if spec.kind == "group":
         return float(spec.lam * kernels.group_norms(w1, model.p, model.K).sum())
-    # hierarchical: sum over series of all lag-suffix norms
-    sq = kernels.lag_norms(w1, model.p, model.K) ** 2
-    suffix_sq = np.cumsum(sq[:, ::-1], axis=1)[:, ::-1]
-    return float(spec.lam * np.sqrt(suffix_sq).sum())
+    return float(spec.lam * kernels.suffix_norm_sum(kernels.lag_norms(w1, model.p, model.K)))
 
 
 def apply_prox(spec, model, theta, step):
@@ -55,17 +50,19 @@ def apply_prox(spec, model, theta, step):
 
     ``theta`` is a flat parameter vector in ``model``'s layout, such as a
     gradient-step candidate or ``model.theta`` itself.  Deeper layers,
-    biases, and output weights are untouched.  Returns ``theta``.
+    biases, and output weights are untouched.  Returns the penalty of the
+    result, bit for bit what :func:`penalty_value` gives for a model holding
+    it; the prox kernel computes it from the copy of the result it holds.
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
     if spec.kind == "none":
-        return theta
+        return 0.0
     h1, d0 = model.dims[1], model.dims[0]
     w1 = theta[:h1 * d0].reshape(h1, d0)
     thr = step * spec.lam
     if spec.kind == "group":
-        kernels.prox_group(w1, model.p, model.K, thr)
+        norm_sum = kernels.prox_group(w1, model.p, model.K, thr)
     else:
-        kernels.prox_hier(w1, model.p, model.K, thr)
-    return theta
+        norm_sum = kernels.prox_hier(w1, model.p, model.K, thr)
+    return 0.0 if spec.lam == 0.0 else float(spec.lam * norm_sum)

@@ -83,3 +83,20 @@ def oracle_prox_hier(w1, p, K, thr):
     for j in range(p):
         for k0 in range(K - 1, -1, -1):
             _oracle_shrink_suffix(w1, p, j, k0, K, thr)
+
+
+def oracle_penalty(kind, w1, p, K):
+    """Unscaled penalty of w1 from the oracle norms: the group norms, or each
+    series' lag-suffix norms built from its lag norms deepest lag first, then
+    added up by numpy's sum over the (p,) or C-ordered (p, K) array, the sum
+    ``penalty_value`` takes."""
+    if kind == "group":
+        return oracle_group_norms(w1, p, K).sum()
+    lag = oracle_lag_norms(w1, p, K)
+    suffix = np.empty((p, K))
+    for j in range(p):
+        s = 0.0
+        for k in range(K - 1, -1, -1):
+            s += lag[j, k] * lag[j, k]
+            suffix[j, k] = np.sqrt(s)
+    return suffix.sum()

@@ -204,6 +204,36 @@ class TestSweep:
         assert not out.exists()
 
 
+class TestProgressLines:
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_stdout_independent_of_jobs(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path / "c.yaml", model={"K": 2, "hidden": [3]})
+        data_dir = tmp_path / "d"
+        run("simulate", "--config", cfg, "--out", data_dir, "--quiet")
+        truth = ["--truth", data_dir / "truth.csv"] if command == "sweep" else []
+        capsys.readouterr()
+        stdout = {}
+        for jobs in (1, 2):
+            assert run(command, "--config", cfg, "--data", data_dir / "dataset.csv",
+                       *truth, "--out", tmp_path / "o", "--jobs", jobs) == 0
+            stdout[jobs] = capsys.readouterr().out
+        assert stdout[1] == stdout[2]
+        n_lam = 5 if command == "sweep" else 1
+        lines = stdout[1].splitlines()
+        fits = [line for line in lines if line.startswith("series ")]
+        assert len(fits) == 4 * n_lam
+        # series outer, lambda inner
+        for k, line in enumerate(fits):
+            i, li = divmod(k, n_lam)
+            assert re.fullmatch(rf"series {i}: lambda {li + 1}/{n_lam} "
+                                r"\(\d+ iters, objective \S+\)", line), line
+        if command == "sweep":
+            assert lines[0].startswith(f"sweeping {n_lam} lambdas in [")
+            assert lines[1:-1] == fits
+        else:
+            assert lines[:-1] == fits
+
+
 class TestReport:
     def make_sweep(self, tmp_path, cfg_name, out_name, seed):
         cfg = write_config(tmp_path / cfg_name)
@@ -405,6 +435,20 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.yaml", generator=generator)
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: generator: {message}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["var", "lorenz"])
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_nonpositive_p_names_the_setting(self, tmp_path, capsys, monkeypatch,
+                                             kind, p):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the generator ran")
+
+        monkeypatch.setattr("ngcausal.datasets.make_sparse_var", unreachable)
+        cfg = write_config(tmp_path / "c.yaml", generator={"kind": kind, "p": p})
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: generator.p: must be >= 1, got {p}"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", ["backtracking", "backtrack_factor"])

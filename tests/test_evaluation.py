@@ -229,6 +229,39 @@ class TestSweepPath:
             assert np.array_equal(granger_weights(ma), a.graphs[-1][i])
             assert np.array_equal(lag_profile(ma), a.lag_profiles[-1][i])
 
+    @pytest.mark.parametrize("kind", ["group", "hierarchical"])
+    def test_equals_chain_of_cold_fits(self, kind):
+        # sweep_path hands each fit the last forward pass of the one before;
+        # fits that get only the previous model and final step match it
+        ts = standardize(VarGenConfig(p=3, K=2, burn_in=100).generate(200, 5)[0])[0]
+        lams = lambda_grid(lambda_max_linear(ts, 2), 3, 20.0)
+        arch = Architecture(hidden_sizes=(4,))
+        opt = OptimizerConfig()
+        sw = sweep_path(ts, 2, kind, lams, arch, opt, seed=4)
+        for i in range(3):
+            data = build_lagged(ts, 2, i)
+            model = init_model(3, 2, arch, SeededRng(child_seed(4, i)))
+            step = None
+            for li, lam in enumerate(lams):
+                res = fit(data, PenaltySpec(kind, lam), model, opt, step)
+                model, step = res.model, res.final_step
+                assert np.array_equal(granger_weights(model), sw.graphs[li][i])
+                assert np.array_equal(lag_profile(model), sw.lag_profiles[li][i])
+                assert res.iterations_run == sw.iterations[li, i]
+                assert res.converged == sw.converged[li, i]
+                assert res.objective_trace[-1] == sw.objectives[li, i]
+            assert np.array_equal(model.theta, sw.models[i].theta)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_models_keep_no_forward_pass(self, jobs):
+        ts = standardize(VarGenConfig(p=3, K=2, burn_in=100).generate(200, 5)[0])[0]
+        lams = lambda_grid(lambda_max_linear(ts, 2), 3, 20.0)
+        arch = Architecture(hidden_sizes=(4,))
+        sw = sweep_path(ts, 2, "group", lams, arch, OptimizerConfig(), seed=4, jobs=jobs)
+        fresh = vars(ComponentMLP(3, 2, hidden_sizes=(4,)))
+        for model in sw.models:
+            assert vars(model).keys() == fresh.keys()
+
     def test_grid_must_descend(self):
         ts = standardize(VarGenConfig(p=4, K=1, burn_in=50).generate(80, 0)[0])[0]
         for grid in ([1.0, 2.0], [np.inf, 1.0], [1.0, np.nan]):

@@ -56,7 +56,8 @@ def reference_fit(data, spec, arch, opt, seed):
         backtracks = 0
         while True:
             probe = model.copy()
-            probe.theta[:] = apply_prox(spec, model, model.theta - step * g, step)
+            probe.theta[:] = model.theta - step * g
+            apply_prox(spec, probe, probe.theta, step)
             new_loss = loss(probe, data)
             s = probe.theta - model.theta
             if new_loss <= (val + g @ s + (s @ s) / (2.0 * step)
@@ -300,7 +301,8 @@ class TestFit:
         res = fit(data, spec, model, opt)
         assert res.final_step == 1e-4, "the step backtracked"
         _, g = loss_and_grad(model, data)
-        stepped = apply_prox(spec, model, model.theta - 1e-4 * g, 1e-4)
+        stepped = model.theta - 1e-4 * g
+        apply_prox(spec, model, stepped, 1e-4)
         assert np.array_equal(res.model.theta, stepped)
 
 
@@ -338,6 +340,34 @@ class TestWarmStart:
         lo_cold = fit(data, PenaltySpec("group", 2.0), seeded_model(data, arch, 2), opt)
         a, b = lo_warm.objective_trace[-1], lo_cold.objective_trace[-1]
         assert abs(a - b) / max(1.0, abs(b)) < 1e-4
+
+    @pytest.mark.parametrize("kind", ["none", "group", "hierarchical"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_handed_over_forward_pass_changes_no_bit(self, kind, activation):
+        data = small_dataset(24, T=120)
+        arch = Architecture(hidden_sizes=(5, 3), activation=activation, init_scale=1.0)
+        first = fit(data, PenaltySpec(kind, 3.0), seeded_model(data, arch, 3),
+                    OptimizerConfig(max_iters=40))
+        loss_val, acts = first.forward
+        assert loss_val == loss(first.model, data)
+        spec = PenaltySpec(kind, 1.5)
+        cold = fit(data, spec, first.model, OptimizerConfig(), first.final_step)
+        warm = fit(data, spec, first.model, OptimizerConfig(), first.final_step,
+                   first.forward)
+        assert np.array_equal(warm.objective_trace, cold.objective_trace)
+        assert np.array_equal(warm.model.theta, cold.model.theta)
+        assert warm.final_step == cold.final_step
+        assert warm.forward[0] == cold.forward[0]
+
+    def test_forward_pass_of_other_data_rejected(self):
+        data = small_dataset(24, T=120)
+        res = fit(data, PenaltySpec("group", 1.0),
+                  seeded_model(data, Architecture(hidden_sizes=(2,)), 0),
+                  OptimizerConfig(max_iters=20))
+        shorter = small_dataset(24, T=100)
+        with pytest.raises(ValueError, match="not a forward pass over this dataset"):
+            fit(shorter, PenaltySpec("group", 1.0), res.model, OptimizerConfig(),
+                res.final_step, res.forward)
 
     def _mismatch(self, p, K):
         data = small_dataset(22)

@@ -234,6 +234,22 @@ class TestApplyProx:
                                model.first_layer_packed[:, k * 5:(k + 1) * 5][:, perm],
                                rtol=1e-15)
 
+    @pytest.mark.parametrize("kind", ["none", "group", "hierarchical"])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 2.0, 1e9])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_returns_penalty_value_of_result(self, kind, lam, nan):
+        # the returned penalty is penalty_value's to the bit, also where the
+        # layer has a NaN (0 at lambda 0 and for kind none, else NaN)
+        model = init_model(4, 3, Architecture(hidden_sizes=(5,), init_scale=1.0),
+                           SeededRng(6))
+        if nan:
+            model.first_layer_packed[2, 5] = np.nan
+        spec = PenaltySpec(kind, lam)
+        got = apply_prox(spec, model, model.theta, step=0.1)
+        want = penalty_value(spec, model)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_step_must_be_positive(self):
         model = ComponentMLP(2, 1, hidden_sizes=())
         with pytest.raises(ValueError):
