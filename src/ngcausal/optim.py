@@ -20,10 +20,12 @@ the previous fit's model and final step.
 Nothing the loop already has is computed twice.  The forward pass of each
 accepted candidate, with its residual, is the next gradient's forward pass;
 the prox returns the penalty of the candidate it builds, so penalty_value
-runs only at the start of a fit; and a warm start on the same data can pass
-the previous fit's last forward pass (FitResult.forward) in place of its
-starting one.  Scalars stay Python floats.  Each of these leaves every
-result bit for bit what the plain loop gives.
+runs only at the start of a fit; and a warm start from the previous
+result's model on the same data can pass that result's last forward pass
+(FitResult.forward) in place of its starting one.  The pass records the
+dataset, model and theta it was run on, and fit refuses it for any other.
+Scalars stay Python floats.  Each of these leaves every result bit for bit
+what the plain loop gives.
 
 The default rel_tol (1e-4) stops fits deliberately early.  Because only the
 first layer is penalized, prolonged optimization lets the network drain
@@ -71,13 +73,30 @@ class OptimizerConfig:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
 
 
+@dataclass(frozen=True)
+class ForwardPass:
+    """The loss and activations (as ``_kernels.mlp_loss`` returns them) of
+    ``model`` at ``theta`` on ``data``.  ``theta`` is a copy, so a model
+    changed in place no longer matches its pass."""
+
+    data: object
+    model: object
+    theta: np.ndarray
+    loss: float
+    acts: tuple
+
+    def matches(self, data, model):
+        return (self.data is data and self.model is model
+                and self.theta.tobytes() == model.theta.tobytes())
+
+
 @dataclass
 class FitResult:
     """A trained model plus the optimization trace that produced it.
 
-    ``forward`` is the loss and forward pass (as ``_kernels.mlp_loss``
-    returns them) of the final model on the fit's data: the next fit of the
-    same data from this model can take it instead of running that pass again.
+    ``forward`` is the final model's ForwardPass on the fit's data: the next
+    fit of the same data from this model can take it instead of running that
+    pass again.
     """
 
     model: object
@@ -85,7 +104,7 @@ class FitResult:
     iterations_run: int
     converged: bool
     final_step: float
-    forward: tuple = field(default=None, repr=False)
+    forward: ForwardPass = field(default=None, repr=False)
 
 
 def fit(data, spec, model, opt, step=None, forward=None):
@@ -96,8 +115,9 @@ def fit(data, spec, model, opt, step=None, forward=None):
     ``step`` is the first trial step, clamped to [opt.min_step,
     opt.initial_step]; None means opt.initial_step.  A warm start passes the
     previous result's model and final_step, and may pass its ``forward``
-    when ``data`` is the same: the result is the same to the bit, without
-    the starting forward pass.
+    when ``data`` is the same object: the result is the same to the bit,
+    without the starting forward pass.  A ``forward`` of another dataset,
+    model or theta raises ValueError.
     """
     if data.n_rows < 1:
         raise ValueError("dataset is empty")
@@ -105,17 +125,20 @@ def fit(data, spec, model, opt, step=None, forward=None):
         raise ValueError(
             f"model expects p={model.p}, K={model.K} but data has "
             f"p={data.p}, K={data.K}")
-    model = model.copy()
+    if forward is not None and not forward.matches(data, model):
+        raise ValueError("forward is not the last forward pass of this model "
+                         "on this dataset")
 
     # the current theta's loss and forward pass: each accepted candidate's
     # pass is reused by the next gradient instead of being run again
     if forward is None:
-        forward = kernels.mlp_loss(model.theta, model.dims, model.w_off,
-                                   model.b_off, model.act_code,
-                                   data.inputs, data.targets)
-    elif forward[1][-1].shape != (1, data.n_rows):
-        raise ValueError("forward is not a forward pass over this dataset")
-    loss_val, acts = float(forward[0]), forward[1]
+        loss_val, acts = kernels.mlp_loss(model.theta, model.dims, model.w_off,
+                                          model.b_off, model.act_code,
+                                          data.inputs, data.targets)
+        loss_val = float(loss_val)
+    else:
+        loss_val, acts = forward.loss, forward.acts
+    model = model.copy()
     obj = loss_val + penalty_value(spec, model)
     if not math.isfinite(obj):
         raise OptimizationError("non-finite objective at initialization")
@@ -168,4 +191,5 @@ def fit(data, spec, model, opt, step=None, forward=None):
 
     return FitResult(model=model, objective_trace=np.asarray(trace),
                      iterations_run=iterations, converged=converged,
-                     final_step=step, forward=(loss_val, acts))
+                     final_step=step,
+                     forward=ForwardPass(data, model, model.theta.copy(), loss_val, acts))

@@ -348,8 +348,7 @@ class TestWarmStart:
         arch = Architecture(hidden_sizes=(5, 3), activation=activation, init_scale=1.0)
         first = fit(data, PenaltySpec(kind, 3.0), seeded_model(data, arch, 3),
                     OptimizerConfig(max_iters=40))
-        loss_val, acts = first.forward
-        assert loss_val == loss(first.model, data)
+        assert first.forward.loss == loss(first.model, data)
         spec = PenaltySpec(kind, 1.5)
         cold = fit(data, spec, first.model, OptimizerConfig(), first.final_step)
         warm = fit(data, spec, first.model, OptimizerConfig(), first.final_step,
@@ -357,16 +356,28 @@ class TestWarmStart:
         assert np.array_equal(warm.objective_trace, cold.objective_trace)
         assert np.array_equal(warm.model.theta, cold.model.theta)
         assert warm.final_step == cold.final_step
-        assert warm.forward[0] == cold.forward[0]
+        assert warm.forward.loss == cold.forward.loss
 
-    def test_forward_pass_of_other_data_rejected(self):
-        data = small_dataset(24, T=120)
+    def test_forward_pass_of_other_data_or_model_rejected(self):
+        ts = standardize(VarGenConfig(p=3, K=2, burn_in=50).generate(120, 24)[0])[0]
+        data, other_series = build_lagged(ts, 2, 0), build_lagged(ts, 2, 1)
+        same_rows = build_lagged(ts, 2, 0)
         res = fit(data, PenaltySpec("group", 1.0),
                   seeded_model(data, Architecture(hidden_sizes=(2,)), 0),
                   OptimizerConfig(max_iters=20))
-        shorter = small_dataset(24, T=100)
-        with pytest.raises(ValueError, match="not a forward pass over this dataset"):
-            fit(shorter, PenaltySpec("group", 1.0), res.model, OptimizerConfig(),
+        changed = res.model.copy()
+        changed.theta[0] += 1.0
+        cases = [(other_series, res.model), (same_rows, res.model),
+                 (small_dataset(24, T=100), res.model), (data, res.model.copy()),
+                 (data, changed)]
+        for other_data, model in cases:
+            with pytest.raises(ValueError, match="not the last forward pass of this "
+                                                 "model on this dataset"):
+                fit(other_data, PenaltySpec("group", 1.0), model, OptimizerConfig(),
+                    res.final_step, res.forward)
+        res.model.theta[0] += 1.0      # changed in place after the fit
+        with pytest.raises(ValueError, match="not the last forward pass"):
+            fit(data, PenaltySpec("group", 1.0), res.model, OptimizerConfig(),
                 res.final_step, res.forward)
 
     def _mismatch(self, p, K):
