@@ -19,7 +19,7 @@ from .optim import FitResult, OptimizationError, OptimizerConfig, fit
 from .evaluation import (DegenerateTruthError, ExperimentResult, SweepResult,
                          auc, edge_rates, lag_profile,
                          lambda_grid, lambda_max_linear, roc_points,
-                         roc_points_scores, run_experiment, sweep_path)
+                         run_experiment, sweep_path)
 
 __version__ = "0.1.0"
 
@@ -33,7 +33,7 @@ __all__ = [
     "gauss_sample", "granger_weights", "init_model",
     "lag_profile", "lambda_grid", "lambda_max_linear", "lorenz_derivative",
     "lorenz_truth", "loss", "loss_and_grad", "make_sparse_var",
-    "penalty_value", "predict", "roc_points", "roc_points_scores",
-    "run_experiment", "simulate_lorenz", "simulate_var", "spectral_radius",
-    "standardize", "sweep_path",
+    "penalty_value", "predict", "roc_points", "run_experiment",
+    "simulate_lorenz", "simulate_var", "spectral_radius", "standardize",
+    "sweep_path",
 ]

@@ -89,6 +89,8 @@ def cmd_simulate(args):
         ts, truth = cfg.generator.instance().generate(cfg.generator.T, seed)
     except ValueError as exc:
         raise ConfigError(f"generator: {exc}") from exc
+    except SimulationError as exc:  # the settings give a diverging trajectory
+        raise ConfigError(f"generator.{cfg.generator.kind}: {exc}") from exc
     out = _outdir(args)
     write_dataset_csv(os.path.join(out, "dataset.csv"), ts)
     write_matrix_csv(os.path.join(out, "truth.csv"), truth, ints=True)
@@ -264,7 +266,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, SimulationError, DegenerateTruthError) as exc:
+    except (DataError, DegenerateTruthError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OptimizationError as exc:

@@ -4,8 +4,7 @@ A causal graph is a (p, p) nonnegative array: entry (i, j) is the strength
 of "series j drives series i", the norm of series j's first-layer column
 group in the model fit to series i.  Because the prox writes exact zeros,
 an edge is predicted iff its weight is strictly positive; ROC curves come
-from sweeping a descending lambda grid (score-threshold ROC on a single
-fit's weights is available as an alternative mode).
+from sweeping a descending lambda grid.
 """
 
 import concurrent.futures
@@ -74,14 +73,6 @@ def roc_points(truth, estimates, include_diagonal=True):
     return np.asarray(sorted(pts))
 
 
-def roc_points_scores(truth, graph, include_diagonal=True):
-    """Alternative mode: ROC by sweeping a threshold over one graph's weights."""
-    graph = np.asarray(graph)
-    mask = _considered_mask(np.asarray(truth).shape[0], include_diagonal)
-    return roc_points(truth, [graph > thr for thr in np.unique(graph[mask])],
-                      include_diagonal)
-
-
 def auc(points):
     """Trapezoidal area under ROC points; ties keep the max TPR per FPR."""
     pts = np.asarray(points, dtype=np.float64)
@@ -102,7 +93,7 @@ def auc(points):
 # ------------------------------------------------------------- lambda grids
 
 
-def lambda_max_linear(ts, K, center=True):
+def lambda_max_linear(ts, K):
     """Smallest penalty that zeroes every group on the linear proxy problem.
 
     For the linear model, the all-zero first layer is optimal once lambda
@@ -119,7 +110,7 @@ def lambda_max_linear(ts, K, center=True):
     # two memory orders.  It costs one copy of the design.
     X = np.ascontiguousarray(build_lagged(ts, K, 0).inputs)
     Y = ts[K:]
-    R = Y - Y.mean(axis=0) if center else Y
+    R = Y - Y.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # raised on below
         G = X.T @ R                      # (p*K, p)
         norms = np.sqrt((G.reshape(K, p, p) ** 2).sum(axis=0))  # (input j, output i)
@@ -168,12 +159,11 @@ def _series_path(ts, K, i, kind, lambdas, arch, opt, seed):
     """Warm-started descent of one series' model down the lambda grid: the
     per-lambda records and the model at the last lambda.
 
-    Each fit starts from the previous fit's model, final step and last
-    forward pass, which is dropped with the path: ``models`` keeps none.
+    Each fit starts warm from the previous one's FitResult, which is dropped
+    with the path: ``models`` keeps no forward pass.
     """
     data = build_lagged(ts, K, i)
-    model = init_model(data.p, data.K, arch, SeededRng(child_seed(seed, i)))
-    step = forward = None
+    start = init_model(data.p, data.K, arch, SeededRng(child_seed(seed, i)))
     out = []
     for lam in lambdas:
         spec = PenaltySpec(kind=kind, lam=float(lam))
@@ -181,14 +171,13 @@ def _series_path(ts, K, i, kind, lambdas, arch, opt, seed):
             # fit raises on any non-finite value, so numpy's overflow
             # warnings would only repeat that error
             with np.errstate(over="ignore", invalid="ignore"):
-                res = fit(data, spec, model, opt, step, forward)
+                start = fit(data, spec, start, opt)
         except OptimizationError as exc:
             raise OptimizationError(f"series {i} at lambda {lam:.6g}: {exc}") from exc
-        model, step, forward = res.model, res.final_step, res.forward
-        out.append((granger_weights(model), lag_profile(model),
-                    res.iterations_run, res.converged,
-                    float(res.objective_trace[-1])))
-    return out, model
+        out.append((granger_weights(start.model), lag_profile(start.model),
+                    start.iterations_run, start.converged,
+                    float(start.objective_trace[-1])))
+    return out, start.model
 
 
 def _series_path_task(args):
@@ -259,7 +248,7 @@ class ExperimentResult:
 
 def run_experiment(generator, T, K, arch, opt, penalty_kind, seeds,
                    lambdas=None, grid_size=20, grid_ratio=100.0,
-                   standardize_data=True, jobs=1, progress=None):
+                   standardize_data=True, jobs=1):
     """Generate -> standardize -> sweep -> score, once per seed.
 
     When ``lambdas`` is None a fresh grid is anchored at each seed's own
@@ -276,8 +265,6 @@ def run_experiment(generator, T, K, arch, opt, penalty_kind, seeds,
             ts = standardize(ts)[0]
         lams = (np.asarray(lambdas, dtype=np.float64) if lambdas is not None
                 else lambda_grid(lambda_max_linear(ts, K), grid_size, grid_ratio))
-        if progress is not None:
-            progress(f"seed {seed}: lambda grid [{lams[-1]:.4g}, {lams[0]:.4g}]")
         sw = sweep_path(ts, K, penalty_kind, lams, arch, opt, seed, jobs=jobs)
         aucs[si] = auc(roc_points(truth, sw.graphs, include_diagonal=True))
         try:
@@ -286,8 +273,5 @@ def run_experiment(generator, T, K, arch, opt, penalty_kind, seeds,
             aucs_nd[si] = np.nan
         sweeps.append(sw)
         truths.append(truth)
-        if progress is not None:
-            progress(f"seed {seed}: auc {aucs[si]:.4f} "
-                     f"(excl. diagonal {aucs_nd[si]:.4f})")
     return ExperimentResult(seeds=seeds, aucs=aucs, aucs_excl_diag=aucs_nd,
                             sweeps=sweeps, truths=truths)

@@ -58,14 +58,18 @@ def _atomic_open(path):
 # ----------------------------------------------------------------- config
 
 
+# generator.p sets the series count: the generators' own p is no config key
+_NO_P = {"omit": ("p",)}
+
+
 @dataclass
 class GeneratorSection:
     kind: str = "var"
     p: int = 10
     T: int = 1000
     seed: int = 0
-    var: VarGenConfig = field(default_factory=VarGenConfig)
-    lorenz: LorenzGenConfig = field(default_factory=LorenzGenConfig)
+    var: VarGenConfig = field(default_factory=VarGenConfig, metadata=_NO_P)
+    lorenz: LorenzGenConfig = field(default_factory=LorenzGenConfig, metadata=_NO_P)
 
     def instance(self):
         """The configured generator object (p copied into it)."""
@@ -147,12 +151,14 @@ def _check_scalar(section, key, value, typ):
     raise ConfigError(f"{section}.{key}: unsupported value {value!r}")
 
 
-def _fill_dataclass(cls, data, section):
+def _fill_dataclass(cls, data, section, omit=()):
+    """An instance of cls from its config mapping; the fields named in
+    ``omit`` are no keys and keep their defaults."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError(f"{section}: expected a mapping, got {type(data).__name__}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in omit}
     unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
@@ -164,7 +170,8 @@ def _fill_dataclass(cls, data, section):
         value = data[name]
         default = getattr(proto, name)
         if dataclasses.is_dataclass(default):
-            kwargs[name] = _fill_dataclass(type(default), value, f"{section}.{name}")
+            kwargs[name] = _fill_dataclass(type(default), value, f"{section}.{name}",
+                                           f.metadata.get("omit", ()))
         elif isinstance(default, tuple):
             if value is None:
                 kwargs[name] = ()
@@ -211,10 +218,12 @@ def config_from_dict(data):
     return cfg
 
 
-def config_to_dict(obj):
-    """Plain dicts and lists of a config (or any part of one), ready for YAML."""
+def config_to_dict(obj, omit=()):
+    """Plain dicts and lists of a config (or any part of one), ready for YAML;
+    the fields named in ``omit`` are left out."""
     if dataclasses.is_dataclass(obj):
-        return {f.name: config_to_dict(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        return {f.name: config_to_dict(getattr(obj, f.name), f.metadata.get("omit", ()))
+                for f in dataclasses.fields(obj) if f.name not in omit}
     if isinstance(obj, tuple):
         return [config_to_dict(v) for v in obj]
     return obj

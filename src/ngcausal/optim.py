@@ -12,20 +12,17 @@ after the first starts from the short Barzilai-Borwein step s.y / y.y of the
 last accepted move (s the change in parameters, y the change in the loss
 gradient), floored at min_step, so the step can grow again after a
 backtrack; where s.y <= 0 it starts from the last accepted step instead.
-This is the start GISTA (Gong et al., ICML 2013) uses.  The first line
-search of a fit starts from the given step clamped to [min_step,
-initial_step], or from initial_step when none is given; a warm start passes
-the previous fit's model and final step.
+This is the start GISTA (Gong et al., ICML 2013) uses.  A fit starts from
+a model, with its first line search at initial_step, or warm from the
+previous FitResult on the same data: from its model, with its final step
+clamped to [min_step, initial_step].
 
 Nothing the loop already has is computed twice.  The forward pass of each
 accepted candidate, with its residual, is the next gradient's forward pass;
 the prox returns the penalty of the candidate it builds, so penalty_value
-runs only at the start of a fit; and a warm start from the previous
-result's model on the same data can pass that result's last forward pass
-(FitResult.forward) in place of its starting one.  The pass records the
-dataset, model and theta it was run on, and fit refuses it for any other.
-Scalars stay Python floats.  Each of these leaves every result bit for bit
-what the plain loop gives.
+runs only at the start of a fit; and a warm start takes its predecessor's
+last forward pass instead of running it again.  Scalars stay Python floats.
+Each of these leaves every result bit for bit what the plain loop gives.
 
 The default rel_tol (1e-4) stops fits deliberately early.  Because only the
 first layer is penalized, prolonged optimization lets the network drain
@@ -73,30 +70,13 @@ class OptimizerConfig:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
 
 
-@dataclass(frozen=True)
-class ForwardPass:
-    """The loss and activations (as ``_kernels.mlp_loss`` returns them) of
-    ``model`` at ``theta`` on ``data``.  ``theta`` is a copy, so a model
-    changed in place no longer matches its pass."""
-
-    data: object
-    model: object
-    theta: np.ndarray
-    loss: float
-    acts: tuple
-
-    def matches(self, data, model):
-        return (self.data is data and self.model is model
-                and self.theta.tobytes() == model.theta.tobytes())
-
-
 @dataclass
 class FitResult:
     """A trained model plus the optimization trace that produced it.
 
-    ``forward`` is the final model's ForwardPass on the fit's data: the next
-    fit of the same data from this model can take it instead of running that
-    pass again.
+    It also keeps, privately, the data it was fit on and the final model's
+    theta, loss and activations: a warm start from it on the same data takes
+    that forward pass instead of running it again.
     """
 
     model: object
@@ -104,47 +84,45 @@ class FitResult:
     iterations_run: int
     converged: bool
     final_step: float
-    forward: ForwardPass = field(default=None, repr=False)
+    _last_pass: tuple = field(default=None, repr=False, compare=False)
 
 
-def fit(data, spec, model, opt, step=None, forward=None):
-    """Run proximal gradient descent to convergence from a copy of model.
+def fit(data, spec, start, opt):
+    """Run proximal gradient descent to convergence from a copy of a model.
 
-    Stops when the relative objective change drops below opt.rel_tol or
-    after opt.max_iters iterations; the converged flag records which.
-    ``step`` is the first trial step, clamped to [opt.min_step,
-    opt.initial_step]; None means opt.initial_step.  A warm start passes the
-    previous result's model and final_step, and may pass its ``forward``
-    when ``data`` is the same object: the result is the same to the bit,
-    without the starting forward pass.  A ``forward`` of another dataset,
-    model or theta raises ValueError.
+    ``start`` is a ComponentMLP, fit from its first line search at
+    opt.initial_step, or the previous FitResult on this very dataset, fit
+    warm from its model and its final_step clamped to [opt.min_step,
+    opt.initial_step].  A FitResult of other data, or whose model was
+    changed in place since, raises ValueError.  Stops when the relative
+    objective change drops below opt.rel_tol or after opt.max_iters
+    iterations; the converged flag records which.
     """
     if data.n_rows < 1:
         raise ValueError("dataset is empty")
-    if model.p != data.p or model.K != data.K:
-        raise ValueError(
-            f"model expects p={model.p}, K={model.K} but data has "
-            f"p={data.p}, K={data.K}")
-    if forward is not None and not forward.matches(data, model):
-        raise ValueError("forward is not the last forward pass of this model "
-                         "on this dataset")
-
-    # the current theta's loss and forward pass: each accepted candidate's
-    # pass is reused by the next gradient instead of being run again
-    if forward is None:
+    if isinstance(start, FitResult):
+        model = start.model
+        fit_data, theta, loss_val, acts = start._last_pass
+        if fit_data is not data:
+            raise ValueError("start is a fit on another dataset")
+        if theta.tobytes() != model.theta.tobytes():
+            raise ValueError("start's model was changed since its fit")
+        step = min(max(start.final_step, opt.min_step), opt.initial_step)
+    else:
+        model, step = start, opt.initial_step
+        if model.p != data.p or model.K != data.K:
+            raise ValueError(
+                f"model expects p={model.p}, K={model.K} but data has "
+                f"p={data.p}, K={data.K}")
         loss_val, acts = kernels.mlp_loss(model.theta, model.dims, model.w_off,
                                           model.b_off, model.act_code,
                                           data.inputs, data.targets)
         loss_val = float(loss_val)
-    else:
-        loss_val, acts = forward.loss, forward.acts
     model = model.copy()
     obj = loss_val + penalty_value(spec, model)
     if not math.isfinite(obj):
         raise OptimizationError("non-finite objective at initialization")
     trace = [obj]
-    step = opt.initial_step if step is None else min(max(step, opt.min_step),
-                                                     opt.initial_step)
     converged = False
     iterations = 0
     g = delta = None
@@ -192,4 +170,4 @@ def fit(data, spec, model, opt, step=None, forward=None):
     return FitResult(model=model, objective_trace=np.asarray(trace),
                      iterations_run=iterations, converged=converged,
                      final_step=step,
-                     forward=ForwardPass(data, model, model.theta.copy(), loss_val, acts))
+                     _last_pass=(data, model.theta.copy(), loss_val, acts))

@@ -60,6 +60,17 @@ def test_selftest_cases_pass():
     assert out.returncode == 0, out.stdout + out.stderr
 
 
+def test_every_span_keeps_a_live_binding(harness):
+    # the tracer skips a binding that no longer exists, so a span left with
+    # none would read 0 in every traced run instead of failing
+    targets = harness("tracing").TARGETS
+    importlib.import_module("ngcausal.cli")
+    live = {span: False for _, _, span in targets}
+    for module, attr, span in targets:
+        live[span] |= callable(getattr(sys.modules.get(module), attr, None))
+    assert [span for span, ok in live.items() if not ok] == []
+
+
 def test_tracer_counts_of_a_sweep(harness, tmp_path):
     tracing, run = harness("tracing"), harness("run")
     p, K, T, n_lam, hidden = 4, 2, 300, 5, 3

@@ -58,7 +58,9 @@ class TestSimulate:
         truth = read_matrix_csv(out / "truth.csv")
         assert ts.shape == (120, 4)
         assert truth.shape == (4, 4)
-        assert (out / "resolved_config.yaml").exists()
+        resolved = yaml.safe_load((out / "resolved_config.yaml").read_text())["generator"]
+        assert resolved["p"] == 4
+        assert "p" not in resolved["var"] and "p" not in resolved["lorenz"]
 
     def test_lorenz_truth_row_pattern(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml",
@@ -449,6 +451,22 @@ class TestExitCodes:
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 2
         assert capsys.readouterr().err.splitlines() == [
             f"config error: generator.p: must be >= 1, got {p}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("generator,message", [
+        # generator.p alone sets the series count; resolved configs written
+        # while var.p and lorenz.p were keys carry them
+        ({"var": {"p": 50}}, "generator.var: unknown key(s) ['p']"),
+        ({"kind": "lorenz", "lorenz": {"p": 50}}, "generator.lorenz: unknown key(s) ['p']"),
+        ({"kind": "lorenz", "p": 10, "lorenz": {"F": 10.0}},
+         "generator.lorenz: Lorenz trajectory diverged at step 153"),
+        ({"var": {"K": 1, "noise_sigma": 1e12}},
+         "generator.var: VAR trajectory overflowed at step 1; process is unstable")])
+    def test_generator_error_names_its_section_2(self, tmp_path, capsys,
+                                                 generator, message):
+        cfg = write_config(tmp_path / "c.yaml", generator=generator)
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key", ["backtracking", "backtrack_factor"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from ngcausal.datasets import VarGenConfig, standardize
 from ngcausal.evaluation import (DegenerateTruthError, auc,
                                  edge_rates, lag_profile, lambda_grid,
                                  lambda_max_linear, roc_points,
-                                 roc_points_scores, run_experiment, sweep_path)
+                                 run_experiment, sweep_path)
 from ngcausal.model import (Architecture, ComponentMLP, build_lagged,
                             granger_weights, init_model)
 from ngcausal.numerics import SeededRng, child_seed
@@ -145,11 +147,6 @@ class TestAuc:
             reversed_pts = [(1.0 - f, 1.0 - t) for f, t in pts]
             assert np.isclose(auc(pts) + auc(reversed_pts), 1.0, atol=1e-12)
 
-    def test_score_mode_ranks_by_weight(self):
-        truth = np.array([[1.0, 0.0], [0.0, 1.0]])
-        graph = np.array([[0.9, 0.1], [0.2, 0.8]])  # true edges score highest
-        assert auc(roc_points_scores(truth, graph)) == 1.0
-
 
 class TestLambdaGrid:
     def test_descending_log_spaced(self):
@@ -231,8 +228,9 @@ class TestSweepPath:
 
     @pytest.mark.parametrize("kind", ["group", "hierarchical"])
     def test_equals_chain_of_cold_fits(self, kind):
-        # sweep_path hands each fit the last forward pass of the one before;
-        # fits that get only the previous model and final step match it
+        # sweep_path starts each fit warm from the one before; fits from the
+        # previous model, first trying its final step, each run their own
+        # starting forward pass and match it
         ts = standardize(VarGenConfig(p=3, K=2, burn_in=100).generate(200, 5)[0])[0]
         lams = lambda_grid(lambda_max_linear(ts, 2), 3, 20.0)
         arch = Architecture(hidden_sizes=(4,))
@@ -241,10 +239,12 @@ class TestSweepPath:
         for i in range(3):
             data = build_lagged(ts, 2, i)
             model = init_model(3, 2, arch, SeededRng(child_seed(4, i)))
-            step = None
+            step_opt = opt
             for li, lam in enumerate(lams):
-                res = fit(data, PenaltySpec(kind, lam), model, opt, step)
-                model, step = res.model, res.final_step
+                res = fit(data, PenaltySpec(kind, lam), model, step_opt)
+                model = res.model
+                step_opt = dataclasses.replace(
+                    opt, initial_step=min(res.final_step, opt.initial_step))
                 assert np.array_equal(granger_weights(model), sw.graphs[li][i])
                 assert np.array_equal(lag_profile(model), sw.lag_profiles[li][i])
                 assert res.iterations_run == sw.iterations[li, i]

@@ -313,7 +313,7 @@ class TestWarmStart:
         opt = OptimizerConfig()
         first = fit(data, spec, seeded_model(data, Architecture(hidden_sizes=(3,)), 1), opt)
         assert first.converged
-        again = fit(data, spec, first.model, opt, first.final_step)
+        again = fit(data, spec, first, opt)
         assert again.iterations_run == 1
         assert again.converged
 
@@ -321,13 +321,16 @@ class TestWarmStart:
                              [(1e-5, 1e-5), (1.0, 1e-4), (1e-20, 1e-12), (None, 1e-4)])
     def test_first_step_is_previous_final_step_capped(self, previous_step, first_step):
         # steps small enough that the first iteration does not backtrack, so
-        # a one-iteration fit ends on its first trial step
+        # a one-iteration fit ends on its first trial step; None starts from
+        # the model itself, at initial_step
         data = small_dataset(23)
         spec = PenaltySpec("group", 1.0)
         opt = OptimizerConfig(initial_step=1e-4, max_iters=30)
         first = fit(data, spec, seeded_model(data, Architecture(hidden_sizes=(3,)), 1), opt)
+        start = (first.model if previous_step is None
+                 else dataclasses.replace(first, final_step=previous_step))
         one = dataclasses.replace(opt, max_iters=1)
-        assert fit(data, spec, first.model, one, previous_step).final_step == first_step
+        assert fit(data, spec, start, one).final_step == first_step
 
     def test_matches_cold_start_objective(self):
         # run both to tight convergence on a convex (linear) instance, where
@@ -336,7 +339,7 @@ class TestWarmStart:
         opt = OptimizerConfig(rel_tol=1e-12, max_iters=100_000)
         arch = Architecture(hidden_sizes=())
         hi = fit(data, PenaltySpec("group", 4.0), seeded_model(data, arch, 2), opt)
-        lo_warm = fit(data, PenaltySpec("group", 2.0), hi.model, opt, hi.final_step)
+        lo_warm = fit(data, PenaltySpec("group", 2.0), hi, opt)
         lo_cold = fit(data, PenaltySpec("group", 2.0), seeded_model(data, arch, 2), opt)
         a, b = lo_warm.objective_trace[-1], lo_cold.objective_trace[-1]
         assert abs(a - b) / max(1.0, abs(b)) < 1e-4
@@ -344,41 +347,35 @@ class TestWarmStart:
     @pytest.mark.parametrize("kind", ["none", "group", "hierarchical"])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_handed_over_forward_pass_changes_no_bit(self, kind, activation):
+        # the warm start takes the previous fit's last forward pass; a fit
+        # from the same model at the same first step runs that pass afresh
         data = small_dataset(24, T=120)
         arch = Architecture(hidden_sizes=(5, 3), activation=activation, init_scale=1.0)
         first = fit(data, PenaltySpec(kind, 3.0), seeded_model(data, arch, 3),
                     OptimizerConfig(max_iters=40))
-        assert first.forward.loss == loss(first.model, data)
-        spec = PenaltySpec(kind, 1.5)
-        cold = fit(data, spec, first.model, OptimizerConfig(), first.final_step)
-        warm = fit(data, spec, first.model, OptimizerConfig(), first.final_step,
-                   first.forward)
+        spec, opt = PenaltySpec(kind, 1.5), OptimizerConfig()
+        warm = fit(data, spec, first, opt)
+        same_step = dataclasses.replace(
+            opt, initial_step=min(first.final_step, opt.initial_step))
+        cold = fit(data, spec, first.model, same_step)
         assert np.array_equal(warm.objective_trace, cold.objective_trace)
         assert np.array_equal(warm.model.theta, cold.model.theta)
         assert warm.final_step == cold.final_step
-        assert warm.forward.loss == cold.forward.loss
+        assert warm.iterations_run == cold.iterations_run
 
     def test_forward_pass_of_other_data_or_model_rejected(self):
         ts = standardize(VarGenConfig(p=3, K=2, burn_in=50).generate(120, 24)[0])[0]
         data, other_series = build_lagged(ts, 2, 0), build_lagged(ts, 2, 1)
-        same_rows = build_lagged(ts, 2, 0)
+        equal_copy = build_lagged(ts, 2, 0)
         res = fit(data, PenaltySpec("group", 1.0),
                   seeded_model(data, Architecture(hidden_sizes=(2,)), 0),
                   OptimizerConfig(max_iters=20))
-        changed = res.model.copy()
-        changed.theta[0] += 1.0
-        cases = [(other_series, res.model), (same_rows, res.model),
-                 (small_dataset(24, T=100), res.model), (data, res.model.copy()),
-                 (data, changed)]
-        for other_data, model in cases:
-            with pytest.raises(ValueError, match="not the last forward pass of this "
-                                                 "model on this dataset"):
-                fit(other_data, PenaltySpec("group", 1.0), model, OptimizerConfig(),
-                    res.final_step, res.forward)
+        for other in (other_series, equal_copy, small_dataset(24, T=100)):
+            with pytest.raises(ValueError, match="start is a fit on another dataset"):
+                fit(other, PenaltySpec("group", 1.0), res, OptimizerConfig())
         res.model.theta[0] += 1.0      # changed in place after the fit
-        with pytest.raises(ValueError, match="not the last forward pass"):
-            fit(data, PenaltySpec("group", 1.0), res.model, OptimizerConfig(),
-                res.final_step, res.forward)
+        with pytest.raises(ValueError, match="start's model was changed since its fit"):
+            fit(data, PenaltySpec("group", 1.0), res, OptimizerConfig())
 
     def _mismatch(self, p, K):
         data = small_dataset(22)
@@ -389,8 +386,7 @@ class TestWarmStart:
             VarGenConfig(p=p, K=K, burn_in=20).generate(40, 0)[0])[0], K, 0)
         with pytest.raises(ValueError, match=f"model expects p=3, K=2 but data has "
                                              f"p={p}, K={K}"):
-            fit(other, PenaltySpec("group", 1.0), res.model, OptimizerConfig(),
-                res.final_step)
+            fit(other, PenaltySpec("group", 1.0), res.model, OptimizerConfig())
 
     def test_architecture_mismatch_rejected(self):
         self._mismatch(p=4, K=2)
@@ -404,15 +400,13 @@ class TestWarmStart:
         data = build_lagged(ts, 2, 0)
         from ngcausal.evaluation import lambda_max_linear, lambda_grid
         lams = lambda_grid(lambda_max_linear(ts, 2), 8, 50.0)
-        arch = Architecture(hidden_sizes=())
         opt = OptimizerConfig()
         counts = []
-        model, step = seeded_model(data, arch, 0), None
+        start = seeded_model(data, Architecture(hidden_sizes=()), 0)
         from ngcausal.model import granger_weights
         for lam in lams:
-            res = fit(data, PenaltySpec("group", float(lam)), model, opt, step)
-            model, step = res.model, res.final_step
-            counts.append(int((granger_weights(model) > 0).sum()))
+            start = fit(data, PenaltySpec("group", float(lam)), start, opt)
+            counts.append(int((granger_weights(start.model) > 0).sum()))
         # lams descend, so counts must be non-decreasing along the sweep
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 

@@ -2,6 +2,7 @@
 test-only helpers that were folded into the production code paths stay out.
 The runtime loads numpy and PyYAML only."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import ngcausal
 
 REMOVED = ["matvec", "finite_diff_grad", "prox_group_block",
            "prox_hierarchical_column", "prox_step", "objective", "forward",
-           "grad", "LorenzConfig", "warm_start_fit"]
+           "grad", "LorenzConfig", "warm_start_fit", "roc_points_scores"]
 
 
 def test_every_exported_name_resolves():
@@ -34,9 +35,21 @@ def test_removed_helper_not_exported(name):
     ("ComponentMLP", "column_group"), ("ComponentMLP", "unpack"),
     ("ComponentMLP", "weights"), ("ComponentMLP", "biases"),
     ("ComponentMLP", "output_bias"), ("SeededRng", "child"),
-    ("OptimizerConfig", "backtracking"), ("OptimizerConfig", "backtrack_factor")])
+    ("OptimizerConfig", "backtracking"), ("OptimizerConfig", "backtrack_factor"),
+    ("optim", "ForwardPass")])
 def test_removed_method_absent(owner, name):
     assert not hasattr(getattr(ngcausal, owner), name)
+
+
+def test_fit_parameters():
+    assert list(inspect.signature(ngcausal.fit).parameters) == ["data", "spec",
+                                                                "start", "opt"]
+
+
+@pytest.mark.parametrize("func,name", [("lambda_max_linear", "center"),
+                                       ("run_experiment", "progress")])
+def test_removed_parameter_absent(func, name):
+    assert name not in inspect.signature(getattr(ngcausal, func)).parameters
 
 
 NO_SCIPY_SCRIPT = """
