@@ -7,13 +7,13 @@ each interaction).  Includes seeded VAR and Lorenz-96 generators and an
 ROC/AUC sweep harness.
 """
 
-from .numerics import SeededRng, child_seed, gauss_sample
+from .numerics import SeededRng, child_seed
 from .datasets import (LorenzGenConfig, SimulationError, VarGenConfig,
                        VarProcess, companion_matrix, lorenz_derivative,
                        lorenz_truth, make_sparse_var, simulate_lorenz,
                        simulate_var, spectral_radius, standardize)
 from .model import (Architecture, ComponentMLP, LaggedDataset, build_lagged,
-                    granger_weights, init_model, loss, loss_and_grad, predict)
+                    granger_weights, init_model, loss_and_grad, predict)
 from .penalties import PenaltySpec, apply_prox, penalty_value
 from .optim import FitResult, OptimizationError, OptimizerConfig, fit
 from .evaluation import (DegenerateTruthError, ExperimentResult, SweepResult,
@@ -30,9 +30,9 @@ __all__ = [
     "SimulationError", "SweepResult", "VarGenConfig", "VarProcess",
     "apply_prox", "auc", "build_lagged",
     "child_seed", "companion_matrix", "edge_rates", "fit",
-    "gauss_sample", "granger_weights", "init_model",
+    "granger_weights", "init_model",
     "lag_profile", "lambda_grid", "lambda_max_linear", "lorenz_derivative",
-    "lorenz_truth", "loss", "loss_and_grad", "make_sparse_var",
+    "lorenz_truth", "loss_and_grad", "make_sparse_var",
     "penalty_value", "predict", "roc_points", "run_experiment",
     "simulate_lorenz", "simulate_var", "spectral_radius", "standardize",
     "sweep_path",

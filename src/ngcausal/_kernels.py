@@ -31,7 +31,8 @@ ACT_TANH = 0
 ACT_RELU = 1
 
 
-def _layer(theta, dims, w_off, b_off, l):
+def layer(theta, dims, w_off, b_off, l):
+    """Views into theta of layer l's (dims[l+1], dims[l]) weight and its bias."""
     din = dims[l]
     dout = dims[l + 1]
     W = theta[w_off[l]:w_off[l] + dout * din].reshape(dout, din)
@@ -48,7 +49,7 @@ def layer_activations(theta, dims, w_off, b_off, act, X):
     L = dims.shape[0] - 1
     acts = [X.T]
     for l in range(L):
-        W, b = _layer(theta, dims, w_off, b_off, l)
+        W, b = layer(theta, dims, w_off, b_off, l)
         z = W @ acts[l]
         z += b[:, None]
         if l < L - 1:
@@ -93,7 +94,7 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, y, grad, acts=None):
 
     delta = 2.0 * r[None, :]
     for l in range(L - 1, -1, -1):
-        W, _ = _layer(theta, dims, w_off, b_off, l)
+        W, _ = layer(theta, dims, w_off, b_off, l)
         # gW = delta @ a_in.T, computed as (a_in @ delta.T).T, which is
         # faster at large N when X is in Fortran order
         grad[w_off[l]:w_off[l] + W.size] = (acts[l] @ delta.T).T.ravel()

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng, gauss_sample
+from .numerics import SeededRng
 
 
 class SimulationError(RuntimeError):
@@ -65,14 +65,16 @@ def make_sparse_var(rng, p, K, edge_prob=0.2, magnitude=0.1,
     floats around target_radius as spectral_radius computes it; eigvals is
     accurate to ~1e-5 only on these near-repeated eigenvalues.
     """
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     if not (0 < edge_prob <= 1):
         raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob}")
     if not (0 < target_radius < 1):
         raise ValueError(f"target_radius must be in (0, 1), got {target_radius}")
-    if magnitude <= 0:
-        raise ValueError(f"magnitude must be > 0, got {magnitude}")
-    if noise_sigma <= 0:
-        raise ValueError(f"noise_sigma must be > 0, got {noise_sigma}")
+    if not (np.isfinite(magnitude) and magnitude > 0):
+        raise ValueError(f"magnitude must be finite and > 0, got {magnitude}")
+    if not (np.isfinite(noise_sigma) and noise_sigma > 0):
+        raise ValueError(f"noise_sigma must be finite and > 0, got {noise_sigma}")
 
     adjacency = (rng.gen.random((p, p)) < edge_prob).astype(np.float64)
     np.fill_diagonal(adjacency, 1.0)
@@ -105,28 +107,32 @@ def simulate_var(proc, T, rng, burn_in=200, init=None):
 
     The raw trajectory starts from K history rows (zeros, or ``init`` with
     shape (K, p) as a test hook), generates burn_in + T rows total, and
-    drops the first burn_in.  Requires burn_in + T > K.
+    drops the first burn_in.  Requires burn_in + T > K.  Stops with a
+    SimulationError once a value is non-finite or above 1e8 in magnitude.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     p, K = proc.p, proc.K
     total = burn_in + T
-    if total < K:
-        raise ValueError(f"burn_in + T = {total} is below the lag order {K}")
+    if total <= K:
+        raise ValueError(f"burn_in + T = {total} must exceed the lag order {K}")
     x = np.zeros((total, p))
     if init is not None:
         init = np.asarray(init, dtype=np.float64)
         if init.shape != (K, p):
             raise ValueError(f"init must have shape ({K}, {p}), got {init.shape}")
         x[:K] = init
-    noise = gauss_sample(rng, (total - K) * p, proc.noise_sigma).reshape(total - K, p)
+    noise = rng.gen.normal(0.0, proc.noise_sigma, size=(total - K, p))
     for t in range(K, total):
         acc = noise[t - K]
         for k in range(K):
             acc = acc + proc.coeffs[k] @ x[t - 1 - k]
         x[t] = acc
-        if np.any(np.abs(acc) > 1e8):
-            raise SimulationError(f"VAR trajectory overflowed at step {t}; process is unstable")
+        if not np.all(np.abs(acc) <= 1e8):
+            raise SimulationError(
+                f"VAR trajectory left [-1e8, 1e8] or became non-finite at step {t}")
     return x[burn_in:]
 
 
@@ -157,16 +163,21 @@ def simulate_lorenz(cfg, T, rng, init=None):
     x_{t+1} = x_t + dt * drift(x_t) + e_t with e_t ~ Normal(0, sigma^2 I).
     The initial state is the equilibrium F plus a small seeded perturbation
     (std 0.01); ``init`` overrides it as a test hook.  burn_in rows are
-    discarded before the T returned rows.
+    discarded before the T returned rows.  A state that is non-finite or
+    above 1e8 in magnitude raises SimulationError.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
     if cfg.p < 4:
         raise ValueError(f"p must be >= 4, got {cfg.p}")
-    if cfg.dt <= 0:
-        raise ValueError(f"dt must be > 0, got {cfg.dt}")
-    if cfg.noise_sigma < 0:
-        raise ValueError(f"noise_sigma must be >= 0, got {cfg.noise_sigma}")
+    if cfg.burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {cfg.burn_in}")
+    if not np.isfinite(cfg.F):
+        raise ValueError(f"F must be finite, got {cfg.F}")
+    if not (np.isfinite(cfg.dt) and cfg.dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {cfg.dt}")
+    if not (np.isfinite(cfg.noise_sigma) and cfg.noise_sigma >= 0):
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {cfg.noise_sigma}")
 
     p = cfg.p
     if init is not None:
@@ -174,14 +185,14 @@ def simulate_lorenz(cfg, T, rng, init=None):
         if state.shape != (p,):
             raise ValueError(f"init must have shape ({p},), got {state.shape}")
     else:
-        state = cfg.F + gauss_sample(rng, p, 0.01)
+        state = cfg.F + rng.gen.normal(0.0, 0.01, size=p)
 
     total = cfg.burn_in + T
     out = np.empty((total, p))
-    noise = gauss_sample(rng, total * p, cfg.noise_sigma).reshape(total, p)
+    noise = rng.gen.normal(0.0, cfg.noise_sigma, size=(total, p))
     for t in range(total):
         state = state + cfg.dt * lorenz_derivative(state, cfg.F) + noise[t]
-        if np.any(np.abs(state) > 1e8):
+        if not np.all(np.abs(state) <= 1e8):
             raise SimulationError(f"Lorenz trajectory diverged at step {t}")
         out[t] = state
     return out[cfg.burn_in:], lorenz_truth(p)

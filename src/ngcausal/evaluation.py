@@ -29,17 +29,10 @@ class DegenerateTruthError(ValueError):
 
 def lag_profile(model):
     """Per-(input series, lag) first-layer block norms, shape (p, K)."""
-    return kernels.lag_norms(model.first_layer_packed, model.p, model.K)
+    return kernels.lag_norms(model.weight(0), model.p, model.K)
 
 
 # --------------------------------------------------------------- ROC and AUC
-
-
-def _considered_mask(p, include_diagonal):
-    mask = np.ones((p, p), dtype=bool)
-    if not include_diagonal:
-        np.fill_diagonal(mask, False)
-    return mask
 
 
 def edge_rates(truth, graph, include_diagonal=True):
@@ -48,7 +41,9 @@ def edge_rates(truth, graph, include_diagonal=True):
     graph = np.asarray(graph)
     if graph.shape != truth.shape:
         raise ValueError(f"graph shape {graph.shape} does not match truth {truth.shape}")
-    mask = _considered_mask(truth.shape[0], include_diagonal)
+    mask = np.ones(truth.shape, dtype=bool)
+    if not include_diagonal:
+        np.fill_diagonal(mask, False)
     actual = truth[mask] > 0
     pred = graph[mask] > 0
     n_pos = int(actual.sum())
@@ -180,10 +175,6 @@ def _series_path(ts, K, i, kind, lambdas, arch, opt, seed):
     return out, start.model
 
 
-def _series_path_task(args):
-    return _series_path(*args)
-
-
 def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     """Fit every series down a descending lambda grid; assemble per-lambda graphs.
 
@@ -206,7 +197,7 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     tasks = [(ts, K, i, kind, lambdas, arch, opt, seed) for i in range(p)]
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_series = list(pool.map(_series_path_task, tasks))
+            per_series = list(pool.map(_series_path, *zip(*tasks)))
     else:
         per_series = [_series_path(*task) for task in tasks]
 
@@ -247,12 +238,11 @@ class ExperimentResult:
 
 
 def run_experiment(generator, T, K, arch, opt, penalty_kind, seeds,
-                   lambdas=None, grid_size=20, grid_ratio=100.0,
-                   standardize_data=True, jobs=1):
+                   grid_size=20, grid_ratio=100.0, jobs=1):
     """Generate -> standardize -> sweep -> score, once per seed.
 
-    When ``lambdas`` is None a fresh grid is anchored at each seed's own
-    linear-proxy lambda_max.  Everything is deterministic in (configs, seeds).
+    Each seed's grid is anchored at its own linear-proxy lambda_max.
+    Everything is deterministic in (configs, seeds).
     """
     seeds = list(seeds)
     aucs = np.empty(len(seeds))
@@ -261,10 +251,8 @@ def run_experiment(generator, T, K, arch, opt, penalty_kind, seeds,
     truths = []
     for si, seed in enumerate(seeds):
         ts, truth = generator.generate(T, seed)
-        if standardize_data:
-            ts = standardize(ts)[0]
-        lams = (np.asarray(lambdas, dtype=np.float64) if lambdas is not None
-                else lambda_grid(lambda_max_linear(ts, K), grid_size, grid_ratio))
+        ts = standardize(ts)[0]
+        lams = lambda_grid(lambda_max_linear(ts, K), grid_size, grid_ratio)
         sw = sweep_path(ts, K, penalty_kind, lams, arch, opt, seed, jobs=jobs)
         aucs[si] = auc(roc_points(truth, sw.graphs, include_diagonal=True))
         try:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
-from .numerics import SeededRng
 
 ACTIVATIONS = {"tanh": kernels.ACT_TANH, "relu": kernels.ACT_RELU}
 
@@ -84,25 +83,14 @@ class ComponentMLP:
     # ------------------------------------------------------------ views
 
     @property
-    def n_layers(self):
-        return len(self.dims) - 1
-
-    @property
     def act_code(self):
         return ACTIVATIONS[self.activation]
 
     def weight(self, l):
-        din, dout = self.dims[l], self.dims[l + 1]
-        return self.theta[self.w_off[l]:self.w_off[l] + dout * din].reshape(dout, din)
+        return kernels.layer(self.theta, self.dims, self.w_off, self.b_off, l)[0]
 
     def bias(self, l):
-        dout = self.dims[l + 1]
-        return self.theta[self.b_off[l]:self.b_off[l] + dout]
-
-    @property
-    def first_layer_packed(self):
-        """First layer as one (H1, K*p) matrix, lag blocks side by side."""
-        return self.weight(0)
+        return kernels.layer(self.theta, self.dims, self.w_off, self.b_off, l)[1]
 
     # ------------------------------------------------------------ misc
 
@@ -118,7 +106,7 @@ class ComponentMLP:
 def init_model(p, K, arch, rng):
     """Seeded Gaussian init: per-layer std init_scale / sqrt(fan_in), zero biases."""
     model = ComponentMLP(p, K, arch.hidden_sizes, arch.activation, arch.output_bias)
-    for l in range(model.n_layers):
+    for l in range(len(model.dims) - 1):
         fan_in = model.dims[l]
         std = arch.init_scale / np.sqrt(fan_in)
         model.weight(l)[...] = rng.gen.normal(0.0, std, size=model.weight(l).shape)
@@ -133,12 +121,11 @@ class LaggedDataset:
     """Design matrix of stacked lags with the matching one-step-ahead targets.
 
     inputs[n] = (x[K+n-1], ..., x[n]) flattened lag-1 block first;
-    targets[n] = x[K+n, series_index].
+    targets[n] = x[K+n, i] for the series i it was built for.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    series_index: int
     p: int
     K: int
 
@@ -161,7 +148,7 @@ def build_lagged(ts, K, i):
     for k in range(1, K + 1):
         X[:, (k - 1) * p:k * p] = ts[K - k:T - k]
     y = ts[K:, i].copy()
-    return LaggedDataset(inputs=X, targets=y, series_index=i, p=p, K=K)
+    return LaggedDataset(inputs=X, targets=y, p=p, K=K)
 
 
 # ------------------------------------------------------------- evaluation
@@ -177,15 +164,9 @@ def predict(model, X):
     return acts[-1][0]
 
 
-def loss(model, data):
-    """Sum of squared one-step prediction errors over all rows (no penalty)."""
-    return float(kernels.mlp_loss(model.theta, model.dims, model.w_off,
-                                  model.b_off, model.act_code,
-                                  data.inputs, data.targets)[0])
-
-
 def loss_and_grad(model, data, acts=None):
-    """Loss plus its exact gradient as a flat vector in theta layout.
+    """Sum of squared one-step prediction errors over all rows (no penalty),
+    plus its exact gradient as a flat vector in theta layout.
 
     ``acts`` are activations that ``kernels.mlp_loss`` returned for this
     model's current theta on ``data``; they stand in for a new forward pass.
@@ -205,4 +186,4 @@ def granger_weights(model):
     Entry j is zero exactly when every first-layer weight fed by series j is
     zero, in which case the prediction cannot depend on series j's history.
     """
-    return kernels.group_norms(model.first_layer_packed, model.p, model.K)
+    return kernels.group_norms(model.weight(0), model.p, model.K)

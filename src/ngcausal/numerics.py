@@ -1,4 +1,4 @@
-"""Seeded random streams and Gaussian sampling.
+"""Seeded random streams.
 
 All arithmetic is float64.
 """
@@ -30,14 +30,3 @@ def child_seed(seed, index):
     """Derive an integer child seed from (parent seed, stream index)."""
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
     return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
-def gauss_sample(rng, n, sigma):
-    """n independent draws from Normal(0, sigma^2); sigma == 0 gives zeros."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return np.zeros(n)
-    return rng.gen.normal(0.0, sigma, size=n)

@@ -4,8 +4,9 @@ Each iteration takes a full gradient step on every parameter, then applies
 the penalty's prox (threshold step * lam) to the first-layer column groups;
 unpenalized parameters just keep the plain gradient step.  Backtracking
 halves the step until the candidate passes the sufficient-decrease test
+on the unpenalized loss L
 
-    loss(cand) <= loss + <grad, delta> + ||delta||^2 / (2 * step),
+    L(cand) <= L(theta) + <grad, delta> + ||delta||^2 / (2 * step),
 
 which guarantees the penalized objective never increases.  Each line search
 after the first starts from the short Barzilai-Borwein step s.y / y.y of the
@@ -61,13 +62,17 @@ class OptimizerConfig:
     min_step: float = 1e-12
 
     def __post_init__(self):
-        if self.initial_step <= 0:
-            raise ValueError(f"initial_step must be > 0, got {self.initial_step}")
+        # an infinite step never backtracks below min_step, and a NaN
+        # tolerance never stops: either would run a fit forever or to the cap
+        if not (math.isfinite(self.initial_step) and self.initial_step > 0):
+            raise ValueError(f"initial_step must be finite and > 0, got {self.initial_step}")
         if not (0 < self.min_step < self.initial_step):
             raise ValueError("need 0 < min_step < initial_step, got "
                              f"min_step={self.min_step}, initial_step={self.initial_step}")
-        if self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 @dataclass

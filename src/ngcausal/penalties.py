@@ -14,6 +14,7 @@ of the summed penalty).  Prox steps write exact zeros, so "group norm > 0"
 is a well-defined edge decision.
 """
 
+import math
 from dataclasses import dataclass
 
 from . import _kernels as kernels
@@ -31,15 +32,15 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {PENALTY_KINDS}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
 
 
 def penalty_value(spec, model):
     """Penalty term of the training objective for the model's first layer."""
     if spec.kind == "none" or spec.lam == 0.0:
         return 0.0
-    w1 = model.first_layer_packed
+    w1 = model.weight(0)
     if spec.kind == "group":
         return float(spec.lam * kernels.group_norms(w1, model.p, model.K).sum())
     return float(spec.lam * kernels.suffix_norm_sum(kernels.lag_norms(w1, model.p, model.K)))
@@ -58,8 +59,7 @@ def apply_prox(spec, model, theta, step):
         raise ValueError(f"step must be > 0, got {step}")
     if spec.kind == "none":
         return 0.0
-    h1, d0 = model.dims[1], model.dims[0]
-    w1 = theta[:h1 * d0].reshape(h1, d0)
+    w1 = kernels.layer(theta, model.dims, model.w_off, model.b_off, 0)[0]
     thr = step * spec.lam
     if spec.kind == "group":
         norm_sum = kernels.prox_group(w1, model.p, model.K, thr)

@@ -417,7 +417,14 @@ class TestExitCodes:
         ({"model": {"init_scale": -1.0}}, [],
          "model: init_scale must be finite and >= 0, got -1.0"),
         ({"generator": {"seed": -1}}, [], "seed must be a nonnegative integer, got -1"),
-        ({}, ["--seed", -1], "seed must be a nonnegative integer, got -1")])
+        ({}, ["--seed", -1], "seed must be a nonnegative integer, got -1"),
+        # a fit would never return (inf), run to the cap (nan) or not run (0, -3)
+        ({"optimizer": {"initial_step": float("inf")}}, [],
+         "optimizer: initial_step must be finite and > 0, got inf"),
+        ({"optimizer": {"rel_tol": float("nan")}}, [],
+         "optimizer: rel_tol must be finite and > 0, got nan"),
+        ({"optimizer": {"max_iters": 0}}, [], "optimizer: max_iters must be >= 1, got 0"),
+        ({"optimizer": {"max_iters": -3}}, [], "optimizer: max_iters must be >= 1, got -3")])
     def test_bad_model_or_seed_is_config_error_2(self, tmp_path, capsys, command,
                                                   overrides, seed, message):
         cfg = write_config(tmp_path / "c.yaml", **overrides)
@@ -461,7 +468,21 @@ class TestExitCodes:
         ({"kind": "lorenz", "p": 10, "lorenz": {"F": 10.0}},
          "generator.lorenz: Lorenz trajectory diverged at step 153"),
         ({"var": {"K": 1, "noise_sigma": 1e12}},
-         "generator.var: VAR trajectory overflowed at step 1; process is unstable")])
+         "generator.var: VAR trajectory left [-1e8, 1e8] or became non-finite at step 1"),
+        ({"kind": "lorenz", "lorenz": {"F": float("nan")}},
+         "generator: F must be finite, got nan"),
+        ({"kind": "lorenz", "lorenz": {"dt": float("nan")}},
+         "generator: dt must be finite and > 0, got nan"),
+        ({"kind": "lorenz", "lorenz": {"noise_sigma": float("nan")}},
+         "generator: noise_sigma must be finite and >= 0, got nan"),
+        ({"kind": "lorenz", "lorenz": {"burn_in": -10}},
+         "generator: burn_in must be >= 0, got -10"),
+        ({"var": {"burn_in": -10}}, "generator: burn_in must be >= 0, got -10"),
+        ({"var": {"K": 0}}, "generator: K must be >= 1, got 0"),
+        ({"var": {"magnitude": float("nan")}},
+         "generator: magnitude must be finite and > 0, got nan"),
+        ({"var": {"noise_sigma": float("nan")}},
+         "generator: noise_sigma must be finite and > 0, got nan")])
     def test_generator_error_names_its_section_2(self, tmp_path, capsys,
                                                  generator, message):
         cfg = write_config(tmp_path / "c.yaml", generator=generator)

@@ -86,6 +86,16 @@ class TestMakeSparseVar:
         with pytest.raises(ValueError):
             make_sparse_var(rng, 4, 2, magnitude=-1.0)
 
+    @pytest.mark.parametrize("K,kwargs,message", [
+        (0, {}, "K must be >= 1, got 0"),
+        (2, {"magnitude": float("nan")}, "magnitude must be finite and > 0, got nan"),
+        (2, {"magnitude": float("inf")}, "magnitude must be finite and > 0, got inf"),
+        (2, {"noise_sigma": float("nan")}, "noise_sigma must be finite and > 0, got nan"),
+        (2, {"noise_sigma": float("inf")}, "noise_sigma must be finite and > 0, got inf")])
+    def test_out_of_range_setting_named(self, K, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_sparse_var(SeededRng(0), 4, K, **kwargs)
+
 
 class TestSimulateVar:
     def test_zero_noise_zero_history_all_zero(self):
@@ -118,6 +128,26 @@ class TestSimulateVar:
                           truth=np.array([[1.0]]))
         with pytest.raises(SimulationError):
             simulate_var(proc, 300, SeededRng(0), burn_in=0)
+
+    @pytest.mark.parametrize("coeff,noise_sigma", [(float("nan"), 1.0),
+                                                   (0.5, float("nan"))])
+    def test_non_finite_trajectory_stops(self, coeff, noise_sigma):
+        from ngcausal.datasets import VarProcess
+        proc = VarProcess(coeffs=np.array([[[coeff]]]), noise_sigma=noise_sigma,
+                          truth=np.array([[1.0]]))
+        with pytest.raises(SimulationError, match="non-finite at step 1$"):
+            simulate_var(proc, 50, SeededRng(0), burn_in=0)
+
+    def test_negative_burn_in_rejected(self):
+        # x[burn_in:] would keep |burn_in| rows from the end
+        proc = make_sparse_var(SeededRng(0), p=3, K=1)
+        with pytest.raises(ValueError, match="^burn_in must be >= 0, got -10$"):
+            simulate_var(proc, 50, SeededRng(1), burn_in=-10)
+
+    def test_no_row_after_the_history_rejected(self):
+        proc = make_sparse_var(SeededRng(0), p=3, K=3)
+        with pytest.raises(ValueError, match="must exceed the lag order 3"):
+            simulate_var(proc, 1, SeededRng(1), burn_in=2)
 
 
 class VarProcessFactory:
@@ -183,6 +213,25 @@ class TestSimulateLorenz:
         cfg = LorenzGenConfig(p=5, F=5.0, dt=50.0, noise_sigma=0.0, burn_in=0)
         with pytest.raises(SimulationError):
             simulate_lorenz(cfg, 2000, SeededRng(0))
+
+    def test_non_finite_state_stops(self):
+        cfg = LorenzGenConfig(p=5, burn_in=0)
+        init = np.array([5.0, 5.0, np.nan, 5.0, 5.0])
+        with pytest.raises(SimulationError, match="at step 0$"):
+            simulate_lorenz(cfg, 20, SeededRng(0), init=init)
+
+    @pytest.mark.parametrize("setting,message", [
+        ({"F": float("nan")}, "F must be finite, got nan"),
+        ({"F": float("inf")}, "F must be finite, got inf"),
+        ({"dt": float("nan")}, "dt must be finite and > 0, got nan"),
+        ({"dt": float("inf")}, "dt must be finite and > 0, got inf"),
+        ({"noise_sigma": float("nan")}, "noise_sigma must be finite and >= 0, got nan"),
+        ({"noise_sigma": float("inf")}, "noise_sigma must be finite and >= 0, got inf"),
+        ({"burn_in": -10}, "burn_in must be >= 0, got -10")])
+    def test_out_of_range_setting_named(self, setting, message):
+        cfg = LorenzGenConfig(p=5, **{"burn_in": 10, **setting})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            simulate_lorenz(cfg, 20, SeededRng(0))
 
     def test_euler_halving_dt_halves_error(self):
         # global error over a short noiseless horizon is first order in dt

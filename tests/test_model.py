@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ngcausal.model import (Architecture, ComponentMLP, build_lagged,
-                            granger_weights, init_model, loss, loss_and_grad,
+                            granger_weights, init_model, loss_and_grad,
                             predict)
 from ngcausal.numerics import SeededRng
 from oracles import finite_diff_grad
@@ -24,7 +24,7 @@ def random_instance(seed, p=None, K=None, hidden=None, N=None, activation=None):
     from ngcausal.model import LaggedDataset
     X = gen.normal(size=(N, p * K))
     y = gen.normal(size=N)
-    data = LaggedDataset(inputs=X, targets=y, series_index=0, p=p, K=K)
+    data = LaggedDataset(inputs=X, targets=y, p=p, K=K)
     return model, data
 
 
@@ -127,21 +127,20 @@ class TestLoss:
     def test_perfect_fit_is_zero(self):
         model, data = random_instance(3)
         data.targets[:] = predict(model, data.inputs)
-        assert loss(model, data) == 0.0
+        assert loss_and_grad(model, data)[0] == 0.0
 
     def test_zero_model_sums_squared_targets(self):
         from ngcausal.model import LaggedDataset
         model = ComponentMLP(p=1, K=1, hidden_sizes=(2,))
-        data = LaggedDataset(inputs=np.zeros((2, 1)), targets=np.array([1.0, 2.0]),
-                             series_index=0, p=1, K=1)
-        assert loss(model, data) == 5.0
+        data = LaggedDataset(inputs=np.zeros((2, 1)), targets=np.array([1.0, 2.0]), p=1, K=1)
+        assert loss_and_grad(model, data)[0] == 5.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_row_recomputation(self, seed):
         model, data = random_instance(seed)
         total = sum((predict_one(model, x) - t) ** 2
                     for x, t in zip(data.inputs, data.targets))
-        assert np.isclose(loss(model, data), total, rtol=1e-10, atol=1e-12)
+        assert np.isclose(loss_and_grad(model, data)[0], total, rtol=1e-10, atol=1e-12)
 
 
 class TestGrad:
@@ -158,7 +157,7 @@ class TestGrad:
             probe = ComponentMLP(model.p, model.K, model.hidden_sizes,
                                  model.activation, model.use_output_bias,
                                  theta=theta.copy())
-            return loss(probe, data)
+            return loss_and_grad(probe, data)[0]
 
         fd = finite_diff_grad(f, model.theta, h=1e-6)
         rel = np.abs(g - fd) / np.maximum(1.0, np.maximum(np.abs(g), np.abs(fd)))
@@ -204,13 +203,13 @@ class TestGrangerWeights:
         model, _ = random_instance(5, p=3, K=2, hidden=(4,))
         gw = granger_weights(model)
         for j in range(3):
-            assert (gw[j] == 0.0) == np.all(model.first_layer_packed[:, j::3] == 0.0)
+            assert (gw[j] == 0.0) == np.all(model.weight(0)[:, j::3] == 0.0)
 
     def test_zero_group_makes_prediction_invariant(self):
         # sufficiency: zero outgoing weights -> output ignores that series
         model, data = random_instance(6, p=4, K=2, hidden=(5,), N=10)
         j = 2
-        model.first_layer_packed[:, j::4] = 0.0
+        model.weight(0)[:, j::4] = 0.0
         base = predict(model, data.inputs)
         gen = np.random.default_rng(0)
         for _ in range(5):
@@ -227,7 +226,7 @@ class TestLinearEquivalence:
         from ngcausal.model import LaggedDataset
         X = gen.normal(size=(N, p * K))
         y = gen.normal(size=N)
-        data = LaggedDataset(inputs=X, targets=y, series_index=0, p=p, K=K)
+        data = LaggedDataset(inputs=X, targets=y, p=p, K=K)
         model = ComponentMLP(p, K, hidden_sizes=())
         w = gen.normal(size=p * K)
         b = 0.3
@@ -235,7 +234,7 @@ class TestLinearEquivalence:
         model.bias(0)[0] = b
 
         r = X @ w + b - y
-        assert np.isclose(loss(model, data), r @ r, rtol=1e-10)
+        assert np.isclose(loss_and_grad(model, data)[0], r @ r, rtol=1e-10)
         g = loss_and_grad(model, data)[1]
         assert np.allclose(g[model.w_off[0]:model.b_off[0]], 2.0 * X.T @ r,
                            rtol=1e-10, atol=1e-12)
@@ -257,7 +256,7 @@ class TestArchitecture:
         _, data = random_instance(1, p=2, K=2, N=5)
         g = loss_and_grad(model, data)[1]
         assert g[model.b_off[-1]] == 0.0
-        assert model.bias(model.n_layers - 1)[0] == 0.0
+        assert model.bias(len(model.dims) - 2)[0] == 0.0
 
     def test_init_is_seeded(self):
         arch = Architecture(hidden_sizes=(4, 3))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngcausal.numerics import SeededRng, child_seed, gauss_sample
+from ngcausal.numerics import SeededRng, child_seed
 from oracles import finite_diff_grad
 
 
@@ -34,29 +34,6 @@ class TestSeededRng:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             SeededRng(-1)
-
-
-class TestGaussSample:
-    def test_sigma_zero_gives_zeros(self):
-        assert np.array_equal(gauss_sample(SeededRng(0), 3, 0.0), np.zeros(3))
-
-    def test_same_seed_twice_identical(self):
-        a = gauss_sample(SeededRng(5), 5, 1.0)
-        b = gauss_sample(SeededRng(5), 5, 1.0)
-        assert np.array_equal(a, b)
-
-    def test_law_of_large_numbers(self):
-        x = gauss_sample(SeededRng(7), 10_000, 1.0)
-        assert abs(x.mean()) < 0.05
-        assert abs(x.std() - 1.0) < 0.05
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            gauss_sample(SeededRng(0), 3, -0.1)
-
-    def test_n_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            gauss_sample(SeededRng(0), 0, 1.0)
 
 
 class TestFiniteDiffGrad:

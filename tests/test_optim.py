@@ -6,7 +6,7 @@ import pytest
 
 from ngcausal.datasets import VarGenConfig, standardize
 from ngcausal.model import (Architecture, ComponentMLP, LaggedDataset,
-                            build_lagged, init_model, loss, loss_and_grad)
+                            build_lagged, init_model, loss_and_grad)
 from ngcausal.numerics import SeededRng
 from ngcausal.optim import FitResult, OptimizationError, OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec, apply_prox, penalty_value
@@ -38,7 +38,7 @@ def reference_fit(data, spec, arch, opt, seed):
     """
     model = seeded_model(data, arch, seed)
     step = opt.initial_step
-    obj = loss(model, data) + penalty_value(spec, model)
+    obj = loss_and_grad(model, data)[0] + penalty_value(spec, model)
     trace = [obj]
     log = []
     g_prev = s = None
@@ -58,7 +58,7 @@ def reference_fit(data, spec, arch, opt, seed):
             probe = model.copy()
             probe.theta[:] = model.theta - step * g
             apply_prox(spec, probe, probe.theta, step)
-            new_loss = loss(probe, data)
+            new_loss = loss_and_grad(probe, data)[0]
             s = probe.theta - model.theta
             if new_loss <= (val + g @ s + (s @ s) / (2.0 * step)
                             + 1e-12 * max(1.0, abs(val))):
@@ -92,12 +92,12 @@ class TestObjective:
     def test_lambda_zero_equals_loss(self):
         data = small_dataset(0)
         model = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(1))
-        assert fit_objective(model, data, PenaltySpec("group", 0.0)) == loss(model, data)
+        assert (fit_objective(model, data, PenaltySpec("group", 0.0))
+                == loss_and_grad(model, data)[0])
 
     def test_zero_model_zero_targets(self):
         model = ComponentMLP(2, 1, hidden_sizes=(3,))
-        data = LaggedDataset(inputs=np.ones((4, 2)), targets=np.zeros(4),
-                             series_index=0, p=2, K=1)
+        data = LaggedDataset(inputs=np.ones((4, 2)), targets=np.zeros(4), p=2, K=1)
         assert fit_objective(model, data, PenaltySpec("group", 3.0)) == 0.0
 
     def test_recomposition(self):
@@ -106,7 +106,7 @@ class TestObjective:
                            SeededRng(3))
         spec = PenaltySpec("hierarchical", 0.8)
         assert np.isclose(fit_objective(model, data, spec),
-                          loss(model, data) + penalty_value(spec, model),
+                          loss_and_grad(model, data)[0] + penalty_value(spec, model),
                           rtol=1e-10)
 
 
@@ -115,7 +115,7 @@ class TestProxStep:
         data = small_dataset(4)
         model = init_model(3, 2, Architecture(hidden_sizes=()), SeededRng(5))
         spec = PenaltySpec("group", 0.0)
-        before = loss(model, data) + penalty_value(spec, model)
+        before = loss_and_grad(model, data)[0] + penalty_value(spec, model)
         _, after = one_prox_step(model, data, spec, step=1e-4)
         assert after < before
 
@@ -131,7 +131,7 @@ class TestProxStep:
         # p=1, K=1, linear: one weight w and bias b
         X = np.array([[1.0], [2.0], [-1.0]])
         y = np.array([0.5, 1.5, -0.2])
-        data = LaggedDataset(inputs=X, targets=y, series_index=0, p=1, K=1)
+        data = LaggedDataset(inputs=X, targets=y, p=1, K=1)
         model = ComponentMLP(1, 1, hidden_sizes=())
         w, b, step, lam = 0.3, 0.1, 0.05, 2.0
         model.weight(0)[0, 0] = w
@@ -159,7 +159,7 @@ class TestFit:
         res = fit(data, PenaltySpec("group", 1e8),
                   seeded_model(data, Architecture(hidden_sizes=(4,)), 0),
                   OptimizerConfig())
-        assert np.array_equal(res.model.first_layer_packed, np.zeros((4, 6)))
+        assert np.array_equal(res.model.weight(0), np.zeros((4, 6)))
         assert_monotone_trace(res.objective_trace)
 
     def test_linear_noiseless_recovers_coefficient(self):
@@ -212,7 +212,7 @@ class TestFit:
         # curvature so large that the accepted step sits below min_step
         X = np.full((4, 1), 100.0)
         y = np.array([1.0, -1.0, 2.0, 0.5])
-        data = LaggedDataset(inputs=X, targets=y, series_index=0, p=1, K=1)
+        data = LaggedDataset(inputs=X, targets=y, p=1, K=1)
         opt = OptimizerConfig(initial_step=1e-2, min_step=9e-3)
         with pytest.raises(OptimizationError, match="min_step"):
             fit(data, PenaltySpec("group", 0.0),
@@ -228,7 +228,7 @@ class TestFit:
         res = fit(data, PenaltySpec("group", 0.0), model, opt)
 
         step = opt.initial_step
-        trace = [loss(model, data)]
+        trace = [loss_and_grad(model, data)[0]]
         prev = trace[0]
         g_prev = delta = None
         for _ in range(opt.max_iters):
@@ -241,7 +241,7 @@ class TestFit:
             while True:
                 cand = model.theta - step * g
                 probe = ComponentMLP(3, 2, arch.hidden_sizes, theta=cand.copy())
-                new_loss = loss(probe, data)
+                new_loss = loss_and_grad(probe, data)[0]
                 delta = cand - model.theta
                 if new_loss <= (val + g @ delta + (delta @ delta) / (2 * step)
                                 + 1e-12 * max(1.0, abs(val))):
@@ -505,6 +505,17 @@ class TestOptimizerConfigValidation:
             OptimizerConfig(min_step=1.0, initial_step=0.5)
         with pytest.raises(ValueError):
             OptimizerConfig(rel_tol=0.0)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        # checked at construction: a fit with an infinite step never returns
+        ({"initial_step": float("inf")}, "initial_step must be finite and > 0, got inf"),
+        ({"rel_tol": float("nan")}, "rel_tol must be finite and > 0, got nan"),
+        ({"rel_tol": float("inf")}, "rel_tol must be finite and > 0, got inf"),
+        ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
+        ({"max_iters": -3}, "max_iters must be >= 1, got -3")])
+    def test_rejects_settings_that_hang_or_skip_the_fit(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            OptimizerConfig(**kwargs)
 
     def test_fit_result_fields(self):
         data = small_dataset(30)

@@ -14,9 +14,9 @@ def prox_column(kind, col, threshold):
     layer is col, at step 1, so the threshold is lam."""
     col = np.asarray(col, dtype=np.float64)
     model = ComponentMLP(p=1, K=col.shape[1], hidden_sizes=(col.shape[0],))
-    model.first_layer_packed[...] = col
+    model.weight(0)[...] = col
     apply_prox(PenaltySpec(kind, threshold), model, model.theta, step=1.0)
-    return model.first_layer_packed.copy()
+    return model.weight(0).copy()
 
 
 def group_prox(v, threshold):
@@ -73,7 +73,7 @@ class TestPenaltyValue:
         model = init_model(4, 3, Architecture(hidden_sizes=(5,), init_scale=1.0),
                            SeededRng(2))
         lam = 1.7
-        groups = [model.first_layer_packed[:, j::4] for j in range(4)]
+        groups = [model.weight(0)[:, j::4] for j in range(4)]
         direct_group = lam * sum(np.linalg.norm(g) for g in groups)
         assert np.isclose(penalty_value(PenaltySpec("group", lam), model),
                           direct_group, rtol=1e-12)
@@ -87,6 +87,11 @@ class TestPenaltyValue:
             PenaltySpec("ridge", 1.0)
         with pytest.raises(ValueError):
             PenaltySpec("group", -0.5)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            PenaltySpec("group", lam)
 
 
 class TestProxGroupBlock:
@@ -182,9 +187,9 @@ class TestApplyProx:
     def test_huge_lambda_zeroes_first_layer_only(self):
         model = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(1))
         deeper_before = model.weight(1).copy()
-        biases_before = [model.bias(l).copy() for l in range(model.n_layers)]
+        biases_before = [model.bias(l).copy() for l in range(len(model.dims) - 1)]
         apply_prox(PenaltySpec("group", 1e9), model, model.theta, step=1.0)
-        assert np.array_equal(model.first_layer_packed, np.zeros((4, 6)))
+        assert np.array_equal(model.weight(0), np.zeros((4, 6)))
         assert np.array_equal(model.weight(1), deeper_before)
         for l, before in enumerate(biases_before):
             assert np.array_equal(model.bias(l), before)
@@ -192,46 +197,46 @@ class TestApplyProx:
     def test_single_column_reduces_to_block_prox(self):
         model = init_model(1, 3, Architecture(hidden_sizes=(2,), init_scale=1.0),
                            SeededRng(2))
-        expected = model.first_layer_packed.copy()
+        expected = model.weight(0).copy()
         oracle_prox_group(expected, 1, 3, 0.1 * 0.7)
         apply_prox(PenaltySpec("group", 0.7), model, model.theta, step=0.1)
-        assert np.allclose(model.first_layer_packed, expected, rtol=1e-15)
+        assert np.allclose(model.weight(0), expected, rtol=1e-15)
 
     def test_group_matches_per_column_blocks(self):
         model = init_model(4, 2, Architecture(hidden_sizes=(3,), init_scale=1.0),
                            SeededRng(3))
-        expected = {j: model.first_layer_packed[:, j::4].copy() for j in range(4)}
+        expected = {j: model.weight(0)[:, j::4].copy() for j in range(4)}
         for col in expected.values():
             oracle_prox_group(col, 1, 2, 0.1 * 0.5)
         apply_prox(PenaltySpec("group", 0.5), model, model.theta, step=0.1)
         for j in range(4):
-            assert np.allclose(model.first_layer_packed[:, j::4], expected[j], rtol=1e-14)
+            assert np.allclose(model.weight(0)[:, j::4], expected[j], rtol=1e-14)
 
     def test_hierarchical_matches_per_column(self):
         model = init_model(3, 3, Architecture(hidden_sizes=(2,), init_scale=1.0),
                            SeededRng(4))
-        expected = {j: model.first_layer_packed[:, j::3].copy() for j in range(3)}
+        expected = {j: model.weight(0)[:, j::3].copy() for j in range(3)}
         for col in expected.values():
             oracle_prox_hier(col, 1, 3, 0.1 * 0.6)
         apply_prox(PenaltySpec("hierarchical", 0.6), model, model.theta, step=0.1)
         for j in range(3):
-            assert np.allclose(model.first_layer_packed[:, j::3], expected[j], rtol=1e-14)
+            assert np.allclose(model.weight(0)[:, j::3], expected[j], rtol=1e-14)
 
     def test_commutes_with_series_permutation(self):
         rng = SeededRng(5)
         model = init_model(5, 2, Architecture(hidden_sizes=(3,), init_scale=1.0), rng)
         perm = np.array([3, 0, 4, 1, 2])
         permuted = model.copy()
-        w1 = model.first_layer_packed
-        w1p = permuted.first_layer_packed
+        w1 = model.weight(0)
+        w1p = permuted.weight(0)
         for k in range(2):
             w1p[:, k * 5:(k + 1) * 5] = w1[:, k * 5:(k + 1) * 5][:, perm]
         spec = PenaltySpec("group", 0.8)
         apply_prox(spec, model, model.theta, step=0.1)
         apply_prox(spec, permuted, permuted.theta, step=0.1)
         for k in range(2):
-            assert np.allclose(permuted.first_layer_packed[:, k * 5:(k + 1) * 5],
-                               model.first_layer_packed[:, k * 5:(k + 1) * 5][:, perm],
+            assert np.allclose(permuted.weight(0)[:, k * 5:(k + 1) * 5],
+                               model.weight(0)[:, k * 5:(k + 1) * 5][:, perm],
                                rtol=1e-15)
 
     @pytest.mark.parametrize("kind", ["none", "group", "hierarchical"])
@@ -243,7 +248,7 @@ class TestApplyProx:
         model = init_model(4, 3, Architecture(hidden_sizes=(5,), init_scale=1.0),
                            SeededRng(6))
         if nan:
-            model.first_layer_packed[2, 5] = np.nan
+            model.weight(0)[2, 5] = np.nan
         spec = PenaltySpec(kind, lam)
         got = apply_prox(spec, model, model.theta, step=0.1)
         want = penalty_value(spec, model)

@@ -2,6 +2,7 @@
 test-only helpers that were folded into the production code paths stay out.
 The runtime loads numpy and PyYAML only."""
 
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -13,7 +14,8 @@ import ngcausal
 
 REMOVED = ["matvec", "finite_diff_grad", "prox_group_block",
            "prox_hierarchical_column", "prox_step", "objective", "forward",
-           "grad", "LorenzConfig", "warm_start_fit", "roc_points_scores"]
+           "grad", "LorenzConfig", "warm_start_fit", "roc_points_scores",
+           "loss", "gauss_sample"]
 
 
 def test_every_exported_name_resolves():
@@ -36,7 +38,8 @@ def test_removed_helper_not_exported(name):
     ("ComponentMLP", "weights"), ("ComponentMLP", "biases"),
     ("ComponentMLP", "output_bias"), ("SeededRng", "child"),
     ("OptimizerConfig", "backtracking"), ("OptimizerConfig", "backtrack_factor"),
-    ("optim", "ForwardPass")])
+    ("optim", "ForwardPass"), ("ComponentMLP", "first_layer_packed"),
+    ("ComponentMLP", "n_layers")])
 def test_removed_method_absent(owner, name):
     assert not hasattr(getattr(ngcausal, owner), name)
 
@@ -46,8 +49,16 @@ def test_fit_parameters():
                                                                 "start", "opt"]
 
 
+def test_lagged_dataset_fields():
+    # no series_index: nothing read the index that build_lagged stored
+    assert [f.name for f in dataclasses.fields(ngcausal.LaggedDataset)] == [
+        "inputs", "targets", "p", "K"]
+
+
 @pytest.mark.parametrize("func,name", [("lambda_max_linear", "center"),
-                                       ("run_experiment", "progress")])
+                                       ("run_experiment", "progress"),
+                                       ("run_experiment", "lambdas"),
+                                       ("run_experiment", "standardize_data")])
 def test_removed_parameter_absent(func, name):
     assert name not in inspect.signature(getattr(ngcausal, func)).parameters
 
