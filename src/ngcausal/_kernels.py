@@ -3,7 +3,9 @@
 Model parameters travel as one flat float64 vector ``theta``.  Layer ``l``
 maps width ``dims[l]`` to ``dims[l+1]``; its weight matrix lives at
 ``theta[w_off[l] : w_off[l] + dims[l+1]*dims[l]]`` (row-major) and its bias at
-``theta[b_off[l] : b_off[l] + dims[l+1]]``.  The first layer's input axis is
+``theta[b_off[l] : b_off[l] + dims[l+1]]``.  ``dims``, ``w_off`` and ``b_off``
+are sequences of Python ints, and the hidden layers' activation ``act`` is
+passed by name, ``"tanh"`` or ``"relu"``.  The first layer's input axis is
 ordered lag-major: input column ``k*p + j`` is series ``j`` at lag ``k+1``,
 so the column group of series ``j`` is ``w1[:, j::p]``, and ``w1`` viewed as
 ``(H, K, p)`` holds series ``j``'s group at ``[:, :, j]``.
@@ -27,9 +29,6 @@ as ``penalty_value`` sums it, so the optimizer need not compute it again.
 
 import numpy as np
 
-ACT_TANH = 0
-ACT_RELU = 1
-
 
 def layer(theta, dims, w_off, b_off, l):
     """Views into theta of layer l's (dims[l+1], dims[l]) weight and its bias."""
@@ -46,14 +45,14 @@ def layer_activations(theta, dims, w_off, b_off, act, X):
     activations after the nonlinearity, each (width, N), and last the
     linear output layer of shape (1, N).
     """
-    L = dims.shape[0] - 1
+    L = len(dims) - 1
     acts = [X.T]
     for l in range(L):
         W, b = layer(theta, dims, w_off, b_off, l)
         z = W @ acts[l]
         z += b[:, None]
         if l < L - 1:
-            if act == ACT_TANH:
+            if act == "tanh":
                 np.tanh(z, out=z)
             else:
                 np.maximum(z, 0.0, out=z)
@@ -88,7 +87,7 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, y, grad, acts=None):
     """
     if acts is None:
         acts = _forward(theta, dims, w_off, b_off, act, X, y)
-    L = dims.shape[0] - 1
+    L = len(dims) - 1
     r = acts[-1][0]
     loss = np.dot(r, r)
 
@@ -101,7 +100,7 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, y, grad, acts=None):
         delta.sum(axis=1, out=grad[b_off[l]:b_off[l] + W.shape[0]])
         if l > 0:
             h = acts[l]
-            if act == ACT_TANH:
+            if act == "tanh":
                 # (1 - h^2) * (W.T @ delta), built in one buffer; before a
                 # one-unit layer, W.T @ delta is an outer product, which two
                 # broadcast multiplies do faster than the GEMM

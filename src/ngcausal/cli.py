@@ -87,7 +87,7 @@ def cmd_simulate(args):
     seed = _resolved_seed(cfg, args)
     try:
         ts, truth = cfg.generator.instance().generate(cfg.generator.T, seed)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: T too large to hold
         raise ConfigError(f"generator: {exc}") from exc
     except SimulationError as exc:  # the settings give a diverging trajectory
         raise ConfigError(f"generator.{cfg.generator.kind}: {exc}") from exc

@@ -178,12 +178,13 @@ def _series_path(ts, K, i, kind, lambdas, arch, opt, seed):
 def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     """Fit every series down a descending lambda grid; assemble per-lambda graphs.
 
-    Fits for different series are independent and run on a process pool when
-    jobs > 1.  Results are deterministic in (ts, configs, seed) regardless
-    of jobs.  ``models`` holds each series' model at the last lambda, so a
-    one-lambda sweep is a plain fit of every series.  A failing fit raises
-    OptimizationError naming its series and lambda; with several failures,
-    the lowest series index is reported whatever jobs is.
+    Fits for different series are independent and run on a pool of
+    min(jobs, p) processes when that is more than one.  Results are
+    deterministic in (ts, configs, seed) regardless of jobs.  ``models``
+    holds each series' model at the last lambda, so a one-lambda sweep is a
+    plain fit of every series.  A failing fit raises OptimizationError naming
+    its series and lambda; with several failures, the lowest series index is
+    reported whatever jobs is.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.ndim != 1 or lambdas.size == 0:
@@ -195,8 +196,9 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     p = ts.shape[1]
 
     tasks = [(ts, K, i, kind, lambdas, arch, opt, seed) for i in range(p)]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, p)  # a forked pool starts every worker at once
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_series = list(pool.map(_series_path, *zip(*tasks)))
     else:
         per_series = [_series_path(*task) for task in tasks]

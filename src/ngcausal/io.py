@@ -255,9 +255,9 @@ def save_checkpoint(model, path, metadata=None):
         "format_version": CHECKPOINT_VERSION,
         "p": model.p,
         "K": model.K,
-        "hidden_sizes": list(model.hidden_sizes),
-        "activation": model.activation,
-        "use_output_bias": model.use_output_bias,
+        "hidden_sizes": list(model.arch.hidden_sizes),
+        "activation": model.arch.activation,
+        "use_output_bias": model.arch.output_bias,
         "theta_hex": [float(v).hex() for v in model.theta],
         "metadata": metadata or {},
     }
@@ -276,8 +276,9 @@ def load_checkpoint(path):
         if doc["format_version"] != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {doc['format_version']}")
         theta = np.array([float.fromhex(h) for h in doc["theta_hex"]])
-        model = ComponentMLP(doc["p"], doc["K"], tuple(doc["hidden_sizes"]),
-                             doc["activation"], doc["use_output_bias"], theta=theta)
+        arch = Architecture(hidden_sizes=doc["hidden_sizes"], activation=doc["activation"],
+                            output_bias=doc["use_output_bias"])
+        model = ComponentMLP(doc["p"], doc["K"], arch, theta=theta)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
     return model, doc.get("metadata", {})

@@ -10,18 +10,31 @@ With no hidden layers the network degenerates to the linear autoregressive
 map (a single weight row plus bias), which is how the linear baseline is fit.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as kernels
 
-ACTIVATIONS = {"tanh": kernels.ACT_TANH, "relu": kernels.ACT_RELU}
+ACTIVATIONS = ("tanh", "relu")
 
 
-@dataclass
+def _count(name, value):
+    """``value`` as an int >= 1; a float is rejected, not truncated."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if n < 1:
+        raise ValueError(f"{name} must be >= 1, got {n}")
+    return n
+
+
+@dataclass(frozen=True)
 class Architecture:
-    """Network shape shared by all per-series models in an experiment."""
+    """Network shape shared by all per-series models in an experiment, and
+    the one check of it."""
 
     hidden_sizes: tuple = (10,)
     activation: str = "tanh"
@@ -29,11 +42,12 @@ class Architecture:
     init_scale: float = 0.1
 
     def __post_init__(self):
-        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError(f"hidden sizes must be >= 1, got {self.hidden_sizes}")
+        widths = tuple(_count("hidden sizes", h) for h in self.hidden_sizes)
+        object.__setattr__(self, "hidden_sizes", widths)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}; expected one of {sorted(ACTIVATIONS)}")
+        if not isinstance(self.output_bias, bool):
+            raise ValueError(f"output_bias must be true or false, got {self.output_bias!r}")
         if not (np.isfinite(self.init_scale) and self.init_scale >= 0):
             raise ValueError(f"init_scale must be finite and >= 0, got {self.init_scale}")
 
@@ -41,36 +55,25 @@ class Architecture:
 class ComponentMLP:
     """Flat-parameter MLP whose first layer is grouped by input series and lag.
 
-    All weights and biases live in one float64 vector ``theta``;
-    ``weight(l)`` and ``bias(l)`` return reshaped views into it, so
-    in-place edits through a view mutate the model.
+    Its shape is ``model.arch``, whose activation the kernels take by name.
+    All weights and biases live in one float64 vector ``theta``, layer l's
+    weight from ``w_off[l]`` and its bias from ``b_off[l]`` (``dims`` and the
+    offsets are tuples of ints); ``weight(l)`` and ``bias(l)`` return views
+    into it, so in-place edits through a view mutate the model.
     """
 
-    def __init__(self, p, K, hidden_sizes=(10,), activation="tanh",
-                 use_output_bias=True, theta=None):
-        if p < 1 or K < 1:
-            raise ValueError(f"need p >= 1 and K >= 1, got p={p}, K={K}")
-        self.p = int(p)
-        self.K = int(K)
-        self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        self.activation = activation
-        self.use_output_bias = bool(use_output_bias)
-
-        self.dims = np.array([self.p * self.K, *self.hidden_sizes, 1], dtype=np.int64)
-        n_layers = len(self.dims) - 1
-        w_off = np.empty(n_layers, dtype=np.int64)
-        b_off = np.empty(n_layers, dtype=np.int64)
-        off = 0
-        for l in range(n_layers):
-            w_off[l] = off
-            off += self.dims[l + 1] * self.dims[l]
-            b_off[l] = off
-            off += self.dims[l + 1]
-        self.w_off = w_off
-        self.b_off = b_off
-        self.n_params = int(off)
+    def __init__(self, p, K, arch, theta=None):
+        self.p = _count("p", p)
+        self.K = _count("K", K)
+        self.arch = arch
+        self.dims = (self.p * self.K, *arch.hidden_sizes, 1)
+        w_off, b_off, off = [], [], 0
+        for din, dout in zip(self.dims, self.dims[1:]):
+            w_off.append(off)
+            off += dout * din
+            b_off.append(off)
+            off += dout
+        self.w_off, self.b_off, self.n_params = tuple(w_off), tuple(b_off), off
 
         if theta is None:
             self.theta = np.zeros(self.n_params)
@@ -82,10 +85,6 @@ class ComponentMLP:
 
     # ------------------------------------------------------------ views
 
-    @property
-    def act_code(self):
-        return ACTIVATIONS[self.activation]
-
     def weight(self, l):
         return kernels.layer(self.theta, self.dims, self.w_off, self.b_off, l)[0]
 
@@ -95,17 +94,15 @@ class ComponentMLP:
     # ------------------------------------------------------------ misc
 
     def copy(self):
-        return ComponentMLP(self.p, self.K, self.hidden_sizes, self.activation,
-                            self.use_output_bias, theta=self.theta.copy())
+        return ComponentMLP(self.p, self.K, self.arch, theta=self.theta.copy())
 
     def __repr__(self):
-        return (f"ComponentMLP(p={self.p}, K={self.K}, hidden={self.hidden_sizes}, "
-                f"activation={self.activation!r})")
+        return f"ComponentMLP(p={self.p}, K={self.K}, arch={self.arch!r})"
 
 
 def init_model(p, K, arch, rng):
     """Seeded Gaussian init: per-layer std init_scale / sqrt(fan_in), zero biases."""
-    model = ComponentMLP(p, K, arch.hidden_sizes, arch.activation, arch.output_bias)
+    model = ComponentMLP(p, K, arch)
     for l in range(len(model.dims) - 1):
         fan_in = model.dims[l]
         std = arch.init_scale / np.sqrt(fan_in)
@@ -160,7 +157,7 @@ def predict(model, X):
     if X.ndim != 2 or X.shape[1] != model.dims[0]:
         raise ValueError(f"inputs must be (N, {model.dims[0]}), got {X.shape}")
     acts = kernels.layer_activations(model.theta, model.dims, model.w_off,
-                                     model.b_off, model.act_code, X)
+                                     model.b_off, model.arch.activation, X)
     return acts[-1][0]
 
 
@@ -173,9 +170,9 @@ def loss_and_grad(model, data, acts=None):
     """
     g = np.empty(model.n_params)
     val = kernels.mlp_loss_grad(model.theta, model.dims, model.w_off,
-                                model.b_off, model.act_code,
+                                model.b_off, model.arch.activation,
                                 data.inputs, data.targets, g, acts)
-    if not model.use_output_bias:
+    if not model.arch.output_bias:
         g[model.b_off[-1]] = 0.0
     return float(val), g
 

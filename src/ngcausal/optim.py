@@ -120,7 +120,7 @@ def fit(data, spec, start, opt):
                 f"model expects p={model.p}, K={model.K} but data has "
                 f"p={data.p}, K={data.K}")
         loss_val, acts = kernels.mlp_loss(model.theta, model.dims, model.w_off,
-                                          model.b_off, model.act_code,
+                                          model.b_off, model.arch.activation,
                                           data.inputs, data.targets)
         loss_val = float(loss_val)
     model = model.copy()
@@ -148,7 +148,7 @@ def fit(data, spec, start, opt):
             cand = model.theta - step * g
             pen = apply_prox(spec, model, cand, step)
             new_loss, new_acts = kernels.mlp_loss(cand, model.dims, model.w_off,
-                                                  model.b_off, model.act_code,
+                                                  model.b_off, model.arch.activation,
                                                   data.inputs, data.targets)
             new_loss = float(new_loss)
             delta = cand - model.theta

@@ -482,7 +482,11 @@ class TestExitCodes:
         ({"var": {"magnitude": float("nan")}},
          "generator: magnitude must be finite and > 0, got nan"),
         ({"var": {"noise_sigma": float("nan")}},
-         "generator: noise_sigma must be finite and > 0, got nan")])
+         "generator: noise_sigma must be finite and > 0, got nan"),
+        # far beyond any address space: the allocator refuses it at once
+        ({"p": 4, "T": 10 ** 12},
+         "generator: Unable to allocate 29.1 TiB for an array with shape "
+         "(1000000000050, 4) and data type float64")])
     def test_generator_error_names_its_section_2(self, tmp_path, capsys,
                                                  generator, message):
         cfg = write_config(tmp_path / "c.yaml", generator=generator)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ngcausal import evaluation
 from ngcausal.datasets import VarGenConfig, standardize
 from ngcausal.evaluation import (DegenerateTruthError, auc,
                                  edge_rates, lag_profile, lambda_grid,
@@ -20,7 +21,7 @@ def models_with_norms(norm_rows):
     p = len(norm_rows)
     models = []
     for row in norm_rows:
-        m = ComponentMLP(p=p, K=1, hidden_sizes=())
+        m = ComponentMLP(p=p, K=1, arch=Architecture(hidden_sizes=()))
         m.weight(0)[0] = row
         models.append(m)
     return models
@@ -33,7 +34,7 @@ def stack_graph(models):
 
 class TestAssembleGraph:
     def test_zero_models_give_zero_graph(self):
-        models = [ComponentMLP(p=3, K=2, hidden_sizes=(2,)) for _ in range(3)]
+        models = [ComponentMLP(p=3, K=2, arch=Architecture(hidden_sizes=(2,))) for _ in range(3)]
         assert np.array_equal(stack_graph(models), np.zeros((3, 3)))
 
     def test_direct_placement(self):
@@ -52,7 +53,7 @@ class TestAssembleGraph:
 
 class TestLagProfile:
     def test_zero_model(self):
-        m = ComponentMLP(p=3, K=4, hidden_sizes=(2,))
+        m = ComponentMLP(p=3, K=4, arch=Architecture(hidden_sizes=(2,)))
         assert np.array_equal(lag_profile(m), np.zeros((3, 4)))
 
     def test_row_sums_match_granger_weights(self):
@@ -63,7 +64,7 @@ class TestLagProfile:
         assert np.allclose((lp ** 2).sum(axis=1), gw ** 2, rtol=1e-12)
 
     def test_known_entries(self):
-        m = ComponentMLP(p=2, K=2, hidden_sizes=(1,))
+        m = ComponentMLP(p=2, K=2, arch=Architecture(hidden_sizes=(1,)))
         m.weight(0)[0] = [3.0, 0.0, 4.0, 0.0]  # series 0: lag1=3, lag2=4
         lp = lag_profile(m)
         assert np.array_equal(lp, [[3.0, 4.0], [0.0, 0.0]])
@@ -226,6 +227,31 @@ class TestSweepPath:
             assert np.array_equal(granger_weights(ma), a.graphs[-1][i])
             assert np.array_equal(lag_profile(ma), a.lag_profiles[-1][i])
 
+    @pytest.mark.parametrize("p,expected", [(10, [10]), (1, [])])
+    def test_pool_has_at_most_one_worker_per_series(self, monkeypatch, p, expected):
+        # a forked pool starts all its workers at once: this fake starts none
+        pools = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(evaluation.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        ts = standardize(VarGenConfig(p=p, K=1, burn_in=50).generate(60, 0)[0])[0]
+        sw = sweep_path(ts, 1, "group", [1.0], Architecture(hidden_sizes=()),
+                        OptimizerConfig(max_iters=50), seed=0, jobs=500)
+        assert pools == expected
+        assert len(sw.models) == p
+
     @pytest.mark.parametrize("kind", ["group", "hierarchical"])
     def test_equals_chain_of_cold_fits(self, kind):
         # sweep_path starts each fit warm from the one before; fits from the
@@ -258,7 +284,7 @@ class TestSweepPath:
         lams = lambda_grid(lambda_max_linear(ts, 2), 3, 20.0)
         arch = Architecture(hidden_sizes=(4,))
         sw = sweep_path(ts, 2, "group", lams, arch, OptimizerConfig(), seed=4, jobs=jobs)
-        fresh = vars(ComponentMLP(3, 2, hidden_sizes=(4,)))
+        fresh = vars(ComponentMLP(3, 2, Architecture(hidden_sizes=(4,))))
         for model in sw.models:
             assert vars(model).keys() == fresh.keys()
 

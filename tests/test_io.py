@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -124,9 +125,9 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         loaded, _ = load_checkpoint(path)
-        assert loaded.hidden_sizes == ()
-        assert loaded.use_output_bias is False
-        assert loaded.activation == model.activation
+        assert loaded.arch.hidden_sizes == ()
+        assert loaded.arch.output_bias is False
+        assert loaded.arch.activation == model.arch.activation
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -144,6 +145,21 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format_version": 99}))
         with pytest.raises(DataError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key,value,n_theta", [
+        ("hidden_sizes", [0], 1),       # theta of a zero-width layer: the output bias
+        ("hidden_sizes", [2.5], 9),     # theta sized for width 2
+        ("use_output_bias", "no", 9),
+        ("p", 2.5, 9)])                 # theta sized for p=2
+    def test_shape_architecture_rejects_is_data_error(self, tmp_path, key, value, n_theta):
+        doc = {"format_version": 1, "p": 2, "K": 1, "hidden_sizes": [2],
+               "activation": "tanh", "use_output_bias": True,
+               "theta_hex": [(0.0).hex()] * n_theta, "metadata": {}}
+        doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(f"{path}: malformed checkpoint")):
             load_checkpoint(path)
 
     def test_deterministic_bytes(self, tmp_path):

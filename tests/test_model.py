@@ -92,19 +92,19 @@ def predict_one(model, x):
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
-        model = ComponentMLP(p=3, K=2, hidden_sizes=(4,))
+        model = ComponentMLP(p=3, K=2, arch=Architecture(hidden_sizes=(4,)))
         assert predict_one(model, np.ones(6)) == 0.0
 
     def test_linear_reduction(self):
         # no hidden layers: output = w x + bias, the one-lag linear map
-        model = ComponentMLP(p=1, K=1, hidden_sizes=())
+        model = ComponentMLP(p=1, K=1, arch=Architecture(hidden_sizes=()))
         model.weight(0)[0, 0] = 0.5
         model.bias(0)[0] = 0.25
         assert predict_one(model, [2.0]) == 0.5 * 2.0 + 0.25
 
     def test_tanh_hand_case(self):
         # H1=1, first-layer row (1, 0), unit decoder: output = tanh(0.5)
-        model = ComponentMLP(p=2, K=1, hidden_sizes=(1,), activation="tanh")
+        model = ComponentMLP(p=2, K=1, arch=Architecture(hidden_sizes=(1,), activation="tanh"))
         model.weight(0)[0] = [1.0, 0.0]
         model.weight(1)[0, 0] = 1.0
         out = predict_one(model, [0.5, 7.0])
@@ -112,7 +112,7 @@ class TestForward:
         assert np.isclose(out, 0.46211715726000974, atol=1e-12)
 
     def test_dimension_mismatch(self):
-        model = ComponentMLP(p=2, K=2, hidden_sizes=(3,))
+        model = ComponentMLP(p=2, K=2, arch=Architecture(hidden_sizes=(3,)))
         with pytest.raises(ValueError):
             predict_one(model, np.ones(3))
 
@@ -131,7 +131,7 @@ class TestLoss:
 
     def test_zero_model_sums_squared_targets(self):
         from ngcausal.model import LaggedDataset
-        model = ComponentMLP(p=1, K=1, hidden_sizes=(2,))
+        model = ComponentMLP(p=1, K=1, arch=Architecture(hidden_sizes=(2,)))
         data = LaggedDataset(inputs=np.zeros((2, 1)), targets=np.array([1.0, 2.0]), p=1, K=1)
         assert loss_and_grad(model, data)[0] == 5.0
 
@@ -154,9 +154,7 @@ class TestGrad:
         _, g = loss_and_grad(model, data)
 
         def f(theta):
-            probe = ComponentMLP(model.p, model.K, model.hidden_sizes,
-                                 model.activation, model.use_output_bias,
-                                 theta=theta.copy())
+            probe = ComponentMLP(model.p, model.K, model.arch, theta=theta.copy())
             return loss_and_grad(probe, data)[0]
 
         fd = finite_diff_grad(f, model.theta, h=1e-6)
@@ -190,12 +188,12 @@ class TestGrad:
 
 class TestGrangerWeights:
     def test_zero_first_layer(self):
-        model = ComponentMLP(p=4, K=3, hidden_sizes=(5,))
+        model = ComponentMLP(p=4, K=3, arch=Architecture(hidden_sizes=(5,)))
         assert np.array_equal(granger_weights(model), np.zeros(4))
 
     def test_three_four_five(self):
         # K=2, H1=1, column weights (3, 4) stack to norm 5
-        model = ComponentMLP(p=1, K=2, hidden_sizes=(1,))
+        model = ComponentMLP(p=1, K=2, arch=Architecture(hidden_sizes=(1,)))
         model.weight(0)[0] = [3.0, 4.0]
         assert granger_weights(model)[0] == 5.0
 
@@ -227,7 +225,7 @@ class TestLinearEquivalence:
         X = gen.normal(size=(N, p * K))
         y = gen.normal(size=N)
         data = LaggedDataset(inputs=X, targets=y, p=p, K=K)
-        model = ComponentMLP(p, K, hidden_sizes=())
+        model = ComponentMLP(p, K, Architecture(hidden_sizes=()))
         w = gen.normal(size=p * K)
         b = 0.3
         model.weight(0)[0] = w
@@ -242,13 +240,13 @@ class TestLinearEquivalence:
 
 
 class TestArchitecture:
-    def test_bad_activation_rejected(self):
+    @pytest.mark.parametrize("field", [
+        {"activation": "sigmoid"}, {"hidden_sizes": (0,)},
+        # a float width is not truncated, and a string is no bool
+        {"hidden_sizes": (2.5,)}, {"output_bias": "no"}])
+    def test_bad_field_rejected(self, field):
         with pytest.raises(ValueError):
-            Architecture(activation="sigmoid")
-
-    def test_bad_hidden_rejected(self):
-        with pytest.raises(ValueError):
-            Architecture(hidden_sizes=(0,))
+            Architecture(**field)
 
     def test_output_bias_off_stays_zero(self):
         arch = Architecture(hidden_sizes=(3,), output_bias=False)

@@ -96,7 +96,7 @@ class TestObjective:
                 == loss_and_grad(model, data)[0])
 
     def test_zero_model_zero_targets(self):
-        model = ComponentMLP(2, 1, hidden_sizes=(3,))
+        model = ComponentMLP(2, 1, Architecture(hidden_sizes=(3,)))
         data = LaggedDataset(inputs=np.ones((4, 2)), targets=np.zeros(4), p=2, K=1)
         assert fit_objective(model, data, PenaltySpec("group", 3.0)) == 0.0
 
@@ -123,7 +123,7 @@ class TestProxStep:
         # zero network on zero targets is an exact stationary point
         data = small_dataset(6)
         data.targets[:] = 0.0
-        model = ComponentMLP(3, 2, hidden_sizes=(3,))
+        model = ComponentMLP(3, 2, Architecture(hidden_sizes=(3,)))
         new_model, _ = one_prox_step(model, data, PenaltySpec("group", 0.0), step=1e-3)
         assert np.array_equal(new_model.theta, model.theta)
 
@@ -132,7 +132,7 @@ class TestProxStep:
         X = np.array([[1.0], [2.0], [-1.0]])
         y = np.array([0.5, 1.5, -0.2])
         data = LaggedDataset(inputs=X, targets=y, p=1, K=1)
-        model = ComponentMLP(1, 1, hidden_sizes=())
+        model = ComponentMLP(1, 1, Architecture(hidden_sizes=()))
         w, b, step, lam = 0.3, 0.1, 0.05, 2.0
         model.weight(0)[0, 0] = w
         model.bias(0)[0] = b
@@ -240,7 +240,7 @@ class TestFit:
             g_prev = g
             while True:
                 cand = model.theta - step * g
-                probe = ComponentMLP(3, 2, arch.hidden_sizes, theta=cand.copy())
+                probe = ComponentMLP(3, 2, arch, theta=cand.copy())
                 new_loss = loss_and_grad(probe, data)[0]
                 delta = cand - model.theta
                 if new_loss <= (val + g @ delta + (delta @ delta) / (2 * step)

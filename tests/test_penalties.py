@@ -13,7 +13,7 @@ def prox_column(kind, col, threshold):
     """apply_prox on one series' (H, K) column group: a p=1 model whose first
     layer is col, at step 1, so the threshold is lam."""
     col = np.asarray(col, dtype=np.float64)
-    model = ComponentMLP(p=1, K=col.shape[1], hidden_sizes=(col.shape[0],))
+    model = ComponentMLP(p=1, K=col.shape[1], arch=Architecture(hidden_sizes=(col.shape[0],)))
     model.weight(0)[...] = col
     apply_prox(PenaltySpec(kind, threshold), model, model.theta, step=1.0)
     return model.weight(0).copy()
@@ -48,19 +48,19 @@ def prox_objective_minimizer(v, t):
 
 class TestPenaltyValue:
     def test_zero_first_layer_any_kind(self):
-        model = ComponentMLP(p=3, K=2, hidden_sizes=(4,))
+        model = ComponentMLP(p=3, K=2, arch=Architecture(hidden_sizes=(4,)))
         for kind in ("none", "group", "hierarchical"):
             assert penalty_value(PenaltySpec(kind, 2.0), model) == 0.0
 
     def test_group_hand_case(self):
         # single column, K=2, H1=1, weights (3, 4): 2 * ||(3,4)|| = 10
-        model = ComponentMLP(p=1, K=2, hidden_sizes=(1,))
+        model = ComponentMLP(p=1, K=2, arch=Architecture(hidden_sizes=(1,)))
         model.weight(0)[0] = [3.0, 4.0]
         assert penalty_value(PenaltySpec("group", 2.0), model) == 10.0
 
     def test_hierarchical_hand_case(self):
         # nested sums: sqrt(3^2+4^2) + sqrt(4^2) = 5 + 4 = 9
-        model = ComponentMLP(p=1, K=2, hidden_sizes=(1,))
+        model = ComponentMLP(p=1, K=2, arch=Architecture(hidden_sizes=(1,)))
         model.weight(0)[0] = [3.0, 4.0]
         assert np.isclose(penalty_value(PenaltySpec("hierarchical", 1.0), model), 9.0,
                           rtol=1e-14)
@@ -256,6 +256,6 @@ class TestApplyProx:
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_step_must_be_positive(self):
-        model = ComponentMLP(2, 1, hidden_sizes=())
+        model = ComponentMLP(2, 1, Architecture(hidden_sizes=()))
         with pytest.raises(ValueError):
             apply_prox(PenaltySpec("group", 1.0), model, model.theta, step=0.0)

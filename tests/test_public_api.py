@@ -39,14 +39,31 @@ def test_removed_helper_not_exported(name):
     ("ComponentMLP", "output_bias"), ("SeededRng", "child"),
     ("OptimizerConfig", "backtracking"), ("OptimizerConfig", "backtrack_factor"),
     ("optim", "ForwardPass"), ("ComponentMLP", "first_layer_packed"),
-    ("ComponentMLP", "n_layers")])
+    ("ComponentMLP", "n_layers"), ("_kernels", "ACT_TANH"),
+    ("_kernels", "ACT_RELU")])
 def test_removed_method_absent(owner, name):
     assert not hasattr(getattr(ngcausal, owner), name)
 
 
-def test_fit_parameters():
-    assert list(inspect.signature(ngcausal.fit).parameters) == ["data", "spec",
-                                                                "start", "opt"]
+@pytest.mark.parametrize("name", ["hidden_sizes", "activation",
+                                  "use_output_bias", "act_code"])
+def test_model_keeps_no_shape_copy(name):
+    # the shape lives on model.arch alone
+    model = ngcausal.ComponentMLP(2, 1, ngcausal.Architecture())
+    assert not hasattr(model, name)
+
+
+@pytest.mark.parametrize("func,params", [
+    ("fit", ["data", "spec", "start", "opt"]),
+    ("ComponentMLP", ["p", "K", "arch", "theta"])])
+def test_parameters(func, params):
+    assert list(inspect.signature(getattr(ngcausal, func)).parameters) == params
+
+
+def test_architecture_is_frozen():
+    arch = ngcausal.Architecture()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        arch.hidden_sizes = (0,)
 
 
 def test_lagged_dataset_fields():
