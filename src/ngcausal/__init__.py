@@ -13,27 +13,24 @@ from .datasets import (LorenzGenConfig, SimulationError, VarGenConfig,
                        lorenz_truth, make_sparse_var, simulate_lorenz,
                        simulate_var, spectral_radius, standardize)
 from .model import (Architecture, ComponentMLP, LaggedDataset, build_lagged,
-                    granger_weights, init_model, loss_and_grad, predict)
+                    init_model, loss_and_grad, predict)
 from .penalties import PenaltySpec, apply_prox, penalty_value
 from .optim import FitResult, OptimizationError, OptimizerConfig, fit
-from .evaluation import (DegenerateTruthError, ExperimentResult, SweepResult,
-                         auc, edge_rates, lag_profile,
-                         lambda_grid, lambda_max_linear, roc_points,
-                         run_experiment, sweep_path)
+from .evaluation import (DegenerateTruthError, SweepResult, auc, edge_rates,
+                         lambda_grid, lambda_max_linear, roc_points, sweep_path)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Architecture", "ComponentMLP", "DegenerateTruthError", "ExperimentResult",
+    "Architecture", "ComponentMLP", "DegenerateTruthError",
     "FitResult", "LaggedDataset", "LorenzGenConfig",
     "OptimizationError", "OptimizerConfig", "PenaltySpec", "SeededRng",
     "SimulationError", "SweepResult", "VarGenConfig", "VarProcess",
     "apply_prox", "auc", "build_lagged",
     "child_seed", "companion_matrix", "edge_rates", "fit",
-    "granger_weights", "init_model",
-    "lag_profile", "lambda_grid", "lambda_max_linear", "lorenz_derivative",
+    "init_model", "lambda_grid", "lambda_max_linear", "lorenz_derivative",
     "lorenz_truth", "loss_and_grad", "make_sparse_var",
-    "penalty_value", "predict", "roc_points", "run_experiment",
+    "penalty_value", "predict", "roc_points",
     "simulate_lorenz", "simulate_var", "spectral_radius", "standardize",
     "sweep_path",
 ]

@@ -60,33 +60,24 @@ def layer_activations(theta, dims, w_off, b_off, act, X):
     return acts
 
 
-def _forward(theta, dims, w_off, b_off, act, X, y):
-    """Activations of :func:`layer_activations` with the output row replaced,
-    in place, by the residual ``output - y``."""
-    acts = layer_activations(theta, dims, w_off, b_off, act, X)
-    acts[-1][0] -= y
-    return acts
-
-
 def mlp_loss(theta, dims, w_off, b_off, act, X, y):
     """Sum of squared residuals over all rows of X, and the forward pass that
-    :func:`mlp_loss_grad` can reuse: the activations of
+    :func:`mlp_loss_grad` takes: the activations of
     :func:`layer_activations` whose last entry holds the (1, N) residual
-    instead of the output."""
-    acts = _forward(theta, dims, w_off, b_off, act, X, y)
+    ``output - y`` instead of the output."""
+    acts = layer_activations(theta, dims, w_off, b_off, act, X)
     r = acts[-1][0]
+    r -= y
     return np.dot(r, r), acts
 
 
-def mlp_loss_grad(theta, dims, w_off, b_off, act, X, y, grad, acts=None):
+def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts):
     """Loss plus exact reverse-mode gradient, written into ``grad``.
 
     ``acts`` is the forward pass :func:`mlp_loss` returned for this same
-    ``theta``, ``X`` and ``y``; given it, neither the forward pass nor the
+    ``theta`` on the rows ``X``, so neither the forward pass nor the
     residual is computed again.
     """
-    if acts is None:
-        acts = _forward(theta, dims, w_off, b_off, act, X, y)
     L = len(dims) - 1
     r = acts[-1][0]
     loss = np.dot(r, r)

@@ -2,9 +2,10 @@
 
 A causal graph is a (p, p) nonnegative array: entry (i, j) is the strength
 of "series j drives series i", the norm of series j's first-layer column
-group in the model fit to series i.  Because the prox writes exact zeros,
-an edge is predicted iff its weight is strictly positive; ROC curves come
-from sweeping a descending lambda grid.
+group in the model fit to series i, which is the norm of the (i, j) row of
+the fit's lag profile.  Because the prox writes exact zeros, an edge is
+predicted iff its weight is strictly positive; ROC curves come from
+sweeping a descending lambda grid.
 """
 
 import concurrent.futures
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
-from .datasets import standardize
-from .model import build_lagged, granger_weights, init_model
+from .model import build_lagged, init_model
 from .numerics import SeededRng, child_seed
 from .optim import OptimizationError, fit
 from .penalties import PenaltySpec
@@ -22,14 +22,6 @@ from .penalties import PenaltySpec
 
 class DegenerateTruthError(ValueError):
     """Ground truth has no positives or no negatives among scored entries."""
-
-
-# ------------------------------------------------------------ graph building
-
-
-def lag_profile(model):
-    """Per-(input series, lag) first-layer block norms, shape (p, K)."""
-    return kernels.lag_norms(model.weight(0), model.p, model.K)
 
 
 # --------------------------------------------------------------- ROC and AUC
@@ -136,12 +128,12 @@ class SweepResult:
     plus each series' model at the last lambda."""
 
     lambdas: np.ndarray
-    graphs: list            # per lambda: (p, p) weights
-    lag_profiles: list      # per lambda: (p, p, K), [output i, input j, lag k]
-    iterations: np.ndarray  # (n_lambda, p)
-    converged: np.ndarray   # (n_lambda, p) bool
-    objectives: np.ndarray  # (n_lambda, p) final penalized objective
-    models: list            # per series: ComponentMLP fit at lambdas[-1]
+    graphs: list              # per lambda: (p, p) lag-profile row norms
+    lag_profiles: np.ndarray  # (n_lambda, p, p, K): [lambda, output i, input j, lag k]
+    iterations: np.ndarray    # (n_lambda, p)
+    converged: np.ndarray     # (n_lambda, p) bool
+    objectives: np.ndarray    # (n_lambda, p) final penalized objective
+    models: list              # per series: ComponentMLP fit at lambdas[-1]
 
     def active_edges(self):
         return np.array([int(np.count_nonzero(g > 0)) for g in self.graphs])
@@ -151,16 +143,22 @@ class SweepResult:
 
 
 def _series_path(ts, K, i, kind, lambdas, arch, opt, seed):
-    """Warm-started descent of one series' model down the lambda grid: the
-    per-lambda records and the model at the last lambda.
+    """Warm-started descent of one series' model down the lambda grid.
 
-    Each fit starts warm from the previous one's FitResult, which is dropped
-    with the path: ``models`` keeps no forward pass.
+    Returns the (n_lambda, p, K) lag profiles of its fits, their (n_lambda,)
+    iteration counts, converged flags and final objectives, and the model
+    at the last lambda.  Each fit starts warm from the previous one's
+    FitResult, which is dropped with the path: the model keeps no forward
+    pass.
     """
     data = build_lagged(ts, K, i)
     start = init_model(data.p, data.K, arch, SeededRng(child_seed(seed, i)))
-    out = []
-    for lam in lambdas:
+    n_lam = len(lambdas)
+    lags = np.empty((n_lam, data.p, K))
+    iterations = np.empty(n_lam, dtype=np.int64)
+    converged = np.empty(n_lam, dtype=bool)
+    objectives = np.empty(n_lam)
+    for li, lam in enumerate(lambdas):
         spec = PenaltySpec(kind=kind, lam=float(lam))
         try:
             # fit raises on any non-finite value, so numpy's overflow
@@ -169,10 +167,11 @@ def _series_path(ts, K, i, kind, lambdas, arch, opt, seed):
                 start = fit(data, spec, start, opt)
         except OptimizationError as exc:
             raise OptimizationError(f"series {i} at lambda {lam:.6g}: {exc}") from exc
-        out.append((granger_weights(start.model), lag_profile(start.model),
-                    start.iterations_run, start.converged,
-                    float(start.objective_trace[-1])))
-    return out, start.model
+        lags[li] = kernels.lag_norms(start.model.weight(0), data.p, K)
+        iterations[li] = start.iterations_run
+        converged[li] = start.converged
+        objectives[li] = start.objective_trace[-1]
+    return lags, iterations, converged, objectives, start.model
 
 
 def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
@@ -180,7 +179,9 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
 
     Fits for different series are independent and run on a pool of
     min(jobs, p) processes when that is more than one.  Results are
-    deterministic in (ts, configs, seed) regardless of jobs.  ``models``
+    deterministic in (ts, configs, seed) regardless of jobs.  Graph entry
+    (i, j) is the norm of lag-profile row (i, j): zero exactly when every
+    first-layer weight series j feeds into model i is zero.  ``models``
     holds each series' model at the last lambda, so a one-lambda sweep is a
     plain fit of every series.  A failing fit raises OptimizationError naming
     its series and lambda; with several failures, the lowest series index is
@@ -203,65 +204,12 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     else:
         per_series = [_series_path(*task) for task in tasks]
 
-    n_lam = lambdas.size
-    graphs = [np.empty((p, p)) for _ in range(n_lam)]
-    lag_profiles = [np.empty((p, p, K)) for _ in range(n_lam)]
-    iterations = np.empty((n_lam, p), dtype=np.int64)
-    converged = np.empty((n_lam, p), dtype=bool)
-    objectives = np.empty((n_lam, p))
-    for i, (path, _) in enumerate(per_series):
-        for li, (gw, lp, iters, conv, obj) in enumerate(path):
-            graphs[li][i] = gw
-            lag_profiles[li][i] = lp
-            iterations[li, i] = iters
-            converged[li, i] = conv
-            objectives[li, i] = obj
-    return SweepResult(lambdas=lambdas, graphs=graphs, lag_profiles=lag_profiles,
-                       iterations=iterations, converged=converged,
-                       objectives=objectives,
-                       models=[model for _, model in per_series])
-
-
-# --------------------------------------------------------------- experiments
-
-
-@dataclass
-class ExperimentResult:
-    """Per-seed AUC table plus the full sweeps behind it."""
-
-    seeds: list
-    aucs: np.ndarray            # diagonal included in scoring
-    aucs_excl_diag: np.ndarray  # NaN when off-diagonal truth is degenerate
-    sweeps: list
-    truths: list
-
-    def mean_auc(self):
-        return float(self.aucs.mean())
-
-
-def run_experiment(generator, T, K, arch, opt, penalty_kind, seeds,
-                   grid_size=20, grid_ratio=100.0, jobs=1):
-    """Generate -> standardize -> sweep -> score, once per seed.
-
-    Each seed's grid is anchored at its own linear-proxy lambda_max.
-    Everything is deterministic in (configs, seeds).
-    """
-    seeds = list(seeds)
-    aucs = np.empty(len(seeds))
-    aucs_nd = np.empty(len(seeds))
-    sweeps = []
-    truths = []
-    for si, seed in enumerate(seeds):
-        ts, truth = generator.generate(T, seed)
-        ts = standardize(ts)[0]
-        lams = lambda_grid(lambda_max_linear(ts, K), grid_size, grid_ratio)
-        sw = sweep_path(ts, K, penalty_kind, lams, arch, opt, seed, jobs=jobs)
-        aucs[si] = auc(roc_points(truth, sw.graphs, include_diagonal=True))
-        try:
-            aucs_nd[si] = auc(roc_points(truth, sw.graphs, include_diagonal=False))
-        except DegenerateTruthError:
-            aucs_nd[si] = np.nan
-        sweeps.append(sw)
-        truths.append(truth)
-    return ExperimentResult(seeds=seeds, aucs=aucs, aucs_excl_diag=aucs_nd,
-                            sweeps=sweeps, truths=truths)
+    lags, iterations, converged, objectives, models = zip(*per_series)
+    lag_profiles = np.stack(lags, axis=1)
+    return SweepResult(lambdas=lambdas,
+                       graphs=list(np.sqrt((lag_profiles ** 2).sum(axis=3))),
+                       lag_profiles=lag_profiles,
+                       iterations=np.stack(iterations, axis=1),
+                       converged=np.stack(converged, axis=1),
+                       objectives=np.stack(objectives, axis=1),
+                       models=list(models))

@@ -21,8 +21,10 @@ ACTIVATIONS = ("tanh", "relu")
 
 
 def _count(name, value):
-    """``value`` as an int >= 1; a float is rejected, not truncated."""
+    """``value`` as an int >= 1; a float or bool is rejected, not converted."""
     try:
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
@@ -168,19 +170,13 @@ def loss_and_grad(model, data, acts=None):
     ``acts`` are activations that ``kernels.mlp_loss`` returned for this
     model's current theta on ``data``; they stand in for a new forward pass.
     """
+    if acts is None:
+        acts = kernels.mlp_loss(model.theta, model.dims, model.w_off, model.b_off,
+                                model.arch.activation, data.inputs, data.targets)[1]
     g = np.empty(model.n_params)
     val = kernels.mlp_loss_grad(model.theta, model.dims, model.w_off,
                                 model.b_off, model.arch.activation,
-                                data.inputs, data.targets, g, acts)
+                                data.inputs, g, acts)
     if not model.arch.output_bias:
         g[model.b_off[-1]] = 0.0
     return float(val), g
-
-
-def granger_weights(model):
-    """Norm of each input series' first-layer column group, length p.
-
-    Entry j is zero exactly when every first-layer weight fed by series j is
-    zero, in which case the prediction cannot depend on series j's history.
-    """
-    return kernels.group_norms(model.weight(0), model.p, model.K)

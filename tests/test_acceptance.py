@@ -24,8 +24,9 @@ import pytest
 import yaml
 
 from ngcausal.cli import main
-from ngcausal.datasets import LorenzGenConfig, VarGenConfig
-from ngcausal.evaluation import edge_rates, run_experiment
+from ngcausal.datasets import LorenzGenConfig, VarGenConfig, standardize
+from ngcausal.evaluation import (auc, edge_rates, lambda_grid, lambda_max_linear,
+                                 roc_points, sweep_path)
 from ngcausal.model import Architecture
 from ngcausal.optim import OptimizerConfig
 
@@ -44,15 +45,26 @@ LAG_ORDER_FLOOR = 0.524
 
 
 def _sweeps(generator, kind, jobs=1):
-    return run_experiment(generator, T=1000, K=3,
-                          arch=Architecture(hidden_sizes=(10,)),
-                          opt=OptimizerConfig(), penalty_kind=kind,
-                          seeds=SEEDS, grid_size=20, grid_ratio=100.0, jobs=jobs)
+    """Per seed: (AUC, sweep, truth) of a standardized series swept down a
+    grid anchored at its own lambda_max."""
+    runs = []
+    for seed in SEEDS:
+        ts, truth = generator.generate(1000, seed)
+        ts = standardize(ts)[0]
+        lams = lambda_grid(lambda_max_linear(ts, 3), 20, 100.0)
+        sw = sweep_path(ts, 3, kind, lams, Architecture(hidden_sizes=(10,)),
+                        OptimizerConfig(), seed, jobs=jobs)
+        runs.append((auc(roc_points(truth, sw.graphs)), sw, truth))
+    return runs
 
 
-def _capped_and_iterations(result):
-    capped = sum(int((~sw.converged).sum()) for sw in result.sweeps)
-    iters = sum(int(sw.iterations.sum()) for sw in result.sweeps)
+def _aucs(runs):
+    return np.array([a for a, _, _ in runs])
+
+
+def _capped_and_iterations(runs):
+    capped = sum(int((~sw.converged).sum()) for _, sw, _ in runs)
+    iters = sum(int(sw.iterations.sum()) for _, sw, _ in runs)
     return capped, iters
 
 
@@ -68,34 +80,36 @@ def lorenz_sweeps():
 
 
 def test_var_mean_auc_floor(var_sweeps):
-    kind, result = var_sweeps
-    mean = result.mean_auc()
+    kind, runs = var_sweeps
+    aucs = _aucs(runs)
+    mean = float(aucs.mean())
     print(f"\nVAR {kind}: mean AUC {mean:.4f} over seeds {list(SEEDS)} "
           f"(floor {AUC_FLOORS[kind]}); per seed "
-          + ", ".join(f"{a:.4f}" for a in result.aucs))
+          + ", ".join(f"{a:.4f}" for a in aucs))
     assert mean >= AUC_FLOORS[kind]
 
 
 def test_var_fits_all_converge(var_sweeps):
     # early stopping sets graph quality: a fit capped at max_iters is a defect
-    kind, result = var_sweeps
-    capped, iters = _capped_and_iterations(result)
+    kind, runs = var_sweeps
+    capped, iters = _capped_and_iterations(runs)
     print(f"\nVAR {kind}: {iters} iterations, {capped} capped fits")
     assert capped == 0
 
 
 def test_var_iteration_ceiling(var_sweeps):
-    kind, result = var_sweeps
-    _, iters = _capped_and_iterations(result)
+    kind, runs = var_sweeps
+    _, iters = _capped_and_iterations(runs)
     print(f"\nVAR {kind}: {iters} iterations (ceiling {VAR_ITERATION_CEILING})")
     assert iters <= VAR_ITERATION_CEILING
 
 
 def test_lorenz_mean_auc_floor(lorenz_sweeps):
-    mean = lorenz_sweeps.mean_auc()
+    aucs = _aucs(lorenz_sweeps)
+    mean = float(aucs.mean())
     print(f"\nLorenz group: mean AUC {mean:.4f} over seeds {list(SEEDS)} "
           f"(floor {LORENZ_AUC_FLOOR}); per seed "
-          + ", ".join(f"{a:.4f}" for a in lorenz_sweeps.aucs))
+          + ", ".join(f"{a:.4f}" for a in aucs))
     assert mean >= LORENZ_AUC_FLOOR
 
 
@@ -105,11 +119,11 @@ def test_lorenz_fits_all_converge(lorenz_sweeps):
     assert capped == 0
 
 
-def _lag_order_one_share(result):
+def _lag_order_one_share(runs):
     """Per seed, at the lambda that maximizes TPR - FPR: the share of the
     recovered true edges whose lag profile is zero beyond lag 1."""
     shares = []
-    for sw, truth in zip(result.sweeps, result.truths):
+    for _, sw, truth in runs:
         rates = [edge_rates(truth, g) for g in sw.graphs]
         best = int(np.argmax([tpr - fpr for fpr, tpr in rates]))
         found = (truth > 0) & (sw.graphs[best] > 0)

@@ -97,8 +97,8 @@ def test_tracer_counts_of_a_sweep(harness, tmp_path):
     assert calls["kernels.mlp_loss"] == calls["kernels.prox"] + p
     # the prox returns each candidate's penalty; fit computes it only at its start
     assert calls["penalties.penalty_value"] == p * n_lam
-    # per fit: granger_weights, lag_profile and the starting penalty_value
-    assert calls["kernels.norms"] == 3 * p * n_lam
+    # per fit: the lag profile and the starting penalty_value
+    assert calls["kernels.norms"] == 2 * p * n_lam
     assert 0 < counts["optim.self_s"] < tracer.seconds["optim.fit"]
     # the flop counter reads dims and X from the kernels' positional arguments
     pairs = (p * K) * hidden + hidden

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import yaml
 
+from ngcausal import _kernels as kernels
 from ngcausal import cli
 from ngcausal.cli import main
 from ngcausal.io import (load_checkpoint, read_auc_csv, read_dataset_csv,
                          read_matrix_csv, write_dataset_csv)
-from ngcausal.model import granger_weights
 
 
 def write_config(path, **overrides):
@@ -116,9 +116,11 @@ class TestFit:
         for i in range(4):
             model, meta = load_checkpoint(out / f"checkpoint_series_{i}.json")
             assert meta["series_index"] == i
-            assert np.array_equal(granger_weights(model), graph[i])
             lags = read_matrix_csv(out / f"lags_series_{i}.csv")
             assert lags.shape == (4, 1)
+            assert np.array_equal(np.sqrt((lags ** 2).sum(-1)), graph[i])
+            groups = kernels.group_norms(model.weight(0), model.p, model.K)
+            assert np.array_equal(graph[i] > 0, groups > 0)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_refit_identical_bytes(self, tmp_path, jobs):

@@ -3,14 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from ngcausal import _kernels as kernels
 from ngcausal import evaluation
 from ngcausal.datasets import VarGenConfig, standardize
-from ngcausal.evaluation import (DegenerateTruthError, auc,
-                                 edge_rates, lag_profile, lambda_grid,
-                                 lambda_max_linear, roc_points,
-                                 run_experiment, sweep_path)
-from ngcausal.model import (Architecture, ComponentMLP, build_lagged,
-                            granger_weights, init_model)
+from ngcausal.evaluation import (DegenerateTruthError, auc, edge_rates,
+                                 lambda_grid, lambda_max_linear, roc_points,
+                                 sweep_path)
+from ngcausal.model import Architecture, ComponentMLP, build_lagged, init_model
 from ngcausal.numerics import SeededRng, child_seed
 from ngcausal.optim import OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec
@@ -27,9 +26,26 @@ def models_with_norms(norm_rows):
     return models
 
 
+def group_norms(model):
+    """Norm of each input series' first-layer column group, length p."""
+    return kernels.group_norms(model.weight(0), model.p, model.K)
+
+
+def lag_profile(model):
+    """Per-(input series, lag) first-layer block norms, shape (p, K)."""
+    return kernels.lag_norms(model.weight(0), model.p, model.K)
+
+
 def stack_graph(models):
-    """The (p, p) weight graph: row i is the Granger weights of series i's model."""
-    return np.array([granger_weights(m) for m in models])
+    """The (p, p) weight graph: row i is the group norms of series i's model."""
+    return np.array([group_norms(m) for m in models])
+
+
+def assert_graph_of_lag_profile(graph, lags, models):
+    """Graph entry (i, j) is the norm of lag-profile row (i, j), and is
+    positive exactly when model i's column group j is nonzero."""
+    assert np.array_equal(graph, np.sqrt((lags ** 2).sum(-1)))
+    assert np.array_equal(graph > 0, stack_graph(models) > 0)
 
 
 class TestAssembleGraph:
@@ -56,11 +72,11 @@ class TestLagProfile:
         m = ComponentMLP(p=3, K=4, arch=Architecture(hidden_sizes=(2,)))
         assert np.array_equal(lag_profile(m), np.zeros((3, 4)))
 
-    def test_row_sums_match_granger_weights(self):
+    def test_row_sums_match_group_norms(self):
         m = init_model(4, 3, Architecture(hidden_sizes=(5,), init_scale=1.0),
                        SeededRng(1))
         lp = lag_profile(m)
-        gw = granger_weights(m)
+        gw = group_norms(m)
         assert np.allclose((lp ** 2).sum(axis=1), gw ** 2, rtol=1e-12)
 
     def test_known_entries(self):
@@ -164,7 +180,7 @@ class TestLambdaGrid:
             data = build_lagged(ts, 2, i)
             model = init_model(5, 2, Architecture(hidden_sizes=()), SeededRng(i))
             res = fit(data, PenaltySpec("group", lam_max), model, opt)
-            assert np.array_equal(granger_weights(res.model), np.zeros(5))
+            assert np.array_equal(group_norms(res.model), np.zeros(5))
 
     def test_slightly_below_lambda_max_activates(self):
         ts = standardize(VarGenConfig(p=5, K=2, burn_in=100).generate(400, 9)[0])[0]
@@ -175,7 +191,7 @@ class TestLambdaGrid:
             data = build_lagged(ts, 2, i)
             model = init_model(5, 2, Architecture(hidden_sizes=()), SeededRng(i))
             res = fit(data, PenaltySpec("group", 0.98 * lam_max), model, opt)
-            active += int((granger_weights(res.model) > 0).sum())
+            active += int((group_norms(res.model) > 0).sum())
         assert active >= 1
 
     @pytest.mark.parametrize("seed", range(5))
@@ -224,8 +240,8 @@ class TestSweepPath:
         assert len(a.models) == len(b.models) == 4
         for i, (ma, mb) in enumerate(zip(a.models, b.models)):
             assert np.array_equal(ma.theta, mb.theta)
-            assert np.array_equal(granger_weights(ma), a.graphs[-1][i])
             assert np.array_equal(lag_profile(ma), a.lag_profiles[-1][i])
+        assert_graph_of_lag_profile(a.graphs[-1], a.lag_profiles[-1], a.models)
 
     @pytest.mark.parametrize("p,expected", [(10, [10]), (1, [])])
     def test_pool_has_at_most_one_worker_per_series(self, monkeypatch, p, expected):
@@ -262,21 +278,23 @@ class TestSweepPath:
         arch = Architecture(hidden_sizes=(4,))
         opt = OptimizerConfig()
         sw = sweep_path(ts, 2, kind, lams, arch, opt, seed=4)
+        models = [[None] * 3 for _ in lams]
         for i in range(3):
             data = build_lagged(ts, 2, i)
             model = init_model(3, 2, arch, SeededRng(child_seed(4, i)))
             step_opt = opt
             for li, lam in enumerate(lams):
                 res = fit(data, PenaltySpec(kind, lam), model, step_opt)
-                model = res.model
+                model = models[li][i] = res.model
                 step_opt = dataclasses.replace(
                     opt, initial_step=min(res.final_step, opt.initial_step))
-                assert np.array_equal(granger_weights(model), sw.graphs[li][i])
                 assert np.array_equal(lag_profile(model), sw.lag_profiles[li][i])
                 assert res.iterations_run == sw.iterations[li, i]
                 assert res.converged == sw.converged[li, i]
                 assert res.objective_trace[-1] == sw.objectives[li, i]
             assert np.array_equal(model.theta, sw.models[i].theta)
+        for li in range(len(lams)):
+            assert_graph_of_lag_profile(sw.graphs[li], sw.lag_profiles[li], models[li])
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_models_keep_no_forward_pass(self, jobs):
@@ -303,18 +321,3 @@ class TestSweepPath:
         counts = sw.active_edges()
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
-
-class TestRunExperiment:
-    def test_deterministic_across_calls_and_jobs(self):
-        gen = VarGenConfig(p=4, K=1, burn_in=50)
-        arch = Architecture(hidden_sizes=())
-        opt = OptimizerConfig(max_iters=500)
-        kwargs = dict(T=120, K=1, arch=arch, opt=opt, penalty_kind="group",
-                      seeds=[0, 1], grid_size=5)
-        a = run_experiment(gen, jobs=1, **kwargs)
-        b = run_experiment(gen, jobs=2, **kwargs)
-        assert np.array_equal(a.aucs, b.aucs)
-        assert np.array_equal(a.aucs_excl_diag, b.aucs_excl_diag)
-        for sa, sb in zip(a.sweeps, b.sweeps):
-            for ga, gb in zip(sa.graphs, sb.graphs):
-                assert np.array_equal(ga, gb)

@@ -1,7 +1,10 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and every
+module-level function and class is used by the package.
 
 A deletion that leaves its import behind fails here.  A name listed in the
-module's ``__all__`` counts as used, which covers re-exports.
+module's ``__all__`` counts as used, which covers re-exports.  A function or
+class that only ``__init__.py`` re-exports and only tests call is dead code
+unless it is one of the user entry points named below.
 """
 
 import ast
@@ -42,3 +45,51 @@ def test_module_uses_its_imports(path):
 def test_check_sees_an_unused_import():
     source = "import os\nfrom x import a, b as c\nimport p.q\n__all__ = ['a']\nos.sep\n"
     assert unused_imports(source) == [(2, "c"), (3, "p")]
+
+
+# Entry points that users call and the package itself does not.
+ENTRY_POINTS = {
+    "predict": "a forward pass of a fitted model on new data",
+    "load_checkpoint": "reads back the checkpoints that `ngcausal fit` writes",
+}
+
+
+def unreferenced_definitions(sources):
+    """(module, name) of the module-level functions and classes in
+    ``sources`` (module name -> source) that no other top-level statement of
+    any module reads, as a name or as an attribute.  ``__init__`` is skipped:
+    its re-exports are no use."""
+    statements = []          # (module, statement, names it reads)
+    for module, source in sources.items():
+        if module == "__init__":
+            continue
+        for node in ast.parse(source).body:
+            reads = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            reads |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            statements.append((module, node, reads))
+    unused = []
+    for module, node, _ in statements:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not any(node.name in reads for _, other, reads in statements
+                       if other is not node):
+                unused.append((module, node.name))
+    return sorted(unused)
+
+
+def test_package_uses_its_definitions():
+    sources = {}
+    for path in MODULES:
+        with open(path) as fh:
+            sources[os.path.basename(path)[:-3]] = fh.read()
+    unused = [name for _, name in unreferenced_definitions(sources)]
+    assert sorted(unused) == sorted(ENTRY_POINTS)
+
+
+def test_check_sees_an_unreferenced_definition():
+    sources = {
+        "a": "def used():\n    pass\n\ndef recursive():\n    recursive()\n\n"
+             "class Dead:\n    pass\n",
+        "b": "from .a import used\nimport a\n\ndef f():\n    a.used()\n\nf()\n",
+        "__init__": "from .a import Dead\nDead()\n",
+    }
+    assert unreferenced_definitions(sources) == [("a", "Dead"), ("a", "recursive")]

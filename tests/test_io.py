@@ -151,7 +151,9 @@ class TestCheckpoint:
         ("hidden_sizes", [0], 1),       # theta of a zero-width layer: the output bias
         ("hidden_sizes", [2.5], 9),     # theta sized for width 2
         ("use_output_bias", "no", 9),
-        ("p", 2.5, 9)])                 # theta sized for p=2
+        ("p", 2.5, 9),                  # theta sized for p=2
+        ("hidden_sizes", [True], 5),    # theta sized for width 1
+        ("p", True, 7)])                # theta sized for p=1
     def test_shape_architecture_rejects_is_data_error(self, tmp_path, key, value, n_theta):
         doc = {"format_version": 1, "p": 2, "K": 1, "hidden_sizes": [2],
                "activation": "tanh", "use_output_bias": True,

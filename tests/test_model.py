@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from ngcausal import _kernels as kernels
 from ngcausal.model import (Architecture, ComponentMLP, build_lagged,
-                            granger_weights, init_model, loss_and_grad,
-                            predict)
+                            init_model, loss_and_grad, predict)
 from ngcausal.numerics import SeededRng
 from oracles import finite_diff_grad
 
@@ -186,20 +186,24 @@ class TestGrad:
         assert np.all(gw1[:, j::3] == 0.0)
 
 
-class TestGrangerWeights:
+def group_norms(model):
+    return kernels.group_norms(model.weight(0), model.p, model.K)
+
+
+class TestGroupNorms:
     def test_zero_first_layer(self):
         model = ComponentMLP(p=4, K=3, arch=Architecture(hidden_sizes=(5,)))
-        assert np.array_equal(granger_weights(model), np.zeros(4))
+        assert np.array_equal(group_norms(model), np.zeros(4))
 
     def test_three_four_five(self):
         # K=2, H1=1, column weights (3, 4) stack to norm 5
         model = ComponentMLP(p=1, K=2, arch=Architecture(hidden_sizes=(1,)))
         model.weight(0)[0] = [3.0, 4.0]
-        assert granger_weights(model)[0] == 5.0
+        assert group_norms(model)[0] == 5.0
 
     def test_zero_iff_column_group_zero(self):
         model, _ = random_instance(5, p=3, K=2, hidden=(4,))
-        gw = granger_weights(model)
+        gw = group_norms(model)
         for j in range(3):
             assert (gw[j] == 0.0) == np.all(model.weight(0)[:, j::3] == 0.0)
 
@@ -243,7 +247,9 @@ class TestArchitecture:
     @pytest.mark.parametrize("field", [
         {"activation": "sigmoid"}, {"hidden_sizes": (0,)},
         # a float width is not truncated, and a string is no bool
-        {"hidden_sizes": (2.5,)}, {"output_bias": "no"}])
+        {"hidden_sizes": (2.5,)}, {"output_bias": "no"},
+        # operator.index(True) is 1, yet a bool is no width
+        {"hidden_sizes": (True,)}])
     def test_bad_field_rejected(self, field):
         with pytest.raises(ValueError):
             Architecture(**field)
