@@ -7,11 +7,10 @@ each interaction).  Includes seeded VAR and Lorenz-96 generators and an
 ROC/AUC sweep harness.
 """
 
-from .numerics import SeededRng, child_seed
+from .numerics import SeededRng
 from .datasets import (LorenzGenConfig, SimulationError, VarGenConfig,
-                       VarProcess, companion_matrix, lorenz_derivative,
-                       lorenz_truth, make_sparse_var, simulate_lorenz,
-                       simulate_var, spectral_radius, standardize)
+                       make_sparse_var, simulate_lorenz, simulate_var,
+                       standardize)
 from .model import (Architecture, ComponentMLP, LaggedDataset, build_lagged,
                     init_model, loss_and_grad, predict)
 from .penalties import PenaltySpec, apply_prox, penalty_value
@@ -25,12 +24,9 @@ __all__ = [
     "Architecture", "ComponentMLP", "DegenerateTruthError",
     "FitResult", "LaggedDataset", "LorenzGenConfig",
     "OptimizationError", "OptimizerConfig", "PenaltySpec", "SeededRng",
-    "SimulationError", "SweepResult", "VarGenConfig", "VarProcess",
-    "apply_prox", "auc", "build_lagged",
-    "child_seed", "companion_matrix", "edge_rates", "fit",
-    "init_model", "lambda_grid", "lambda_max_linear", "lorenz_derivative",
-    "lorenz_truth", "loss_and_grad", "make_sparse_var",
-    "penalty_value", "predict", "roc_points",
-    "simulate_lorenz", "simulate_var", "spectral_radius", "standardize",
-    "sweep_path",
+    "SimulationError", "SweepResult", "VarGenConfig",
+    "apply_prox", "auc", "build_lagged", "edge_rates", "fit",
+    "init_model", "lambda_grid", "lambda_max_linear", "loss_and_grad",
+    "make_sparse_var", "penalty_value", "predict", "roc_points",
+    "simulate_lorenz", "simulate_var", "standardize", "sweep_path",
 ]

@@ -16,8 +16,8 @@ from .evaluation import (DegenerateTruthError, auc, edge_rates, lambda_grid,
                          lambda_max_linear, roc_points, sweep_path)
 from .io import (ConfigError, DataError, load_config, read_dataset_csv,
                  read_matrix_csv, read_auc_csv, save_checkpoint, save_config,
-                 write_auc_csv, write_auc_rows, write_dataset_csv,
-                 write_edges_csv, write_matrix_csv, write_roc_csv)
+                 write_auc_csv, write_dataset_csv, write_edges_csv,
+                 write_matrix_csv, write_roc_csv)
 from .optim import OptimizationError
 
 EXIT_OK = 0
@@ -175,8 +175,9 @@ def cmd_sweep(args):
     for li, g in enumerate(sweep.graphs):
         write_matrix_csv(os.path.join(graph_dir, f"graph_{li:02d}.csv"), g)
     write_roc_csv(os.path.join(out, "roc.csv"), sweep.lambdas, rates)
-    write_auc_csv(os.path.join(out, "auc.csv"), cfg.generator.kind, T, seed,
-                  kind, auc_val, auc_nd)
+    write_auc_csv(os.path.join(out, "auc.csv"),
+                  [{"generator": cfg.generator.kind, "T": T, "seed": seed,
+                    "penalty": kind, "auc": auc_val, "auc_excl_diag": auc_nd}])
     write_edges_csv(os.path.join(out, "edges.csv"), sweep.lambdas,
                     sweep.active_edges(), sweep.active_lag_pairs())
     _say(args, f"auc {auc_val:.4f} (excl. diagonal {auc_nd:.4f}); "
@@ -192,7 +193,7 @@ def cmd_report(args):
     for d in args.dirs:
         path = os.path.join(d, "auc.csv")
         try:
-            rows.append(read_auc_csv(path))
+            rows.extend(read_auc_csv(path))
         except (DataError, OSError) as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             bad += 1
@@ -200,7 +201,7 @@ def cmd_report(args):
         print("no readable sweep outputs; nothing to report", file=sys.stderr)
         return EXIT_DATA
     rows.sort(key=lambda r: (r["generator"], r["T"], r["seed"], r["penalty"]))
-    write_auc_rows(args.out, rows)
+    write_auc_csv(args.out, rows)
     _say(args, f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_DATA if bad else EXIT_OK
 

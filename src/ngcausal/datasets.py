@@ -207,11 +207,15 @@ def standardize(ts):
     Returns (standardized, mean, std) so the transform can be inverted.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    mean = ts.mean(axis=0)
-    std = ts.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised on below
+        mean = ts.mean(axis=0)
+        std = ts.std(axis=0)
     bad = np.flatnonzero(std == 0)
     if bad.size:
         raise ValueError(f"zero-variance column(s) {bad.tolist()}: cannot standardize")
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:  # non-finite entries, or an overflow: the fits would see NaN or 0
+        raise ValueError(f"non-finite mean or std in column(s) {bad.tolist()}: cannot standardize")
     return (ts - mean) / std, mean, std
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
-from .model import build_lagged, init_model
+from .model import _count, build_lagged, init_model
 from .numerics import SeededRng, child_seed
 from .optim import OptimizationError, fit
 from .penalties import PenaltySpec
@@ -95,7 +95,7 @@ def lambda_max_linear(ts, K):
     # A C-ordered copy keeps the grid bit-equal to the one computed before
     # build_lagged returned Fortran order: X.T @ R rounds differently for the
     # two memory orders.  It costs one copy of the design.
-    X = np.ascontiguousarray(build_lagged(ts, K, 0).inputs)
+    X = np.ascontiguousarray(build_lagged(ts, K)[0].inputs)
     Y = ts[K:]
     R = Y - Y.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # raised on below
@@ -142,8 +142,8 @@ class SweepResult:
         return np.array([int(np.count_nonzero(lp > 0)) for lp in self.lag_profiles])
 
 
-def _series_path(ts, K, i, kind, lambdas, arch, opt, seed):
-    """Warm-started descent of one series' model down the lambda grid.
+def _series_path(data, i, kind, lambdas, arch, opt, seed):
+    """Warm-started descent of series i's model on ``data`` down the lambda grid.
 
     Returns the (n_lambda, p, K) lag profiles of its fits, their (n_lambda,)
     iteration counts, converged flags and final objectives, and the model
@@ -151,10 +151,9 @@ def _series_path(ts, K, i, kind, lambdas, arch, opt, seed):
     FitResult, which is dropped with the path: the model keeps no forward
     pass.
     """
-    data = build_lagged(ts, K, i)
     start = init_model(data.p, data.K, arch, SeededRng(child_seed(seed, i)))
     n_lam = len(lambdas)
-    lags = np.empty((n_lam, data.p, K))
+    lags = np.empty((n_lam, data.p, data.K))
     iterations = np.empty(n_lam, dtype=np.int64)
     converged = np.empty(n_lam, dtype=bool)
     objectives = np.empty(n_lam)
@@ -167,7 +166,7 @@ def _series_path(ts, K, i, kind, lambdas, arch, opt, seed):
                 start = fit(data, spec, start, opt)
         except OptimizationError as exc:
             raise OptimizationError(f"series {i} at lambda {lam:.6g}: {exc}") from exc
-        lags[li] = kernels.lag_norms(start.model.weight(0), data.p, K)
+        lags[li] = kernels.lag_norms(start.model.weight(0), data.p, data.K)
         iterations[li] = start.iterations_run
         converged[li] = start.converged
         objectives[li] = start.objective_trace[-1]
@@ -177,9 +176,10 @@ def _series_path(ts, K, i, kind, lambdas, arch, opt, seed):
 def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     """Fit every series down a descending lambda grid; assemble per-lambda graphs.
 
-    Fits for different series are independent and run on a pool of
-    min(jobs, p) processes when that is more than one.  Results are
-    deterministic in (ts, configs, seed) regardless of jobs.  Graph entry
+    The lagged design is built once, before any fit.  Fits for different
+    series are independent and run on a pool of min(jobs, p) processes when
+    that is more than one, each task carrying its series' dataset.  Results
+    are deterministic in (ts, configs, seed) regardless of jobs.  Graph entry
     (i, j) is the norm of lag-profile row (i, j): zero exactly when every
     first-layer weight series j feeds into model i is zero.  ``models``
     holds each series' model at the last lambda, so a one-lambda sweep is a
@@ -194,10 +194,10 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
         raise ValueError("lambda grid must be finite")
     if np.any(np.diff(lambdas) >= 0):
         raise ValueError("lambda grid must be strictly decreasing")
-    p = ts.shape[1]
-
-    tasks = [(ts, K, i, kind, lambdas, arch, opt, seed) for i in range(p)]
-    workers = min(jobs, p)  # a forked pool starts every worker at once
+    jobs = _count("jobs", jobs)
+    tasks = [(data, i, kind, lambdas, arch, opt, seed)
+             for i, data in enumerate(build_lagged(ts, K))]
+    workers = min(jobs, len(tasks))  # a forked pool starts every worker at once
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_series = list(pool.map(_series_path, *zip(*tasks)))

@@ -353,12 +353,7 @@ def write_roc_csv(path, lambdas, rates):
 AUC_HEADER = "generator,T,seed,penalty,auc,auc_excl_diag"
 
 
-def write_auc_csv(path, generator, T, seed, penalty, auc_value, auc_excl_diag):
-    write_auc_rows(path, [{"generator": generator, "T": T, "seed": seed, "penalty": penalty,
-                           "auc": auc_value, "auc_excl_diag": auc_excl_diag}])
-
-
-def write_auc_rows(path, rows):
+def write_auc_csv(path, rows):
     """auc.csv rows, dicts as read_auc_csv returns them, under one header."""
     with _atomic_open(path) as fh:
         fh.write(AUC_HEADER + "\n")
@@ -368,27 +363,28 @@ def write_auc_rows(path, rows):
 
 
 def read_auc_csv(path):
+    """Every row of an auc.csv, as dicts; a malformed row is a DataError."""
+    rows = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != AUC_HEADER:
             raise DataError(f"{path}: expected header {AUC_HEADER!r}, got {header!r}")
-        line = fh.readline().strip()
-        if not line:
-            raise DataError(f"{path}: missing data row")
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise DataError(f"{path}: expected 6 fields, got {len(parts)}")
-        try:
-            return {
-                "generator": parts[0],
-                "T": int(parts[1]),
-                "seed": int(parts[2]),
-                "penalty": parts[3],
-                "auc": float(parts[4]),
-                "auc_excl_diag": float(parts[5]),
-            }
-        except ValueError as exc:
-            raise DataError(f"{path}: {exc}") from exc
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 6:
+                raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
+            try:
+                rows.append({"generator": parts[0], "T": int(parts[1]),
+                             "seed": int(parts[2]), "penalty": parts[3],
+                             "auc": float(parts[4]), "auc_excl_diag": float(parts[5])})
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: missing data row")
+    return rows
 
 
 def write_edges_csv(path, lambdas, active_edges, active_lag_pairs):

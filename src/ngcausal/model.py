@@ -120,7 +120,8 @@ class LaggedDataset:
     """Design matrix of stacked lags with the matching one-step-ahead targets.
 
     inputs[n] = (x[K+n-1], ..., x[n]) flattened lag-1 block first;
-    targets[n] = x[K+n, i] for the series i it was built for.
+    targets[n] = x[K+n, i] for its series i.  Both arrays are read-only:
+    every series' dataset holds the same ``inputs``.
     """
 
     inputs: np.ndarray
@@ -133,21 +134,22 @@ class LaggedDataset:
         return self.inputs.shape[0]
 
 
-def build_lagged(ts, K, i):
-    """Arrange a (T, p) series into lagged inputs and targets for series i."""
+def build_lagged(ts, K):
+    """One LaggedDataset per series of a finite (T, p) array, all sharing one
+    read-only design; series i's targets are the read-only view ts[K:, i]."""
     ts = np.asarray(ts, dtype=np.float64)
     T, p = ts.shape
     if T <= K:
         raise ValueError(f"need T > K, got T={T}, K={K}")
-    if not (0 <= i < p):
-        raise ValueError(f"series index {i} out of range for p={p}")
-    N = T - K
+    if not np.isfinite(ts).all():
+        raise ValueError("series must be finite")
     # Fortran order: the MLP kernels read X.T, which is then C-contiguous
-    X = np.empty((N, p * K), order="F")
+    X = np.empty((T - K, p * K), order="F")
     for k in range(1, K + 1):
         X[:, (k - 1) * p:k * p] = ts[K - k:T - k]
-    y = ts[K:, i].copy()
-    return LaggedDataset(inputs=X, targets=y, p=p, K=K)
+    Y = ts[K:]
+    X.flags.writeable = Y.flags.writeable = False
+    return [LaggedDataset(inputs=X, targets=Y[:, i], p=p, K=K) for i in range(p)]
 
 
 # ------------------------------------------------------------- evaluation

@@ -89,6 +89,8 @@ def test_tracer_counts_of_a_sweep(harness, tmp_path):
     calls, counts = tracer.calls, tracer.counts
     iters = int(sw.iterations.sum())
     assert calls["optim.fit"] == p * n_lam
+    # one lagged design for the whole sweep, shared by every series
+    assert calls["model.build_lagged"] == 1
     assert counts["optim.iterations"] == iters
     assert calls["kernels.mlp_loss_grad"] == iters
     assert calls["kernels.prox"] > iters           # some candidates backtracked

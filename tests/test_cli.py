@@ -41,6 +41,9 @@ def failing_dataset(case):
     if case == "constant column":
         ts[:, 1] = 3.0
         return ts, {}, "zero-variance column(s) [1]: cannot standardize"
+    if case == "overflowing mean":
+        ts[:, 3] = (ts[:, 3] ** 2 + 1.0) * 1e307
+        return ts, {}, "non-finite mean or std in column(s) [3]: cannot standardize"
     raw = {"evaluation": {"standardize": False}}
     if case == "constant data":
         return np.ones_like(ts), raw, "data is constant: no usable penalty scale"
@@ -156,7 +159,7 @@ class TestSweep:
         roc = (out / "roc.csv").read_text().splitlines()
         assert roc[0] == "lambda,fpr,tpr"
         assert len(roc) == 6  # header + 5 grid points
-        row = read_auc_csv(out / "auc.csv")
+        [row] = read_auc_csv(out / "auc.csv")
         assert row["generator"] == "var" and row["T"] == 120 and row["seed"] == 0
         assert 0.0 <= row["auc"] <= 1.0
         edges = (out / "edges.csv").read_text().splitlines()
@@ -256,7 +259,7 @@ class TestReport:
         lines = table.read_text().splitlines()
         assert lines[0] == "generator,T,seed,penalty,auc,auc_excl_diag"
         assert len(lines) == 2
-        row = read_auc_csv(sw / "auc.csv")
+        [row] = read_auc_csv(sw / "auc.csv")
         assert lines[1].startswith(f"var,120,0,group,{row['auc']:.17g}")
 
     def test_aggregates_and_sorts(self, tmp_path):
@@ -267,6 +270,29 @@ class TestReport:
         lines = table.read_text().splitlines()[1:]
         seeds = [int(l.split(",")[2]) for l in lines]
         assert seeds == [0, 1]
+
+    def test_every_row_of_an_input_is_kept(self, tmp_path):
+        # a report's own output has one row per sweep: reading it back keeps both
+        sw1 = self.make_sweep(tmp_path, "c.yaml", "sw1", 1)
+        sw0 = self.make_sweep(tmp_path, "c.yaml", "sw0", 0)
+        both = tmp_path / "both"
+        both.mkdir()
+        assert run("report", sw1, sw0, "--out", both / "auc.csv", "--quiet") == 0
+        table = tmp_path / "report.csv"
+        assert run("report", both, "--out", table, "--quiet") == 0
+        assert table.read_text() == (both / "auc.csv").read_text()
+        assert len(table.read_text().splitlines()) == 3
+
+    def test_trailing_garbage_line_is_3(self, tmp_path, capsys):
+        sw = self.make_sweep(tmp_path, "c.yaml", "sw", 0)
+        with open(sw / "auc.csv", "a") as fh:
+            fh.write("garbage line\n")
+        table = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert run("report", sw, "--out", table, "--quiet") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert "auc.csv:3: expected 6 fields, got 1" in err[0]
+        assert not table.exists()
 
     def test_missing_input_partial_output_nonzero_exit(self, tmp_path):
         sw = self.make_sweep(tmp_path, "c.yaml", "sw", 0)
@@ -380,7 +406,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("command,case", [
         ("fit", "short"), ("sweep", "short"), ("fit", "constant column"),
-        ("sweep", "constant column"), ("sweep", "constant data"),
+        ("sweep", "constant column"), ("fit", "overflowing mean"),
+        ("sweep", "overflowing mean"), ("sweep", "constant data"),
         ("sweep", "unbounded scale")])
     def test_data_dependent_failure_is_3(self, tmp_path, capsys, command, case, jobs):
         ts, overrides, message = failing_dataset(case)

@@ -176,8 +176,7 @@ class TestLambdaGrid:
         ts = standardize(VarGenConfig(p=5, K=2, burn_in=100).generate(400, 9)[0])[0]
         lam_max = lambda_max_linear(ts, 2)
         opt = OptimizerConfig(rel_tol=1e-12, max_iters=50_000)
-        for i in range(5):
-            data = build_lagged(ts, 2, i)
+        for i, data in enumerate(build_lagged(ts, 2)):
             model = init_model(5, 2, Architecture(hidden_sizes=()), SeededRng(i))
             res = fit(data, PenaltySpec("group", lam_max), model, opt)
             assert np.array_equal(group_norms(res.model), np.zeros(5))
@@ -187,8 +186,7 @@ class TestLambdaGrid:
         lam_max = lambda_max_linear(ts, 2)
         opt = OptimizerConfig(rel_tol=1e-12, max_iters=50_000)
         active = 0
-        for i in range(5):
-            data = build_lagged(ts, 2, i)
+        for i, data in enumerate(build_lagged(ts, 2)):
             model = init_model(5, 2, Architecture(hidden_sizes=()), SeededRng(i))
             res = fit(data, PenaltySpec("group", 0.98 * lam_max), model, opt)
             active += int((group_norms(res.model) > 0).sum())
@@ -199,13 +197,14 @@ class TestLambdaGrid:
         # a plain X.T @ R can round differently for the two memory orders;
         # with x86-64 OpenBLAS it does on each of these seeds
         ts = np.random.default_rng(seed).normal(size=(200, 3))
-        assert build_lagged(ts, 2, 0).inputs.flags.f_contiguous
+        assert build_lagged(ts, 2)[0].inputs.flags.f_contiguous
         from_f = lambda_max_linear(ts, 2)
 
-        def c_ordered(ts, K, i):
-            data = build_lagged(ts, K, i)
-            data.inputs = np.ascontiguousarray(data.inputs)
-            return data
+        def c_ordered(ts, K):
+            datasets = build_lagged(ts, K)
+            for data in datasets:
+                data.inputs = np.ascontiguousarray(data.inputs)
+            return datasets
 
         monkeypatch.setattr("ngcausal.evaluation.build_lagged", c_ordered)
         assert lambda_max_linear(ts, 2).hex() == from_f.hex()
@@ -279,8 +278,7 @@ class TestSweepPath:
         opt = OptimizerConfig()
         sw = sweep_path(ts, 2, kind, lams, arch, opt, seed=4)
         models = [[None] * 3 for _ in lams]
-        for i in range(3):
-            data = build_lagged(ts, 2, i)
+        for i, data in enumerate(build_lagged(ts, 2)):
             model = init_model(3, 2, arch, SeededRng(child_seed(4, i)))
             step_opt = opt
             for li, lam in enumerate(lams):
@@ -312,6 +310,23 @@ class TestSweepPath:
             with pytest.raises(ValueError):
                 sweep_path(ts, 1, "group", np.array(grid),
                            Architecture(hidden_sizes=()), OptimizerConfig(), seed=0)
+
+    @pytest.mark.parametrize("jobs", [0, -3, True, 2.0, "2", None])
+    def test_jobs_must_be_a_positive_int(self, jobs):
+        ts = standardize(VarGenConfig(p=2, K=1, burn_in=50).generate(40, 0)[0])[0]
+        with pytest.raises(ValueError, match="jobs must be"):
+            sweep_path(ts, 1, "group", [1.0], Architecture(hidden_sizes=()),
+                       OptimizerConfig(), seed=0, jobs=jobs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_series_is_a_value_error(self, bad):
+        # not an OptimizationError: the data is at fault, not the optimizer
+        ts = standardize(VarGenConfig(p=3, K=1, burn_in=50).generate(40, 0)[0])[0]
+        ts[7, 0] = bad
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="series must be finite"):
+                sweep_path(ts, 1, "group", [1.0], Architecture(hidden_sizes=()),
+                           OptimizerConfig(), seed=0, jobs=jobs)
 
     def test_active_counts_monotone_on_linear_path(self):
         ts = standardize(VarGenConfig(p=5, K=2, burn_in=100).generate(300, 4)[0])[0]

@@ -214,10 +214,33 @@ class TestCsv:
 
     def test_auc_csv_round_trip(self, tmp_path):
         path = tmp_path / "auc.csv"
-        write_auc_csv(path, "var", 1000, 3, "group", 0.9573, 0.9111)
-        row = read_auc_csv(path)
-        assert row == {"generator": "var", "T": 1000, "seed": 3,
-                       "penalty": "group", "auc": 0.9573, "auc_excl_diag": 0.9111}
+        rows = [{"generator": "var", "T": 1000, "seed": 3, "penalty": "group",
+                 "auc": 0.9573, "auc_excl_diag": 0.9111},
+                {"generator": "lorenz", "T": 500, "seed": 0, "penalty": "hierarchical",
+                 "auc": 0.5, "auc_excl_diag": float("nan")}]
+        write_auc_csv(path, rows)
+        back = read_auc_csv(path)
+        assert back[0] == rows[0]
+        assert back[1]["generator"] == "lorenz" and np.isnan(back[1]["auc_excl_diag"])
+        assert len(back) == 2
+
+    @pytest.mark.parametrize("line,message", [
+        ("garbage line", ":3: expected 6 fields, got 1"),
+        ("var,1000,3,group,0.9", ":3: expected 6 fields, got 5"),
+        ("var,1e3,3,group,0.9,0.9", ":3: invalid literal"),
+        ("var,1000,3,group,high,0.9", ":3: could not convert")])
+    def test_auc_csv_malformed_row_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "auc.csv"
+        path.write_text("generator,T,seed,penalty,auc,auc_excl_diag\n"
+                        f"var,1000,3,group,0.9,0.9\n{line}\n")
+        with pytest.raises(DataError, match=message):
+            read_auc_csv(path)
+
+    def test_auc_csv_without_rows(self, tmp_path):
+        path = tmp_path / "auc.csv"
+        path.write_text("generator,T,seed,penalty,auc,auc_excl_diag\n\n")
+        with pytest.raises(DataError, match="missing data row"):
+            read_auc_csv(path)
 
     def test_auc_csv_bad_header(self, tmp_path):
         path = tmp_path / "auc.csv"

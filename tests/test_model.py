@@ -32,40 +32,57 @@ class TestBuildLagged:
     def test_three_step_scalar_series(self):
         # series (a, b, c), K=2: the single row has inputs (b, a), target c
         ts = np.array([[1.0], [2.0], [3.0]])
-        data = build_lagged(ts, K=2, i=0)
+        data = build_lagged(ts, 2)[0]
         assert data.n_rows == 1
         assert np.array_equal(data.inputs, [[2.0, 1.0]])
         assert np.array_equal(data.targets, [3.0])
 
     def test_two_series_lag_one(self):
         ts = np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
-        data = build_lagged(ts, K=1, i=1)
+        data = build_lagged(ts, 1)[1]
         assert np.array_equal(data.inputs, ts[:2])
         assert np.array_equal(data.targets, [20.0, 30.0])
 
     def test_row_count(self):
         ts = SeededRng(0).gen.normal(size=(37, 4))
-        assert build_lagged(ts, K=5, i=2).n_rows == 32
+        assert build_lagged(ts, 5)[2].n_rows == 32
 
     def test_lag_block_ordering(self):
         # row n = (x_{K+n-1}, ..., x_n): lag-1 block first
         ts = SeededRng(1).gen.normal(size=(10, 3))
-        data = build_lagged(ts, K=3, i=0)
+        data = build_lagged(ts, 3)[0]
         n = 2
         expected = np.concatenate([ts[3 + n - 1], ts[3 + n - 2], ts[3 + n - 3]])
         assert np.array_equal(data.inputs[n], expected)
 
     def test_t_not_greater_than_k_rejected(self):
         with pytest.raises(ValueError):
-            build_lagged(np.zeros((3, 2)), K=3, i=0)
+            build_lagged(np.zeros((3, 2)), 3)
 
-    def test_series_index_range(self):
-        with pytest.raises(ValueError):
-            build_lagged(np.zeros((5, 2)), K=1, i=2)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_series_rejected(self, bad):
+        ts = np.ones((6, 2))
+        ts[4, 1] = bad
+        with pytest.raises(ValueError, match="series must be finite"):
+            build_lagged(ts, 1)
+
+    def test_one_read_only_design_for_every_series(self):
+        # a write through one series' dataset would change every other one's
+        ts = SeededRng(3).gen.normal(size=(20, 3))
+        datasets = build_lagged(ts, 2)
+        assert len(datasets) == 3
+        assert all(d.inputs is datasets[0].inputs for d in datasets)
+        for i, d in enumerate(datasets):
+            assert np.array_equal(d.targets, ts[2:, i])
+            assert np.shares_memory(d.targets, ts)   # a view, not a copy
+            for arr in (d.inputs, d.targets):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+        assert ts.flags.writeable                      # the caller's array is untouched
 
     def test_inputs_are_fortran_ordered(self):
         # the MLP kernels read inputs.T, a C-contiguous array in this order
-        data = build_lagged(SeededRng(2).gen.normal(size=(50, 3)), K=2, i=0)
+        data = build_lagged(SeededRng(2).gen.normal(size=(50, 3)), 2)[0]
         assert data.inputs.shape == (48, 6)
         assert data.inputs.flags.f_contiguous
 

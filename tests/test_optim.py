@@ -21,7 +21,7 @@ def assert_monotone_trace(trace):
 
 def small_dataset(seed, p=3, K=2, T=60):
     ts = VarGenConfig(p=p, K=K, burn_in=50).generate(T, seed)[0]
-    return build_lagged(standardize(ts)[0], K, 0)
+    return build_lagged(standardize(ts)[0], K)[0]
 
 
 def seeded_model(data, arch, seed):
@@ -123,7 +123,7 @@ class TestProxStep:
     def test_fixed_point_when_gradient_zero(self):
         # zero network on zero targets is an exact stationary point
         data = small_dataset(6)
-        data.targets[:] = 0.0
+        data.targets = np.zeros(data.n_rows)    # build_lagged's targets are read-only
         model = ComponentMLP(3, 2, Architecture(hidden_sizes=(3,)))
         new_model, _ = one_prox_step(model, data, PenaltySpec("group", 0.0), step=1e-3)
         assert np.array_equal(new_model.theta, model.theta)
@@ -170,7 +170,7 @@ class TestFit:
                           truth=np.array([[1.0]]))
         ts = simulate_var(proc, 60, SeededRng(0), burn_in=0,
                           init=np.array([[1.0]]))
-        data = build_lagged(ts, 1, 0)
+        data = build_lagged(ts, 1)[0]
         # least-squares oracle for the same design
         A = np.column_stack([data.inputs[:, 0], np.ones(data.n_rows)])
         coef_ref = np.linalg.lstsq(A, data.targets, rcond=None)[0]
@@ -366,8 +366,8 @@ class TestWarmStart:
 
     def test_forward_pass_of_other_data_or_model_rejected(self):
         ts = standardize(VarGenConfig(p=3, K=2, burn_in=50).generate(120, 24)[0])[0]
-        data, other_series = build_lagged(ts, 2, 0), build_lagged(ts, 2, 1)
-        equal_copy = build_lagged(ts, 2, 0)
+        data, other_series = build_lagged(ts, 2)[:2]
+        equal_copy = build_lagged(ts, 2)[0]
         res = fit(data, PenaltySpec("group", 1.0),
                   seeded_model(data, Architecture(hidden_sizes=(2,)), 0),
                   OptimizerConfig(max_iters=20))
@@ -384,7 +384,7 @@ class TestWarmStart:
                   seeded_model(data, Architecture(hidden_sizes=(2,)), 0),
                   OptimizerConfig(max_iters=20))
         other = build_lagged(standardize(
-            VarGenConfig(p=p, K=K, burn_in=20).generate(40, 0)[0])[0], K, 0)
+            VarGenConfig(p=p, K=K, burn_in=20).generate(40, 0)[0])[0], K)[0]
         with pytest.raises(ValueError, match=f"model expects p=3, K=2 but data has "
                                              f"p={p}, K={K}"):
             fit(other, PenaltySpec("group", 1.0), res.model, OptimizerConfig())
@@ -398,7 +398,7 @@ class TestWarmStart:
     def test_sparsity_monotone_on_linear_path(self):
         # convex case: active group count never grows as lambda rises
         ts = standardize(VarGenConfig(p=5, K=2, burn_in=100).generate(300, 3)[0])[0]
-        data = build_lagged(ts, 2, 0)
+        data = build_lagged(ts, 2)[0]
         from ngcausal.evaluation import lambda_max_linear, lambda_grid
         lams = lambda_grid(lambda_max_linear(ts, 2), 8, 50.0)
         opt = OptimizerConfig()
@@ -444,7 +444,7 @@ class TestKktLinearCase:
         # K=1, no hidden layers: compare against an exact independent solve,
         # then check the stationarity structure of both
         ts = standardize(VarGenConfig(p=4, K=1, burn_in=100).generate(250, 5)[0])[0]
-        data = build_lagged(ts, 1, 0)
+        data = build_lagged(ts, 1)[0]
         X, y = data.inputs, data.targets
         lam = 0.25 * 2.0 * max(np.linalg.norm(X[:, [j]].T @ (y - y.mean()))
                                for j in range(4))
@@ -475,7 +475,7 @@ class TestKktLinearCase:
         # need 2 X_g' r = -lam w_g / ||w_g||, met here within 1.9e-7 * lam
         p, K = 4, 2
         ts = standardize(VarGenConfig(p=p, K=K, burn_in=100).generate(250, 1)[0])[0]
-        data = build_lagged(ts, K, 0)
+        data = build_lagged(ts, K)[0]
         X, y = data.inputs, data.targets
         lam = 0.25 * 2.0 * max(np.linalg.norm(X[:, j::p].T @ (y - y.mean()))
                                for j in range(p))

@@ -1,10 +1,12 @@
-"""The package's exported names: each one resolves, none twice, and the
-test-only helpers that were folded into the production code paths stay out.
+"""The package's exported names: each one resolves, none twice, the README
+documents each, and the test-only helpers that were folded into the
+production code paths stay out.
 The runtime loads numpy and PyYAML only."""
 
 import dataclasses
 import inspect
 import os
+import re
 import subprocess
 import sys
 
@@ -16,7 +18,8 @@ REMOVED = ["matvec", "finite_diff_grad", "prox_group_block",
            "prox_hierarchical_column", "prox_step", "objective", "forward",
            "grad", "LorenzConfig", "warm_start_fit", "roc_points_scores",
            "loss", "gauss_sample", "run_experiment", "ExperimentResult",
-           "granger_weights", "lag_profile"]
+           "granger_weights", "lag_profile", "VarProcess", "companion_matrix",
+           "spectral_radius", "lorenz_derivative", "lorenz_truth", "child_seed"]
 
 
 def test_every_exported_name_resolves():
@@ -26,6 +29,13 @@ def test_every_exported_name_resolves():
 
 def test_no_duplicate_exports():
     assert len(ngcausal.__all__) == len(set(ngcausal.__all__))
+
+
+def test_readme_documents_every_export():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        words = set(re.findall(r"\w+", fh.read()))
+    assert [name for name in ngcausal.__all__ if name not in words] == []
 
 
 @pytest.mark.parametrize("name", REMOVED)
@@ -56,7 +66,8 @@ def test_model_keeps_no_shape_copy(name):
 
 @pytest.mark.parametrize("func,params", [
     ("fit", ["data", "spec", "start", "opt"]),
-    ("ComponentMLP", ["p", "K", "arch", "theta"])])
+    ("ComponentMLP", ["p", "K", "arch", "theta"]),
+    ("build_lagged", ["ts", "K"])])
 def test_parameters(func, params):
     assert list(inspect.signature(getattr(ngcausal, func)).parameters) == params
 
