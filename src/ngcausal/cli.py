@@ -84,7 +84,8 @@ def _outdir(args):
 
 def cmd_simulate(args):
     cfg = load_config(args.config)
-    seed = _resolved_seed(cfg, args)
+    # the resolved config saved below records the seed drawn from
+    seed = cfg.generator.seed = _resolved_seed(cfg, args)
     try:
         ts, truth = cfg.generator.instance().generate(cfg.generator.T, seed)
     except (ValueError, MemoryError) as exc:  # MemoryError: T too large to hold

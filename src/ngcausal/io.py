@@ -19,15 +19,17 @@ import dataclasses
 import json
 import math
 import os
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
 from .datasets import LorenzGenConfig, VarGenConfig
-from .model import ComponentMLP, Architecture
+from .model import ComponentMLP, Architecture, _count
 from .optim import OptimizerConfig
-from .penalties import PENALTY_KINDS
+from .penalties import PenaltySpec
 
 
 class ConfigError(Exception):
@@ -81,18 +83,16 @@ class GeneratorSection:
 @dataclass
 class ModelSection:
     K: int = 3
-    hidden: tuple = (10,)
-    activation: str = "tanh"
-    output_bias: bool = True
-    init_scale: float = 0.1
+    hidden: tuple = Architecture.hidden_sizes
+    activation: str = Architecture.activation
+    init_scale: float = Architecture.init_scale
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+        _count("K", self.K)
+        self.architecture()
 
     def architecture(self):
-        return Architecture(hidden_sizes=self.hidden, activation=self.activation,
-                            output_bias=self.output_bias, init_scale=self.init_scale)
+        return Architecture(self.hidden, self.activation, self.init_scale)
 
 
 @dataclass
@@ -104,8 +104,7 @@ class PenaltySection:
     lambdas: tuple = ()   # explicit descending grid; empty = derive from data
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        PenaltySpec(self.kind, self.lam)
         lams = self.lambdas
         if not all(math.isfinite(x) and x >= 0 for x in lams):
             raise ValueError(f"lambdas must be finite and >= 0, got {list(lams)}")
@@ -131,24 +130,16 @@ class ExperimentConfig:
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
 
 
+# what each scalar type of a config field accepts, and its name in errors
+_SCALARS = {bool: ((bool,), "true/false"), int: ((int,), "an integer"),
+            float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
 def _check_scalar(section, key, value, typ):
-    if typ is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{section}.{key}: expected true/false, got {value!r}")
-        return value
-    if typ is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{section}.{key}: expected an integer, got {value!r}")
-        return int(value)
-    if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
-        return float(value)
-    if typ is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{section}.{key}: expected a string, got {value!r}")
-        return value
-    raise ConfigError(f"{section}.{key}: unsupported value {value!r}")
+    accepted, expected = _SCALARS[typ]
+    if not isinstance(value, accepted) or (typ is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{section}.{key}: expected {expected}, got {value!r}")
+    return typ(value)
 
 
 def _fill_dataclass(cls, data, section, omit=()):
@@ -208,13 +199,6 @@ def config_from_dict(data):
         raise ConfigError(f"generator.kind: expected 'var' or 'lorenz', got {cfg.generator.kind!r}")
     if cfg.generator.p < 1:
         raise ConfigError(f"generator.p: must be >= 1, got {cfg.generator.p}")
-    if cfg.penalty.kind not in PENALTY_KINDS:
-        raise ConfigError(f"penalty.kind: expected {'/'.join(PENALTY_KINDS)}, "
-                          f"got {cfg.penalty.kind!r}")
-    try:
-        cfg.model.architecture()
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
     return cfg
 
 
@@ -229,10 +213,19 @@ def config_to_dict(obj, omit=()):
     return obj
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats without a dot: 1e-6, 5e2, 2E-3."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"), list("-+0123456789"))
+
+
 def load_config(path):
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_ConfigLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" (line {mark.line + 1}, column {mark.column + 1})" if mark else ""
@@ -257,7 +250,6 @@ def save_checkpoint(model, path, metadata=None):
         "K": model.K,
         "hidden_sizes": list(model.arch.hidden_sizes),
         "activation": model.arch.activation,
-        "use_output_bias": model.arch.output_bias,
         "theta_hex": [float(v).hex() for v in model.theta],
         "metadata": metadata or {},
     }
@@ -276,8 +268,9 @@ def load_checkpoint(path):
         if doc["format_version"] != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {doc['format_version']}")
         theta = np.array([float.fromhex(h) for h in doc["theta_hex"]])
-        arch = Architecture(hidden_sizes=doc["hidden_sizes"], activation=doc["activation"],
-                            output_bias=doc["use_output_bias"])
+        # older files' flag to freeze the output bias is ignored: a frozen
+        # bias stayed exactly 0.0, so the loaded model predicts the same
+        arch = Architecture(hidden_sizes=doc["hidden_sizes"], activation=doc["activation"])
         model = ComponentMLP(doc["p"], doc["K"], arch, theta=theta)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
@@ -336,10 +329,14 @@ def write_matrix_csv(path, M, ints=False):
 
 
 def read_matrix_csv(path):
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed matrix CSV: {exc}") from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # numpy's "no data" warning
+        try:
+            return np.loadtxt(path, delimiter=",", ndmin=2)
+        except UserWarning:
+            raise DataError(f"{path}: no rows") from None
+        except ValueError as exc:
+            raise DataError(f"{path}: malformed matrix CSV: {exc}") from exc
 
 
 def write_roc_csv(path, lambdas, rates):

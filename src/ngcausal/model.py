@@ -35,12 +35,11 @@ def _count(name, value):
 
 @dataclass(frozen=True)
 class Architecture:
-    """Network shape shared by all per-series models in an experiment, and
-    the one check of it."""
+    """Network shape and init scale shared by all per-series models in an
+    experiment: the one place of their defaults and their check."""
 
     hidden_sizes: tuple = (10,)
     activation: str = "tanh"
-    output_bias: bool = True
     init_scale: float = 0.1
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class Architecture:
         object.__setattr__(self, "hidden_sizes", widths)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}; expected one of {sorted(ACTIVATIONS)}")
-        if not isinstance(self.output_bias, bool):
-            raise ValueError(f"output_bias must be true or false, got {self.output_bias!r}")
         if not (np.isfinite(self.init_scale) and self.init_scale >= 0):
             raise ValueError(f"init_scale must be finite and >= 0, got {self.init_scale}")
 
@@ -179,6 +176,4 @@ def loss_and_grad(model, data, acts=None):
     val = kernels.mlp_loss_grad(model.theta, model.dims, model.w_off,
                                 model.b_off, model.arch.activation,
                                 data.inputs, g, acts)
-    if not model.arch.output_bias:
-        g[model.b_off[-1]] = 0.0
     return float(val), g

@@ -11,7 +11,8 @@ Both have exact proximal operators: blockwise soft-thresholding, applied
 once per group or recursively over the nested suffixes (innermost, i.e.
 deepest lag, first -- for nested groups that composition is the exact prox
 of the summed penalty).  Prox steps write exact zeros, so "group norm > 0"
-is a well-defined edge decision.
+is a well-defined edge decision.  At lam = 0 ``apply_prox`` leaves theta as
+it is and returns 0.0, as ``penalty_value`` does: a fit is then unpenalized.
 """
 
 import math
@@ -19,12 +20,12 @@ from dataclasses import dataclass
 
 from . import _kernels as kernels
 
-PENALTY_KINDS = ("none", "group", "hierarchical")
+PENALTY_KINDS = ("group", "hierarchical")
 
 
 @dataclass
 class PenaltySpec:
-    """Which structured penalty to apply, and how strongly."""
+    """Which structured penalty to apply and how strongly; the one check of both."""
 
     kind: str = "group"
     lam: float = 0.0
@@ -38,7 +39,7 @@ class PenaltySpec:
 
 def penalty_value(spec, model):
     """Penalty term of the training objective for the model's first layer."""
-    if spec.kind == "none" or spec.lam == 0.0:
+    if spec.lam == 0.0:
         return 0.0
     w1 = model.weight(0)
     if spec.kind == "group":
@@ -57,7 +58,7 @@ def apply_prox(spec, model, theta, step):
     """
     if step <= 0:
         raise ValueError(f"step must be > 0, got {step}")
-    if spec.kind == "none":
+    if spec.lam == 0.0:
         return 0.0
     w1 = kernels.layer(theta, model.dims, model.w_off, model.b_off, 0)[0]
     thr = step * spec.lam
@@ -65,4 +66,4 @@ def apply_prox(spec, model, theta, step):
         norm_sum = kernels.prox_group(w1, model.p, model.K, thr)
     else:
         norm_sum = kernels.prox_hier(w1, model.p, model.K, thr)
-    return 0.0 if spec.lam == 0.0 else float(spec.lam * norm_sum)
+    return float(spec.lam * norm_sum)

@@ -89,6 +89,16 @@ class TestSimulate:
         run("simulate", "--config", cfg, "--out", out2, "--seed", 9, "--quiet")
         assert (out1 / "dataset.csv").read_bytes() != (out2 / "dataset.csv").read_bytes()
 
+    def test_resolved_config_regenerates_the_dataset(self, tmp_path):
+        # the resolved config holds the seed drawn from, --seed included
+        cfg = write_config(tmp_path / "c.yaml")
+        first, again = tmp_path / "a", tmp_path / "b"
+        assert run("simulate", "--config", cfg, "--out", first, "--seed", 5, "--quiet") == 0
+        resolved = first / "resolved_config.yaml"
+        assert yaml.safe_load(resolved.read_text())["generator"]["seed"] == 5
+        assert run("simulate", "--config", resolved, "--out", again, "--quiet") == 0
+        assert (again / "dataset.csv").read_bytes() == (first / "dataset.csv").read_bytes()
+
     def test_tiny_edge_prob_identity_truth(self, tmp_path):
         cfg = write_config(tmp_path / "c.yaml",
                            generator={"var": {"K": 1, "edge_prob": 1e-12, "burn_in": 50}})
@@ -192,6 +202,18 @@ class TestSweep:
         bad_truth.write_text("1,0\n0,1\n")
         assert run("sweep", "--config", cfg, "--data", data_dir / "dataset.csv",
                    "--truth", bad_truth, "--out", tmp_path / "x", "--quiet") == 3
+
+    @pytest.mark.parametrize("text", ["", "\n"])
+    def test_empty_truth_is_3_with_one_message(self, simulated, tmp_path, capsys, text):
+        cfg, data_dir = simulated
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert run("sweep", "--config", cfg, "--data", data_dir / "dataset.csv",
+                   "--truth", empty, "--out", out, "--jobs", 1, "--quiet") == 3
+        assert capsys.readouterr().err.splitlines() == [f"data error: {empty}: no rows"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("entry", ["nan", "7"])
     def test_non_binary_truth_is_3(self, simulated, tmp_path, capsys, entry):
@@ -320,6 +342,30 @@ class TestExitCodes:
                    "--quiet") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and section in err
+        assert not (tmp_path / "o").exists()
+
+    def test_output_bias_key_is_2(self, tmp_path, capsys):
+        # every model trains its output bias; the switch is gone
+        cfg = write_config(tmp_path / "c.yaml", model={"output_bias": True})
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: model: unknown key(s) ['output_bias']"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "sweep"])
+    def test_penalty_kind_none_is_2(self, tmp_path, capsys, command):
+        # lam: 0 is the unpenalized fit; kind none is no penalty kind
+        data_dir = tmp_path / "d"
+        run("simulate", "--config", write_config(tmp_path / "ok.yaml"), "--out", data_dir,
+            "--quiet")
+        cfg = write_config(tmp_path / "c.yaml", penalty={"kind": "none"})
+        truth = ["--truth", data_dir / "truth.csv"] if command == "sweep" else []
+        capsys.readouterr()
+        assert run(command, "--config", cfg, "--data", data_dir / "dataset.csv", *truth,
+                   "--out", tmp_path / "o", "--jobs", 1, "--quiet") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: penalty: unknown penalty kind 'none'; "
+            "expected one of ('group', 'hierarchical')"]
         assert not (tmp_path / "o").exists()
 
     def test_missing_data_file_is_io_5(self, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,27 @@ class TestConfigRoundTrip:
         section = text.split("## Config file", 1)[1]
         block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
         assert config_from_dict(yaml.safe_load(block)) == ExperimentConfig()
+
+    def test_model_defaults_are_the_architecture_defaults(self):
+        assert ExperimentConfig().model.architecture() == Architecture()
+
+    @pytest.mark.parametrize("text,value", [
+        ("1e-6", 1e-6), ("5e2", 500.0), ("2E-3", 2e-3), ("+1e-6", 1e-6),
+        ("1.0e5", 1e5), ("1.0e-5", 1e-5)])
+    def test_exponent_float_is_a_number(self, tmp_path, text, value):
+        # YAML 1.1 reads an exponent without a dot, or without a sign, as a string
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"optimizer: {{rel_tol: {text}}}\n")
+        assert load_config(path).optimizer.rel_tol == value
+
+    @pytest.mark.parametrize("text,message", [
+        ("optimizer: {rel_tol: '1e-6'}", "optimizer.rel_tol: expected a number, got '1e-6'"),
+        ("generator: {T: 1e3}", "generator.T: expected an integer, got 1000.0")])
+    def test_exponent_quoted_or_for_an_integer_is_rejected(self, tmp_path, text, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
 
     def test_file_round_trip(self, tmp_path):
         cfg = ExperimentConfig()
@@ -80,8 +102,26 @@ class TestConfigRoundTrip:
     def test_bad_kind_rejected(self):
         with pytest.raises(ConfigError, match="generator.kind"):
             config_from_dict({"generator": {"kind": "arma"}})
-        with pytest.raises(ConfigError, match="penalty.kind"):
+        with pytest.raises(ConfigError, match="^penalty: unknown penalty kind 'lasso'"):
             config_from_dict({"penalty": {"kind": "lasso"}})
+
+    @pytest.mark.parametrize("data,message", [
+        ({"evaluation": {"standardize": 1}}, "evaluation.standardize: expected true/false, got 1"),
+        ({"generator": {"T": True}}, "generator.T: expected an integer, got True"),
+        ({"generator": {"T": 10.0}}, "generator.T: expected an integer, got 10.0"),
+        ({"optimizer": {"rel_tol": True}}, "optimizer.rel_tol: expected a number, got True"),
+        ({"optimizer": {"rel_tol": "small"}}, "optimizer.rel_tol: expected a number, got 'small'"),
+        ({"generator": {"kind": 3}}, "generator.kind: expected a string, got 3"),
+        ({"model": {"hidden": [2, True]}}, "model.hidden[]: expected an integer, got True"),
+        ({"penalty": {"lambdas": [1.0, "x"]}}, "penalty.lambdas[]: expected a number, got 'x'")])
+    def test_scalar_of_the_wrong_type_rejected(self, data, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(data)
+
+    def test_integer_for_a_number_is_a_float(self):
+        cfg = config_from_dict({"optimizer": {"initial_step": 1}, "penalty": {"lambdas": [2, 1]}})
+        assert type(cfg.optimizer.initial_step) is float and cfg.optimizer.initial_step == 1.0
+        assert [type(x) for x in cfg.penalty.lambdas] == [float, float]
 
     def test_optimizer_validation_surfaces_as_config_error(self):
         with pytest.raises(ConfigError, match="optimizer"):
@@ -120,14 +160,13 @@ class TestCheckpoint:
         assert np.array_equal(predict(loaded, X), predict(model, X))
 
     def test_preserves_architecture(self, tmp_path):
-        model = init_model(2, 2, Architecture(hidden_sizes=(), output_bias=False),
+        model = init_model(2, 2, Architecture(hidden_sizes=(), activation="relu"),
                            SeededRng(3))
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         loaded, _ = load_checkpoint(path)
         assert loaded.arch.hidden_sizes == ()
-        assert loaded.arch.output_bias is False
-        assert loaded.arch.activation == model.arch.activation
+        assert loaded.arch.activation == "relu"
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -150,19 +189,43 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key,value,n_theta", [
         ("hidden_sizes", [0], 1),       # theta of a zero-width layer: the output bias
         ("hidden_sizes", [2.5], 9),     # theta sized for width 2
-        ("use_output_bias", "no", 9),
         ("p", 2.5, 9),                  # theta sized for p=2
         ("hidden_sizes", [True], 5),    # theta sized for width 1
         ("p", True, 7)])                # theta sized for p=1
     def test_shape_architecture_rejects_is_data_error(self, tmp_path, key, value, n_theta):
         doc = {"format_version": 1, "p": 2, "K": 1, "hidden_sizes": [2],
-               "activation": "tanh", "use_output_bias": True,
+               "activation": "tanh",
                "theta_hex": [(0.0).hex()] * n_theta, "metadata": {}}
         doc[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=re.escape(f"{path}: malformed checkpoint")):
             load_checkpoint(path)
+
+    def test_frozen_output_bias_flag_of_old_files_ignored(self, tmp_path):
+        # version-1 files could freeze the output bias at 0.0; such a file
+        # loads as the model it stored
+        model = init_model(3, 2, Architecture(hidden_sizes=(4,), init_scale=1.0),
+                           SeededRng(7))
+        model.bias(0)[...] = SeededRng(8).gen.normal(size=4)
+        assert model.bias(1)[0] == 0.0
+        doc = {"format_version": 1, "p": 3, "K": 2, "hidden_sizes": [4],
+               "activation": "tanh", "use_output_bias": False,
+               "theta_hex": [float(v).hex() for v in model.theta], "metadata": {}}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        loaded, _ = load_checkpoint(path)
+        assert (loaded.arch.hidden_sizes, loaded.arch.activation) == ((4,), "tanh")
+        X = SeededRng(9).gen.normal(size=(25, 6))
+        assert predict(loaded, X).tobytes() == predict(model, X).tobytes()
+
+    def test_written_keys(self, tmp_path):
+        model = init_model(2, 1, Architecture(), SeededRng(0))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(model, path)
+        assert sorted(json.loads(path.read_text())) == [
+            "K", "activation", "format_version", "hidden_sizes", "metadata", "p",
+            "theta_hex"]
 
     def test_deterministic_bytes(self, tmp_path):
         model = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(5))
@@ -211,6 +274,16 @@ class TestCsv:
         path = tmp_path / "t.csv"
         write_matrix_csv(path, M, ints=True)
         assert path.read_text() == "1,0,0\n0,1,0\n0,0,1\n"
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_matrix_without_rows(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no rows$"):
+                read_matrix_csv(path)
+        assert caught == []
 
     def test_auc_csv_round_trip(self, tmp_path):
         path = tmp_path / "auc.csv"

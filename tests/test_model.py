@@ -263,21 +263,13 @@ class TestLinearEquivalence:
 class TestArchitecture:
     @pytest.mark.parametrize("field", [
         {"activation": "sigmoid"}, {"hidden_sizes": (0,)},
-        # a float width is not truncated, and a string is no bool
-        {"hidden_sizes": (2.5,)}, {"output_bias": "no"},
+        # a float width is not truncated
+        {"hidden_sizes": (2.5,)},
         # operator.index(True) is 1, yet a bool is no width
         {"hidden_sizes": (True,)}])
     def test_bad_field_rejected(self, field):
         with pytest.raises(ValueError):
             Architecture(**field)
-
-    def test_output_bias_off_stays_zero(self):
-        arch = Architecture(hidden_sizes=(3,), output_bias=False)
-        model = init_model(2, 2, arch, SeededRng(0))
-        _, data = random_instance(1, p=2, K=2, N=5)
-        g = loss_and_grad(model, data)[1]
-        assert g[model.b_off[-1]] == 0.0
-        assert model.bias(len(model.dims) - 2)[0] == 0.0
 
     def test_init_is_seeded(self):
         arch = Architecture(hidden_sizes=(4, 3))

@@ -195,7 +195,8 @@ class TestFit:
     def test_monotone_descent_various_penalties(self):
         data = small_dataset(12)
         for activation in ("tanh", "relu"):
-            for kind, lam, hidden in [("none", 0.0, (4,)), ("group", 1.0, (4,)),
+            for kind, lam, hidden in [("group", 0.0, (4,)), ("hierarchical", 0.0, (4,)),
+                                      ("group", 1.0, (4,)),
                                       ("hierarchical", 2.0, (3, 2)), ("group", 5.0, ())]:
                 arch = Architecture(hidden_sizes=hidden, activation=activation)
                 res = fit(data, PenaltySpec(kind, lam), seeded_model(data, arch, 13),
@@ -256,14 +257,15 @@ class TestFit:
         n = min(len(trace), len(res.objective_trace))
         assert np.allclose(res.objective_trace[:n], trace[:n], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["none", "group", "hierarchical"])
+    @pytest.mark.parametrize("kind,lam", [("group", 0.0), ("hierarchical", 0.0),
+                                          ("group", 3.0), ("hierarchical", 3.0)])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_trace_equals_loop_with_fresh_gradients(self, kind, activation):
+    def test_trace_equals_loop_with_fresh_gradients(self, kind, lam, activation):
         # fit reuses each accepted candidate's forward pass; a loop that runs
         # loss_and_grad afresh every iteration must give the same bits
         data = small_dataset(17, T=120)
         arch = Architecture(hidden_sizes=(5, 3), activation=activation, init_scale=1.0)
-        spec = PenaltySpec(kind, 3.0)
+        spec = PenaltySpec(kind, lam)
         opt = OptimizerConfig(max_iters=150, initial_step=0.05, rel_tol=1e-9)
         res = fit(data, spec, seeded_model(data, arch, 22), opt)
 
@@ -345,16 +347,17 @@ class TestWarmStart:
         a, b = lo_warm.objective_trace[-1], lo_cold.objective_trace[-1]
         assert abs(a - b) / max(1.0, abs(b)) < 1e-4
 
-    @pytest.mark.parametrize("kind", ["none", "group", "hierarchical"])
+    @pytest.mark.parametrize("kind,lam", [("group", 0.0), ("hierarchical", 0.0),
+                                          ("group", 1.5), ("hierarchical", 1.5)])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_handed_over_forward_pass_changes_no_bit(self, kind, activation):
+    def test_handed_over_forward_pass_changes_no_bit(self, kind, lam, activation):
         # the warm start takes the previous fit's last forward pass; a fit
         # from the same model at the same first step runs that pass afresh
         data = small_dataset(24, T=120)
         arch = Architecture(hidden_sizes=(5, 3), activation=activation, init_scale=1.0)
-        first = fit(data, PenaltySpec(kind, 3.0), seeded_model(data, arch, 3),
+        first = fit(data, PenaltySpec(kind, 2 * lam), seeded_model(data, arch, 3),
                     OptimizerConfig(max_iters=40))
-        spec, opt = PenaltySpec(kind, 1.5), OptimizerConfig()
+        spec, opt = PenaltySpec(kind, lam), OptimizerConfig()
         warm = fit(data, spec, first, opt)
         same_step = dataclasses.replace(
             opt, initial_step=min(first.final_step, opt.initial_step))
@@ -520,7 +523,7 @@ class TestOptimizerConfigValidation:
 
     def test_fit_result_fields(self):
         data = small_dataset(30)
-        res = fit(data, PenaltySpec("none", 0.0),
+        res = fit(data, PenaltySpec("group", 0.0),
                   seeded_model(data, Architecture(hidden_sizes=()), 0),
                   OptimizerConfig(max_iters=10))
         assert isinstance(res, FitResult)

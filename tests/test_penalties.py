@@ -49,7 +49,7 @@ def prox_objective_minimizer(v, t):
 class TestPenaltyValue:
     def test_zero_first_layer_any_kind(self):
         model = ComponentMLP(p=3, K=2, arch=Architecture(hidden_sizes=(4,)))
-        for kind in ("none", "group", "hierarchical"):
+        for kind in ("group", "hierarchical"):
             assert penalty_value(PenaltySpec(kind, 2.0), model) == 0.0
 
     def test_group_hand_case(self):
@@ -64,10 +64,6 @@ class TestPenaltyValue:
         model.weight(0)[0] = [3.0, 4.0]
         assert np.isclose(penalty_value(PenaltySpec("hierarchical", 1.0), model), 9.0,
                           rtol=1e-14)
-
-    def test_none_is_zero_even_with_weights(self):
-        model = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(0))
-        assert penalty_value(PenaltySpec("none", 5.0), model) == 0.0
 
     def test_matches_direct_recomputation(self):
         model = init_model(4, 3, Architecture(hidden_sizes=(5,), init_scale=1.0),
@@ -178,11 +174,14 @@ class TestProxHierarchicalColumn:
 
 
 class TestApplyProx:
-    def test_none_unchanged(self):
+    @pytest.mark.parametrize("kind", ["group", "hierarchical"])
+    def test_lambda_zero_leaves_every_bit(self, kind):
+        # no prox runs at lambda 0: a signed zero group keeps its sign
         model = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(0))
-        before = model.theta.copy()
-        apply_prox(PenaltySpec("none", 100.0), model, model.theta, step=0.1)
-        assert np.array_equal(model.theta, before)
+        model.weight(0)[:, 1::3] = -0.0
+        before = model.theta.tobytes()
+        assert apply_prox(PenaltySpec(kind, 0.0), model, model.theta, step=0.1) == 0.0
+        assert model.theta.tobytes() == before
 
     def test_huge_lambda_zeroes_first_layer_only(self):
         model = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(1))
@@ -239,12 +238,12 @@ class TestApplyProx:
                                model.weight(0)[:, k * 5:(k + 1) * 5][:, perm],
                                rtol=1e-15)
 
-    @pytest.mark.parametrize("kind", ["none", "group", "hierarchical"])
+    @pytest.mark.parametrize("kind", ["group", "hierarchical"])
     @pytest.mark.parametrize("lam", [0.0, 0.3, 2.0, 1e9])
     @pytest.mark.parametrize("nan", [False, True])
     def test_returns_penalty_value_of_result(self, kind, lam, nan):
         # the returned penalty is penalty_value's to the bit, also where the
-        # layer has a NaN (0 at lambda 0 and for kind none, else NaN)
+        # layer has a NaN (0 at lambda 0, else NaN)
         model = init_model(4, 3, Architecture(hidden_sizes=(5,), init_scale=1.0),
                            SeededRng(6))
         if nan:

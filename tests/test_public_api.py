@@ -47,7 +47,8 @@ def test_removed_helper_not_exported(name):
 @pytest.mark.parametrize("owner,name", [
     ("ComponentMLP", "column_group"), ("ComponentMLP", "unpack"),
     ("ComponentMLP", "weights"), ("ComponentMLP", "biases"),
-    ("ComponentMLP", "output_bias"), ("SeededRng", "child"),
+    ("ComponentMLP", "output_bias"), ("Architecture", "output_bias"),
+    ("SeededRng", "child"),
     ("OptimizerConfig", "backtracking"), ("OptimizerConfig", "backtrack_factor"),
     ("optim", "ForwardPass"), ("ComponentMLP", "first_layer_packed"),
     ("ComponentMLP", "n_layers"), ("_kernels", "ACT_TANH"),
