@@ -76,9 +76,9 @@ def make_sparse_var(rng, p, K, edge_prob=0.2, magnitude=0.1,
     if not (np.isfinite(noise_sigma) and noise_sigma > 0):
         raise ValueError(f"noise_sigma must be finite and > 0, got {noise_sigma}")
 
-    adjacency = (rng.gen.random((p, p)) < edge_prob).astype(np.float64)
+    adjacency = (rng.random((p, p)) < edge_prob).astype(np.float64)
     np.fill_diagonal(adjacency, 1.0)
-    signs = np.where(rng.gen.random((p, p)) < 0.5, -1.0, 1.0)
+    signs = np.where(rng.random((p, p)) < 0.5, -1.0, 1.0)
     base = adjacency * signs * magnitude
     coeffs = np.repeat(base[np.newaxis, :, :], K, axis=0)
 
@@ -124,7 +124,7 @@ def simulate_var(proc, T, rng, burn_in=200, init=None):
         if init.shape != (K, p):
             raise ValueError(f"init must have shape ({K}, {p}), got {init.shape}")
         x[:K] = init
-    noise = rng.gen.normal(0.0, proc.noise_sigma, size=(total - K, p))
+    noise = rng.normal(0.0, proc.noise_sigma, size=(total - K, p))
     for t in range(K, total):
         acc = noise[t - K]
         for k in range(K):
@@ -185,11 +185,11 @@ def simulate_lorenz(cfg, T, rng, init=None):
         if state.shape != (p,):
             raise ValueError(f"init must have shape ({p},), got {state.shape}")
     else:
-        state = cfg.F + rng.gen.normal(0.0, 0.01, size=p)
+        state = cfg.F + rng.normal(0.0, 0.01, size=p)
 
     total = cfg.burn_in + T
     out = np.empty((total, p))
-    noise = rng.gen.normal(0.0, cfg.noise_sigma, size=(total, p))
+    noise = rng.normal(0.0, cfg.noise_sigma, size=(total, p))
     for t in range(total):
         state = state + cfg.dt * lorenz_derivative(state, cfg.F) + noise[t]
         if not np.all(np.abs(state) <= 1e8):

@@ -1,4 +1,4 @@
-"""Config files, model checkpoints, and the CSV formats the CLI emits.
+"""Config files, model checkpoints, and the CSV tables the CLI reads and writes.
 
 Formats (all deterministic byte streams given identical inputs, each written
 to ``path + ".tmp"`` and renamed over ``path``, so no reader sees half a file):
@@ -6,12 +6,20 @@ to ``path + ".tmp"`` and renamed over ``path``, so no reader sees half a file):
 * config        -- YAML with sections generator/model/penalty/optimizer/
                    evaluation; every tunable constant is visible here and
                    round-trips losslessly.
-* checkpoint    -- versioned JSON; weights stored as C99 hex floats so a
-                   reloaded model reproduces forward outputs bit-identically.
+* checkpoint    -- versioned JSON; every ``Architecture`` field, and weights
+                   stored as C99 hex floats so a reloaded model reproduces
+                   forward outputs bit-identically.
 * dataset CSV   -- header ``t,s0,...,s{p-1}``, one row per time step;
                    every value must be finite.
 * matrix CSV    -- bare p x p rows (truth graphs as 0/1, weight graphs and
                    lag profiles at 17 significant digits).
+* roc, edges and auc CSVs -- one header line, then one row per lambda
+                   (roc, edges) or per sweep (auc).
+
+Every CSV is read by one set of rules: blank and whitespace-only lines are
+skipped; every row has the header's field count (a matrix: its first row's);
+a short row or a bad value is a ``DataError`` naming ``<path>:<line>``; and a
+file without data rows is the ``DataError`` ``<path>: no data rows``.
 """
 
 import contextlib
@@ -20,7 +28,6 @@ import json
 import math
 import os
 import re
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -248,8 +255,7 @@ def save_checkpoint(model, path, metadata=None):
         "format_version": CHECKPOINT_VERSION,
         "p": model.p,
         "K": model.K,
-        "hidden_sizes": list(model.arch.hidden_sizes),
-        "activation": model.arch.activation,
+        **dataclasses.asdict(model.arch),
         "theta_hex": [float(v).hex() for v in model.theta],
         "metadata": metadata or {},
     }
@@ -268,9 +274,11 @@ def load_checkpoint(path):
         if doc["format_version"] != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {doc['format_version']}")
         theta = np.array([float.fromhex(h) for h in doc["theta_hex"]])
-        # older files' flag to freeze the output bias is ignored: a frozen
-        # bias stayed exactly 0.0, so the loaded model predicts the same
-        arch = Architecture(hidden_sizes=doc["hidden_sizes"], activation=doc["activation"])
+        # every Architecture field is required but init_scale, which older
+        # files lack (they load with the default); their flag to freeze the
+        # output bias is ignored (a frozen bias stayed exactly 0.0)
+        arch = Architecture(**{f.name: doc[f.name] for f in dataclasses.fields(Architecture)
+                               if f.name in doc or f.name != "init_scale"})
         model = ComponentMLP(doc["p"], doc["K"], arch, theta=theta)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
@@ -280,112 +288,108 @@ def load_checkpoint(path):
 # -------------------------------------------------------------------- CSVs
 
 
-def write_dataset_csv(path, ts):
-    ts = np.asarray(ts)
-    p = ts.shape[1]
+def _write_csv(path, header, fmt, rows):
+    """``header`` (None: no header line), then ``fmt.format(*row)`` per row."""
+    fmt += "\n"
     with _atomic_open(path) as fh:
-        fh.write("t," + ",".join(f"s{j}" for j in range(p)) + "\n")
-        for t, row in enumerate(ts):
-            fh.write(str(t) + "," + ",".join(FLOAT_FMT.format(v) for v in row) + "\n")
+        if header is not None:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write(fmt.format(*row))
 
 
-def read_dataset_csv(path):
+def _read_csv(path, header, parse):
+    """``parse(fields)`` of every row, under the CSV rules of the module
+    docstring.  ``header(fields)`` checks the first non-blank line, or is None
+    for a headerless matrix; ``header`` and ``parse`` raise ValueError on bad
+    input."""
+    rows, width = [], None
     with open(path) as fh:
-        header = fh.readline().strip()
-        cols = header.split(",")
-        if not cols or cols[0] != "t" or any(c != f"s{j}" for j, c in enumerate(cols[1:])):
-            raise DataError(f"{path}: expected header 't,s0,...', got {header!r}")
-        p = len(cols) - 1
-        if p < 1:
-            raise DataError(f"{path}: no series columns")
-        rows = []
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != p + 1:
-                raise DataError(f"{path}:{lineno}: expected {p + 1} fields, got {len(parts)}")
+            fields = line.split(",")
             try:
-                row = [float(v) for v in parts[1:]]
+                if width is None:
+                    width = len(fields)
+                    if header is not None:
+                        header(fields)
+                        continue
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} fields, got {len(fields)}")
+                rows.append(parse(fields))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
-            if not all(map(math.isfinite, row)):
-                raise DataError(f"{path}:{lineno}: non-finite value")
-            rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.asarray(rows)
+    return rows
+
+
+def write_dataset_csv(path, ts):
+    ts = np.asarray(ts)
+    p = ts.shape[1]
+    _write_csv(path, "t," + ",".join(f"s{j}" for j in range(p)), "{}" + f",{FLOAT_FMT}" * p,
+               ((t, *row.tolist()) for t, row in enumerate(ts)))
+
+
+def _dataset_header(fields):
+    if len(fields) < 2 or fields != ["t"] + [f"s{j}" for j in range(len(fields) - 1)]:
+        raise ValueError(f"expected header 't,s0,...', got {','.join(fields)!r}")
+
+
+def _dataset_row(fields):
+    row = [float(v) for v in fields[1:]]
+    if not all(map(math.isfinite, row)):
+        raise ValueError("non-finite value")
+    return row
+
+
+def read_dataset_csv(path):
+    return np.asarray(_read_csv(path, _dataset_header, _dataset_row))
 
 
 def write_matrix_csv(path, M, ints=False):
     M = np.asarray(M)
-    with _atomic_open(path) as fh:
-        for row in M:
-            if ints:
-                fh.write(",".join(str(int(v)) for v in row) + "\n")
-            else:
-                fh.write(",".join(FLOAT_FMT.format(v) for v in row) + "\n")
+    if ints:
+        M = M.astype(np.int64)
+    _write_csv(path, None, ",".join(["{:d}" if ints else FLOAT_FMT] * M.shape[1]),
+               (row.tolist() for row in M))
 
 
 def read_matrix_csv(path):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)  # numpy's "no data" warning
-        try:
-            return np.loadtxt(path, delimiter=",", ndmin=2)
-        except UserWarning:
-            raise DataError(f"{path}: no rows") from None
-        except ValueError as exc:
-            raise DataError(f"{path}: malformed matrix CSV: {exc}") from exc
+    return np.asarray(_read_csv(path, None, lambda fields: [float(v) for v in fields]))
 
 
 def write_roc_csv(path, lambdas, rates):
     """Per-lambda operating points; rates is a list of (fpr, tpr)."""
-    with _atomic_open(path) as fh:
-        fh.write("lambda,fpr,tpr\n")
-        for lam, (fpr, tpr) in zip(lambdas, rates):
-            fh.write(f"{FLOAT_FMT.format(lam)},{FLOAT_FMT.format(fpr)},{FLOAT_FMT.format(tpr)}\n")
+    _write_csv(path, "lambda,fpr,tpr", f"{FLOAT_FMT},{FLOAT_FMT},{FLOAT_FMT}",
+               ((lam, fpr, tpr) for lam, (fpr, tpr) in zip(lambdas, rates)))
 
 
-AUC_HEADER = "generator,T,seed,penalty,auc,auc_excl_diag"
+# auc.csv's columns, in file order, with the type each is read as
+AUC_COLUMNS = (("generator", str), ("T", int), ("seed", int), ("penalty", str),
+               ("auc", float), ("auc_excl_diag", float))
+AUC_HEADER = ",".join(name for name, _ in AUC_COLUMNS)
 
 
 def write_auc_csv(path, rows):
     """auc.csv rows, dicts as read_auc_csv returns them, under one header."""
-    with _atomic_open(path) as fh:
-        fh.write(AUC_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r['generator']},{r['T']},{r['seed']},{r['penalty']},"
-                     f"{FLOAT_FMT.format(r['auc'])},{FLOAT_FMT.format(r['auc_excl_diag'])}\n")
+    fmt = ",".join(FLOAT_FMT if typ is float else "{}" for _, typ in AUC_COLUMNS)
+    _write_csv(path, AUC_HEADER, fmt, ([r[name] for name, _ in AUC_COLUMNS] for r in rows))
+
+
+def _auc_header(fields):
+    if ",".join(fields) != AUC_HEADER:
+        raise ValueError(f"expected header {AUC_HEADER!r}, got {','.join(fields)!r}")
 
 
 def read_auc_csv(path):
     """Every row of an auc.csv, as dicts; a malformed row is a DataError."""
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != AUC_HEADER:
-            raise DataError(f"{path}: expected header {AUC_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise DataError(f"{path}:{lineno}: expected 6 fields, got {len(parts)}")
-            try:
-                rows.append({"generator": parts[0], "T": int(parts[1]),
-                             "seed": int(parts[2]), "penalty": parts[3],
-                             "auc": float(parts[4]), "auc_excl_diag": float(parts[5])})
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: missing data row")
-    return rows
+    return _read_csv(path, _auc_header, lambda fields: {
+        name: typ(v) for (name, typ), v in zip(AUC_COLUMNS, fields)})
 
 
 def write_edges_csv(path, lambdas, active_edges, active_lag_pairs):
-    with _atomic_open(path) as fh:
-        fh.write("lambda,active_edges,active_lag_pairs\n")
-        for lam, e, q in zip(lambdas, active_edges, active_lag_pairs):
-            fh.write(f"{FLOAT_FMT.format(lam)},{int(e)},{int(q)}\n")
+    _write_csv(path, "lambda,active_edges,active_lag_pairs", FLOAT_FMT + ",{:d},{:d}",
+               zip(lambdas, active_edges, active_lag_pairs))

@@ -105,7 +105,7 @@ def init_model(p, K, arch, rng):
     for l in range(len(model.dims) - 1):
         fan_in = model.dims[l]
         std = arch.init_scale / np.sqrt(fan_in)
-        model.weight(l)[...] = rng.gen.normal(0.0, std, size=model.weight(l).shape)
+        model.weight(l)[...] = rng.normal(0.0, std, size=model.weight(l).shape)
     return model
 
 

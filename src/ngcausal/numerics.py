@@ -6,24 +6,19 @@ All arithmetic is float64.
 import numpy as np
 
 
-class SeededRng:
-    """Reproducible random stream: identical seeds give identical draws.
+class SeededRng(np.random.Generator):
+    """Reproducible random stream: a numpy ``Generator`` over PCG64 keyed by
+    ``seed``, so identical seeds give identical draws on every run and platform.
 
-    Wraps ``numpy.random.Generator`` over PCG64 keyed by a ``SeedSequence``,
-    so streams are stable across runs and platforms.  A ``SeededRng`` is
-    single-owner; parallel work must seed its own streams with
-    :func:`child_seed`, never share one instance.
+    A ``SeededRng`` is single-owner; parallel work must seed its own streams
+    with :func:`child_seed`, never share one instance.
     """
 
     def __init__(self, seed):
         seed = int(seed)
         if seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-        self.seed = seed
-        self.gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-
-    def __repr__(self):
-        return f"SeededRng(seed={self.seed})"
+        super().__init__(np.random.PCG64(seed))
 
 
 def child_seed(seed, index):

@@ -121,3 +121,43 @@ def test_tracer_counts_of_a_sweep(harness, tmp_path):
     assert metrics["optim.backtracks"] == 2 * (calls["kernels.prox"] - iters)
     assert metrics["penalties.penalty_value.calls"] == 2 * p * n_lam
     assert np.isfinite(metrics["optim.us_per_iter"])
+
+
+def test_cli_sweep_reads_the_same_with_the_benchmark_parser(harness, tmp_path):
+    # the benchmark reads a CLI sweep's files with its own parser: every value
+    # it reads must be what ngcausal.io reads, or what the raw text says
+    checks = harness("checks")
+    from ngcausal import cli, io
+    p, K, n_lam = 3, 1, 4
+    ts, truth = ng.VarGenConfig(p=p, K=K).generate(150, 0)
+    data, truth_path, out = tmp_path / "dataset.csv", tmp_path / "truth.csv", tmp_path / "sw"
+    io.write_dataset_csv(data, ts)
+    io.write_matrix_csv(truth_path, truth, ints=True)
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"model: {{K: {K}, hidden: [2]}}\n"
+                   f"penalty: {{kind: group, grid_size: {n_lam}}}\n")
+    assert cli.main(["sweep", "--config", str(cfg), "--data", str(data), "--truth",
+                     str(truth_path), "--out", str(out), "--jobs", "1", "--quiet"]) == 0
+
+    graphs = [truth_path] + sorted((out / "graphs").iterdir())
+    assert len(graphs) == 1 + n_lam
+    for path in graphs:
+        ours, theirs = io.read_matrix_csv(path), checks.read_matrix(path)
+        assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+    [auc] = io.read_auc_csv(out / "auc.csv")
+    [row] = checks.read_csv_rows(out / "auc.csv", skip_header=True)
+    # repr: auc_excl_diag may be nan
+    assert [repr(typ(v)) for (_, typ), v in zip(io.AUC_COLUMNS, row, strict=True)] == [
+        repr(auc[name]) for name, _ in io.AUC_COLUMNS]
+
+    for name, types in [("roc.csv", (float, float, float)), ("edges.csv", (float, int, int))]:
+        lines = (out / name).read_text().splitlines()
+        assert len(lines) == 1 + n_lam and all(lines)
+        rows = checks.read_csv_rows(out / name, skip_header=True)
+        assert rows == [line.split(",") for line in lines[1:]]
+        for r in rows:  # each field parses as the type the benchmark reads it with
+            [t(v) for t, v in zip(types, r, strict=True)]
+
+    problems, program_auc = checks.cli_sweep_problems(str(out), str(truth_path), K, n_lam, 0.0)
+    assert problems == [] and program_auc == auc["auc"]

@@ -212,7 +212,26 @@ class TestSweep:
         capsys.readouterr()
         assert run("sweep", "--config", cfg, "--data", data_dir / "dataset.csv",
                    "--truth", empty, "--out", out, "--jobs", 1, "--quiet") == 3
-        assert capsys.readouterr().err.splitlines() == [f"data error: {empty}: no rows"]
+        assert capsys.readouterr().err.splitlines() == [f"data error: {empty}: no data rows"]
+        assert not out.exists()
+
+    def test_truth_ending_in_a_whitespace_line_is_read(self, simulated, tmp_path):
+        cfg, data_dir = simulated
+        truth = tmp_path / "truth.csv"
+        truth.write_text((data_dir / "truth.csv").read_text() + " \n")
+        assert run("sweep", "--config", cfg, "--data", data_dir / "dataset.csv",
+                   "--truth", truth, "--out", tmp_path / "x", "--jobs", 1, "--quiet") == 0
+
+    def test_ragged_truth_is_3_with_one_message(self, simulated, tmp_path, capsys):
+        cfg, data_dir = simulated
+        truth = tmp_path / "truth.csv"
+        truth.write_text("1,0\n1\n")
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert run("sweep", "--config", cfg, "--data", data_dir / "dataset.csv",
+                   "--truth", truth, "--out", out, "--jobs", 1, "--quiet") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {truth}:2: expected 2 fields, got 1"]
         assert not out.exists()
 
     @pytest.mark.parametrize("entry", ["nan", "7"])

@@ -251,7 +251,7 @@ class TestSimulateLorenz:
 
 class TestStandardize:
     def test_idempotent(self):
-        ts = SeededRng(0).gen.normal(size=(200, 3))
+        ts = SeededRng(0).normal(size=(200, 3))
         once = standardize(ts)[0]
         twice = standardize(once)[0]
         assert np.allclose(once, twice, atol=1e-12)
@@ -266,7 +266,7 @@ class TestStandardize:
         assert mean[0] == 2.0 and np.isclose(std[0], np.sqrt(2.0 / 3.0))
 
     def test_output_means_are_zero(self):
-        ts = SeededRng(1).gen.normal(size=(100, 4)) * 3.0 + 7.0
+        ts = SeededRng(1).normal(size=(100, 4)) * 3.0 + 7.0
         out, _, _ = standardize(ts)
         assert np.all(np.abs(out.mean(axis=0)) < 1e-12)
         assert np.allclose(out.std(axis=0), 1.0, atol=1e-12)
@@ -277,7 +277,7 @@ class TestStandardize:
             standardize(ts)
 
     def test_inversion(self):
-        ts = SeededRng(2).gen.normal(size=(50, 3)) * 2.0 + 5.0
+        ts = SeededRng(2).normal(size=(50, 3)) * 2.0 + 5.0
         out, mean, std = standardize(ts)
         assert np.allclose(out * std + mean, ts, atol=1e-12)
 

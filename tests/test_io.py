@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from ngcausal.io import (ConfigError, DataError, ExperimentConfig,
+from ngcausal.io import (AUC_HEADER, ConfigError, DataError, ExperimentConfig,
                          config_from_dict, config_to_dict, load_checkpoint,
                          load_config, read_auc_csv, read_dataset_csv,
                          read_matrix_csv, save_checkpoint, save_config,
@@ -156,17 +156,17 @@ class TestCheckpoint:
         loaded, meta = load_checkpoint(path)
         assert meta["lam"] == 0.5
         assert np.array_equal(loaded.theta, model.theta)
-        X = SeededRng(1).gen.normal(size=(20, 12))
+        X = SeededRng(1).normal(size=(20, 12))
         assert np.array_equal(predict(loaded, X), predict(model, X))
 
     def test_preserves_architecture(self, tmp_path):
-        model = init_model(2, 2, Architecture(hidden_sizes=(), activation="relu"),
-                           SeededRng(3))
+        # every field, init_scale included
+        model = init_model(2, 2, Architecture(hidden_sizes=(), activation="relu",
+                                              init_scale=1.0), SeededRng(3))
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         loaded, _ = load_checkpoint(path)
-        assert loaded.arch.hidden_sizes == ()
-        assert loaded.arch.activation == "relu"
+        assert loaded.arch == model.arch
 
     def test_corrupt_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -178,6 +178,18 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format_version": 1, "p": 2}))
         with pytest.raises(DataError, match="malformed"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["hidden_sizes", "activation"])
+    def test_missing_architecture_key_rejected(self, tmp_path, key):
+        # only init_scale may be missing; the model has the defaults, so a
+        # missing key read as its default would load
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(init_model(2, 1, Architecture(), SeededRng(0)), path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed checkpoint"):
             load_checkpoint(path)
 
     def test_wrong_version_rejected(self, tmp_path):
@@ -203,11 +215,11 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_frozen_output_bias_flag_of_old_files_ignored(self, tmp_path):
-        # version-1 files could freeze the output bias at 0.0; such a file
-        # loads as the model it stored
+        # version-1 files could freeze the output bias at 0.0 and had no
+        # init_scale; such a file loads as the model it stored, at the default scale
         model = init_model(3, 2, Architecture(hidden_sizes=(4,), init_scale=1.0),
                            SeededRng(7))
-        model.bias(0)[...] = SeededRng(8).gen.normal(size=4)
+        model.bias(0)[...] = SeededRng(8).normal(size=4)
         assert model.bias(1)[0] == 0.0
         doc = {"format_version": 1, "p": 3, "K": 2, "hidden_sizes": [4],
                "activation": "tanh", "use_output_bias": False,
@@ -215,8 +227,8 @@ class TestCheckpoint:
         path = tmp_path / "old.json"
         path.write_text(json.dumps(doc))
         loaded, _ = load_checkpoint(path)
-        assert (loaded.arch.hidden_sizes, loaded.arch.activation) == ((4,), "tanh")
-        X = SeededRng(9).gen.normal(size=(25, 6))
+        assert loaded.arch == Architecture(hidden_sizes=(4,))
+        X = SeededRng(9).normal(size=(25, 6))
         assert predict(loaded, X).tobytes() == predict(model, X).tobytes()
 
     def test_written_keys(self, tmp_path):
@@ -224,8 +236,8 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
         assert sorted(json.loads(path.read_text())) == [
-            "K", "activation", "format_version", "hidden_sizes", "metadata", "p",
-            "theta_hex"]
+            "K", "activation", "format_version", "hidden_sizes", "init_scale",
+            "metadata", "p", "theta_hex"]
 
     def test_deterministic_bytes(self, tmp_path):
         model = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(5))
@@ -237,7 +249,7 @@ class TestCheckpoint:
 
 class TestCsv:
     def test_dataset_round_trip(self, tmp_path):
-        ts = SeededRng(0).gen.normal(size=(40, 3))
+        ts = SeededRng(0).normal(size=(40, 3))
         path = tmp_path / "data.csv"
         write_dataset_csv(path, ts)
         header = path.read_text().splitlines()[0]
@@ -245,26 +257,8 @@ class TestCsv:
         back = read_dataset_csv(path)
         assert np.array_equal(back, ts)  # 17 significant digits round-trip
 
-    def test_dataset_bad_header(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("time,a,b\n0,1,2\n")
-        with pytest.raises(DataError, match="header"):
-            read_dataset_csv(path)
-
-    def test_dataset_bad_row_reports_line(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("t,s0\n0,1.0\n1,oops\n")
-        with pytest.raises(DataError, match=":3"):
-            read_dataset_csv(path)
-
-    def test_dataset_missing_field_counted(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("t,s0,s1\n0,1.0\n")
-        with pytest.raises(DataError, match="fields"):
-            read_dataset_csv(path)
-
     def test_matrix_round_trip(self, tmp_path):
-        M = SeededRng(1).gen.normal(size=(4, 4))
+        M = SeededRng(1).normal(size=(4, 4))
         path = tmp_path / "m.csv"
         write_matrix_csv(path, M)
         assert np.array_equal(read_matrix_csv(path), M)
@@ -281,7 +275,7 @@ class TestCsv:
         path.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no rows$"):
+            with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no data rows$"):
                 read_matrix_csv(path)
         assert caught == []
 
@@ -312,13 +306,7 @@ class TestCsv:
     def test_auc_csv_without_rows(self, tmp_path):
         path = tmp_path / "auc.csv"
         path.write_text("generator,T,seed,penalty,auc,auc_excl_diag\n\n")
-        with pytest.raises(DataError, match="missing data row"):
-            read_auc_csv(path)
-
-    def test_auc_csv_bad_header(self, tmp_path):
-        path = tmp_path / "auc.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(DataError, match="header"):
+        with pytest.raises(DataError, match="no data rows"):
             read_auc_csv(path)
 
     def test_config_yaml_is_plain_mapping(self, tmp_path):
@@ -331,6 +319,71 @@ class TestCsv:
         assert set(raw) == {"generator", "model", "penalty", "optimizer",
                             "evaluation"}
         assert raw["model"]["hidden"] == [10]
+
+
+# each reader: its header line ("" for a bare matrix), one data row, and the
+# values that row reads as
+CSV_READERS = {
+    "dataset": (read_dataset_csv, "t,s0,s1\n", "0,1.5,-2", [1.5, -2.0]),
+    "matrix": (read_matrix_csv, "", "1,0,0.25", [1.0, 0.0, 0.25]),
+    "auc": (read_auc_csv, AUC_HEADER + "\n", "var,1000,3,group,0.5,0.25",
+            {"generator": "var", "T": 1000, "seed": 3, "penalty": "group",
+             "auc": 0.5, "auc_excl_diag": 0.25}),
+}
+
+
+class TestCsvRules:
+    """The rules every CSV reader shares (see the io module docstring)."""
+
+    @pytest.fixture(params=sorted(CSV_READERS))
+    def reader(self, request):
+        return CSV_READERS[request.param]
+
+    @staticmethod
+    def message(path, rest):
+        return f"^{re.escape(f'{path}{rest}')}$"
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path, reader):
+        read, header, row, value = reader
+        path = tmp_path / "f.csv"
+        path.write_text(f" \n{header}{row}\n \n\t\n{row}\n \n")
+        rows = read(path)
+        assert (rows.tolist() if isinstance(rows, np.ndarray) else rows) == [value, value]
+
+    def test_short_row_names_its_line(self, tmp_path, reader):
+        read, header, row, _ = reader
+        path = tmp_path / "f.csv"
+        path.write_text(f"{header}{row}\n{row.rsplit(',', 1)[0]}\n")
+        line, n = 3 if header else 2, row.count(",") + 1
+        with pytest.raises(DataError, match=self.message(
+                path, f":{line}: expected {n} fields, got {n - 1}")):
+            read(path)
+
+    def test_unparsable_value_names_its_line(self, tmp_path, reader):
+        read, header, row, _ = reader
+        path = tmp_path / "f.csv"
+        path.write_text(f"{header}{row}\n{row.rsplit(',', 1)[0]},oops\n")
+        line = 3 if header else 2
+        with pytest.raises(DataError, match=self.message(
+                path, f":{line}: could not convert string to float: 'oops'")):
+            read(path)
+
+    @pytest.mark.parametrize("body", ["", "\n", " \n\t\n"])
+    def test_no_data_rows(self, tmp_path, reader, body):
+        read, header, _, _ = reader
+        for text in {body, header + body}:
+            path = tmp_path / "f.csv"
+            path.write_text(text)
+            with pytest.raises(DataError, match=self.message(path, ": no data rows")):
+                read(path)
+
+    @pytest.mark.parametrize("kind", ["dataset", "auc"])
+    def test_wrong_header_is_an_error(self, tmp_path, kind):
+        read, header, row, _ = CSV_READERS[kind]
+        path = tmp_path / "f.csv"
+        path.write_text(f"x{header[1:]}{row}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:1: expected header .* got 'x"):
+            read(path)
 
 
 class TestAtomicWrites:

@@ -44,12 +44,12 @@ class TestBuildLagged:
         assert np.array_equal(data.targets, [20.0, 30.0])
 
     def test_row_count(self):
-        ts = SeededRng(0).gen.normal(size=(37, 4))
+        ts = SeededRng(0).normal(size=(37, 4))
         assert build_lagged(ts, 5)[2].n_rows == 32
 
     def test_lag_block_ordering(self):
         # row n = (x_{K+n-1}, ..., x_n): lag-1 block first
-        ts = SeededRng(1).gen.normal(size=(10, 3))
+        ts = SeededRng(1).normal(size=(10, 3))
         data = build_lagged(ts, 3)[0]
         n = 2
         expected = np.concatenate([ts[3 + n - 1], ts[3 + n - 2], ts[3 + n - 3]])
@@ -68,7 +68,7 @@ class TestBuildLagged:
 
     def test_one_read_only_design_for_every_series(self):
         # a write through one series' dataset would change every other one's
-        ts = SeededRng(3).gen.normal(size=(20, 3))
+        ts = SeededRng(3).normal(size=(20, 3))
         datasets = build_lagged(ts, 2)
         assert len(datasets) == 3
         assert all(d.inputs is datasets[0].inputs for d in datasets)
@@ -82,7 +82,7 @@ class TestBuildLagged:
 
     def test_inputs_are_fortran_ordered(self):
         # the MLP kernels read inputs.T, a C-contiguous array in this order
-        data = build_lagged(SeededRng(2).gen.normal(size=(50, 3)), 2)[0]
+        data = build_lagged(SeededRng(2).normal(size=(50, 3)), 2)[0]
         assert data.inputs.shape == (48, 6)
         assert data.inputs.flags.f_contiguous
 

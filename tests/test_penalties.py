@@ -102,7 +102,7 @@ class TestProxGroupBlock:
         assert np.array_equal(out, np.zeros(3))
 
     def test_threshold_zero_identity(self):
-        v = SeededRng(0).gen.normal(size=7)
+        v = SeededRng(0).normal(size=7)
         assert np.array_equal(group_prox(v, 0.0), v)
 
     def test_boundary_maps_to_zero(self):
@@ -148,7 +148,7 @@ class TestProxHierarchicalColumn:
         assert out[0, 1] == 0.0
 
     def test_threshold_zero_identity(self):
-        col = SeededRng(1).gen.normal(size=(3, 4))
+        col = SeededRng(1).normal(size=(3, 4))
         assert np.array_equal(hier_prox(col, 0.0), col)
 
     @given(st.integers(0, 2**31), st.floats(0.0, 2.0), st.integers(1, 4),
