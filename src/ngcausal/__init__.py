@@ -7,10 +7,9 @@ each interaction).  Includes seeded VAR and Lorenz-96 generators and an
 ROC/AUC sweep harness.
 """
 
-from .numerics import SeededRng
-from .datasets import (LorenzGenConfig, SimulationError, VarGenConfig,
-                       make_sparse_var, simulate_lorenz, simulate_var,
-                       standardize)
+from .datasets import (LorenzGenConfig, SeededRng, SimulationError,
+                       VarGenConfig, make_sparse_var, simulate_lorenz,
+                       simulate_var, standardize)
 from .model import (Architecture, ComponentMLP, LaggedDataset, build_lagged,
                     init_model, loss_and_grad, predict)
 from .penalties import PenaltySpec, apply_prox, penalty_value

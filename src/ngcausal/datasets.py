@@ -2,14 +2,25 @@
 
 Time series are plain (T, p) float64 arrays, row t = observation at time t.
 Causal ground truth is a (p, p) 0/1 array with entry (i, j) = 1 when series j
-drives series i.
+drives series i.  Every draw comes from a stream seeded by ``SeededRng``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SeededRng
+
+def SeededRng(seed):
+    """numpy's PCG64 ``Generator`` keyed by ``seed``: identical seeds give
+    identical draws on every platform, and numpy rejects a negative seed.
+    A stream is single-owner; parallel work seeds its own with child_seed."""
+    return np.random.default_rng(seed)
+
+
+def child_seed(seed, index):
+    """Derive an integer child seed from (parent seed, stream index)."""
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
 class SimulationError(RuntimeError):

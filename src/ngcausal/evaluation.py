@@ -9,15 +9,16 @@ sweeping a descending lambda grid.
 """
 
 import concurrent.futures
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as kernels
+from .datasets import SeededRng, child_seed
 from .model import _count, build_lagged, init_model
-from .numerics import SeededRng, child_seed
 from .optim import OptimizationError, fit
-from .penalties import PenaltySpec
+from .penalties import penalty_path
 
 
 class DegenerateTruthError(ValueError):
@@ -110,12 +111,18 @@ def lambda_max_linear(ts, K):
     return lam_max
 
 
+def _grid_shape(size, ratio):
+    """Size an integer >= 2, ratio finite and > 1: shared with the config."""
+    _count("grid_size", size, least=2)
+    if not (math.isfinite(ratio) and ratio > 1):
+        raise ValueError(f"grid_ratio must be finite and > 1, got {ratio}")
+
+
 def lambda_grid(lam_max, size=20, ratio=100.0):
-    """Descending log-spaced grid from lam_max down to lam_max / ratio."""
-    if lam_max <= 0:
-        raise ValueError(f"lam_max must be > 0, got {lam_max}")
-    if size < 2 or ratio <= 1:
-        raise ValueError(f"need size >= 2 and ratio > 1, got size={size}, ratio={ratio}")
+    """Descending log-spaced grid from a finite lam_max > 0 down to lam_max / ratio."""
+    if not (math.isfinite(lam_max) and lam_max > 0):
+        raise ValueError(f"lam_max must be finite and > 0, got {lam_max}")
+    _grid_shape(size, ratio)
     return np.geomspace(lam_max, lam_max / ratio, size)
 
 
@@ -142,8 +149,9 @@ class SweepResult:
         return np.array([int(np.count_nonzero(lp > 0)) for lp in self.lag_profiles])
 
 
-def _series_path(data, i, kind, lambdas, arch, opt, seed):
-    """Warm-started descent of series i's model on ``data`` down the lambda grid.
+def _series_path(data, i, specs, arch, opt, seed):
+    """Warm-started descent of series i's model on ``data`` down the penalty
+    path ``specs`` (one PenaltySpec per lambda).
 
     Returns the (n_lambda, p, K) lag profiles of its fits, their (n_lambda,)
     iteration counts, converged flags and final objectives, and the model
@@ -152,20 +160,19 @@ def _series_path(data, i, kind, lambdas, arch, opt, seed):
     pass.
     """
     start = init_model(data.p, data.K, arch, SeededRng(child_seed(seed, i)))
-    n_lam = len(lambdas)
+    n_lam = len(specs)
     lags = np.empty((n_lam, data.p, data.K))
     iterations = np.empty(n_lam, dtype=np.int64)
     converged = np.empty(n_lam, dtype=bool)
     objectives = np.empty(n_lam)
-    for li, lam in enumerate(lambdas):
-        spec = PenaltySpec(kind=kind, lam=float(lam))
+    for li, spec in enumerate(specs):
         try:
             # fit raises on any non-finite value, so numpy's overflow
             # warnings would only repeat that error
             with np.errstate(over="ignore", invalid="ignore"):
                 start = fit(data, spec, start, opt)
         except OptimizationError as exc:
-            raise OptimizationError(f"series {i} at lambda {lam:.6g}: {exc}") from exc
+            raise OptimizationError(f"series {i} at lambda {spec.lam:.6g}: {exc}") from exc
         lags[li] = kernels.lag_norms(start.model.weight(0), data.p, data.K)
         iterations[li] = start.iterations_run
         converged[li] = start.converged
@@ -176,7 +183,8 @@ def _series_path(data, i, kind, lambdas, arch, opt, seed):
 def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     """Fit every series down a descending lambda grid; assemble per-lambda graphs.
 
-    The lagged design is built once, before any fit.  Fits for different
+    The penalty path is checked (``penalty_path``) and the lagged design
+    built once, before any fit.  Fits for different
     series are independent and run on a pool of min(jobs, p) processes when
     that is more than one, each task carrying its series' dataset.  Results
     are deterministic in (ts, configs, seed) regardless of jobs.  Graph entry
@@ -187,15 +195,9 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     its series and lambda; with several failures, the lowest series index is
     reported whatever jobs is.
     """
-    lambdas = np.asarray(lambdas, dtype=np.float64)
-    if lambdas.ndim != 1 or lambdas.size == 0:
-        raise ValueError("lambda grid must be a nonempty 1-d array")
-    if not np.all(np.isfinite(lambdas)):
-        raise ValueError("lambda grid must be finite")
-    if np.any(np.diff(lambdas) >= 0):
-        raise ValueError("lambda grid must be strictly decreasing")
+    lambdas, specs = penalty_path(kind, lambdas)
     jobs = _count("jobs", jobs)
-    tasks = [(data, i, kind, lambdas, arch, opt, seed)
+    tasks = [(data, i, specs, arch, opt, seed)
              for i, data in enumerate(build_lagged(ts, K))]
     workers = min(jobs, len(tasks))  # a forked pool starts every worker at once
     if workers > 1:

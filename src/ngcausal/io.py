@@ -4,8 +4,11 @@ Formats (all deterministic byte streams given identical inputs, each written
 to ``path + ".tmp"`` and renamed over ``path``, so no reader sees half a file):
 
 * config        -- YAML with sections generator/model/penalty/optimizer/
-                   evaluation; every tunable constant is visible here and
-                   round-trips losslessly.
+                   evaluation, read by one reader at every level (errors
+                   name the section, ``config`` at the root); each value is
+                   checked by its library owner (``PenaltySpec``,
+                   ``penalty_path``, ...); every tunable constant is visible
+                   here and round-trips losslessly.
 * checkpoint    -- versioned JSON; every ``Architecture`` field, and weights
                    stored as C99 hex floats so a reloaded model reproduces
                    forward outputs bit-identically.
@@ -34,9 +37,10 @@ import numpy as np
 import yaml
 
 from .datasets import LorenzGenConfig, VarGenConfig
+from .evaluation import _grid_shape
 from .model import ComponentMLP, Architecture, _count
 from .optim import OptimizerConfig
-from .penalties import PenaltySpec
+from .penalties import PenaltySpec, penalty_path
 
 
 class ConfigError(Exception):
@@ -80,6 +84,12 @@ class GeneratorSection:
     var: VarGenConfig = field(default_factory=VarGenConfig, metadata=_NO_P)
     lorenz: LorenzGenConfig = field(default_factory=LorenzGenConfig, metadata=_NO_P)
 
+    def __post_init__(self):
+        kinds = ("var", "lorenz")
+        if self.kind not in kinds:
+            raise ValueError(f"unknown generator kind {self.kind!r}; expected one of {kinds}")
+        _count("p", self.p)
+
     def instance(self):
         """The configured generator object (p copied into it)."""
         if self.kind == "var":
@@ -112,14 +122,9 @@ class PenaltySection:
 
     def __post_init__(self):
         PenaltySpec(self.kind, self.lam)
-        lams = self.lambdas
-        if not all(math.isfinite(x) and x >= 0 for x in lams):
-            raise ValueError(f"lambdas must be finite and >= 0, got {list(lams)}")
-        if any(b >= a for a, b in zip(lams, lams[1:])):
-            raise ValueError(f"lambdas must be strictly decreasing, got {list(lams)}")
-        if self.grid_size < 2 or not self.grid_ratio > 1:
-            raise ValueError("need grid_size >= 2 and grid_ratio > 1, got "
-                             f"grid_size={self.grid_size}, grid_ratio={self.grid_ratio}")
+        if self.lambdas:
+            penalty_path(self.kind, self.lambdas)
+        _grid_shape(self.grid_size, self.grid_ratio)
 
 
 @dataclass
@@ -149,9 +154,10 @@ def _check_scalar(section, key, value, typ):
     return typ(value)
 
 
-def _fill_dataclass(cls, data, section, omit=()):
-    """An instance of cls from its config mapping; the fields named in
-    ``omit`` are no keys and keep their defaults."""
+def _fill_dataclass(cls, data, keys=(), omit=()):
+    """An instance of cls from its config mapping under ``keys``, the section
+    errors name (the root: ``config``); fields in ``omit`` keep their defaults."""
+    section = ".".join(keys) or "config"
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -168,7 +174,7 @@ def _fill_dataclass(cls, data, section, omit=()):
         value = data[name]
         default = getattr(proto, name)
         if dataclasses.is_dataclass(default):
-            kwargs[name] = _fill_dataclass(type(default), value, f"{section}.{name}",
+            kwargs[name] = _fill_dataclass(type(default), value, (*keys, name),
                                            f.metadata.get("omit", ()))
         elif isinstance(default, tuple):
             if value is None:
@@ -187,26 +193,7 @@ def _fill_dataclass(cls, data, section, omit=()):
 
 
 def config_from_dict(data):
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root: expected a mapping, got {type(data).__name__}")
-    known = {"generator", "model", "penalty", "optimizer", "evaluation"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"config root: unknown section(s) {sorted(unknown)}")
-    cfg = ExperimentConfig(
-        generator=_fill_dataclass(GeneratorSection, data.get("generator"), "generator"),
-        model=_fill_dataclass(ModelSection, data.get("model"), "model"),
-        penalty=_fill_dataclass(PenaltySection, data.get("penalty"), "penalty"),
-        optimizer=_fill_dataclass(OptimizerConfig, data.get("optimizer"), "optimizer"),
-        evaluation=_fill_dataclass(EvaluationSection, data.get("evaluation"), "evaluation"),
-    )
-    if cfg.generator.kind not in ("var", "lorenz"):
-        raise ConfigError(f"generator.kind: expected 'var' or 'lorenz', got {cfg.generator.kind!r}")
-    if cfg.generator.p < 1:
-        raise ConfigError(f"generator.p: must be >= 1, got {cfg.generator.p}")
-    return cfg
+    return _fill_dataclass(ExperimentConfig, data)
 
 
 def config_to_dict(obj, omit=()):

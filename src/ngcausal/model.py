@@ -20,16 +20,16 @@ from . import _kernels as kernels
 ACTIVATIONS = ("tanh", "relu")
 
 
-def _count(name, value):
-    """``value`` as an int >= 1; a float or bool is rejected, not converted."""
+def _count(name, value, least=1):
+    """``value`` as an int >= ``least``; a float or bool is rejected, not converted."""
     try:
         if isinstance(value, bool):  # operator.index(True) is 1
             raise TypeError
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if n < 1:
-        raise ValueError(f"{name} must be >= 1, got {n}")
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
     return n
 
 
@@ -134,6 +134,7 @@ class LaggedDataset:
 def build_lagged(ts, K):
     """One LaggedDataset per series of a finite (T, p) array, all sharing one
     read-only design; series i's targets are the read-only view ts[K:, i]."""
+    K = _count("K", K)
     ts = np.asarray(ts, dtype=np.float64)
     T, p = ts.shape
     if T <= K:

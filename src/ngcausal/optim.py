@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as kernels
-from .model import loss_and_grad
+from .model import _count, loss_and_grad
 from .penalties import apply_prox, penalty_value
 
 BACKTRACK_FACTOR = 0.5
@@ -71,8 +71,7 @@ class OptimizerConfig:
                              f"min_step={self.min_step}, initial_step={self.initial_step}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        _count("max_iters", self.max_iters)
 
 
 @dataclass

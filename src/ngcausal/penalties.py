@@ -13,10 +13,16 @@ deepest lag, first -- for nested groups that composition is the exact prox
 of the summed penalty).  Prox steps write exact zeros, so "group norm > 0"
 is a well-defined edge decision.  At lam = 0 ``apply_prox`` leaves theta as
 it is and returns 0.0, as ``penalty_value`` does: a fit is then unpenalized.
+
+``penalty_path`` builds a sweep's PenaltySpecs, one per lambda: it checks the
+path's shape (1-d, nonempty, strictly decreasing), and ``PenaltySpec`` alone
+checks the kind and that each lambda is finite and >= 0.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import _kernels as kernels
 
@@ -35,6 +41,16 @@ class PenaltySpec:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {PENALTY_KINDS}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+
+
+def penalty_path(kind, lambdas):
+    """The lambda path as a float64 array, and one PenaltySpec per lambda."""
+    lambdas = np.asarray(lambdas, dtype=np.float64)
+    if lambdas.ndim != 1 or lambdas.size == 0:
+        raise ValueError(f"lambda grid must be a nonempty 1-d array, got shape {lambdas.shape}")
+    if np.any(np.diff(lambdas) >= 0):
+        raise ValueError(f"lambda grid must be strictly decreasing, got {lambdas.tolist()}")
+    return lambdas, [PenaltySpec(kind, float(lam)) for lam in lambdas]
 
 
 def penalty_value(spec, model):

@@ -551,7 +551,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "c.yaml", generator={"kind": kind, "p": p})
         assert run("simulate", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"config error: generator.p: must be >= 1, got {p}"]
+            f"config error: generator: p must be >= 1, got {p}"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("generator,message", [

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ngcausal.datasets import (LorenzGenConfig, SimulationError,
-                               VarGenConfig, companion_matrix,
+from ngcausal.datasets import (LorenzGenConfig, SeededRng, SimulationError,
+                               VarGenConfig, child_seed, companion_matrix,
                                lorenz_derivative, lorenz_truth, make_sparse_var,
                                simulate_lorenz, simulate_var, spectral_radius,
                                standardize)
-from ngcausal.numerics import SeededRng
 
 
 def power_iteration_radius(M, iters=600, block=8, seed=0):
@@ -23,6 +22,42 @@ def power_iteration_radius(M, iters=600, block=8, seed=0):
         Q = np.linalg.qr(M @ Q)[0]
     H = Q.T @ M @ Q
     return float(np.max(np.abs(np.linalg.eigvals(H))))
+
+
+class TestSeededRng:
+    def test_identical_seeds_identical_streams(self):
+        a = SeededRng(123).normal(size=100)
+        b = SeededRng(123).normal(size=100)
+        assert np.array_equal(a, b)
+
+    def test_different_seeds_differ(self):
+        a = SeededRng(1).normal(size=16)
+        b = SeededRng(2).normal(size=16)
+        assert not np.array_equal(a, b)
+
+    def test_child_streams_reproducible_and_distinct(self):
+        # the per-series streams of sweep_path: SeededRng(child_seed(seed, i))
+        c0 = SeededRng(child_seed(9, 0)).normal(size=8)
+        c1 = SeededRng(child_seed(9, 1)).normal(size=8)
+        again = SeededRng(child_seed(9, 0)).normal(size=8)
+        parent = SeededRng(9).normal(size=8)
+        assert np.array_equal(c0, again)
+        assert not np.array_equal(c0, c1)
+        assert not np.array_equal(c0, parent)
+
+    def test_child_seed_deterministic(self):
+        assert child_seed(42, 3) == child_seed(42, 3)
+        assert child_seed(42, 3) != child_seed(42, 4)
+
+    def test_is_the_numpy_pcg64_generator_of_its_seed(self):
+        rng = SeededRng(7)
+        assert isinstance(rng, np.random.Generator)
+        plain = np.random.Generator(np.random.PCG64(np.random.SeedSequence(7)))
+        assert np.array_equal(rng.normal(size=8), plain.normal(size=8))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            SeededRng(-1)
 
 
 class TestMakeSparseVar:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ngcausal.evaluation import (DegenerateTruthError, auc, edge_rates,
                                  lambda_grid, lambda_max_linear, roc_points,
                                  sweep_path)
 from ngcausal.model import Architecture, ComponentMLP, build_lagged, init_model
-from ngcausal.numerics import SeededRng, child_seed
+from ngcausal.datasets import SeededRng, child_seed
 from ngcausal.optim import OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec
 
@@ -222,6 +223,26 @@ class TestLambdaGrid:
             lambda_grid(1.0, size=1)
         with pytest.raises(ValueError):
             lambda_grid(1.0, ratio=1.0)
+
+    @pytest.mark.parametrize("args,message", [
+        # each would give a grid holding NaN
+        ((float("nan"),), "lam_max must be finite and > 0, got nan"),
+        ((float("inf"),), "lam_max must be finite and > 0, got inf"),
+        ((1.0, 3, float("nan")), "grid_ratio must be finite and > 1, got nan"),
+        ((1.0, 3, float("inf")), "grid_ratio must be finite and > 1, got inf"),
+        ((-1.0,), "lam_max must be finite and > 0, got -1.0"),
+        ((1.0, 2.5), "grid_size must be an integer, got 2.5"),
+        ((1.0, True), "grid_size must be an integer, got True"),
+        ((1.0, 1), "grid_size must be >= 2, got 1")])
+    def test_bad_grid_named(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            lambda_grid(*args)
+
+    def test_lambda_max_rejects_k_below_one(self):
+        # K=0 would build an empty design and read as constant data
+        ts = np.random.default_rng(0).normal(size=(20, 3))
+        with pytest.raises(ValueError, match="^K must be >= 1, got 0$"):
+            lambda_max_linear(ts, 0)
 
 
 class TestSweepPath:

@@ -12,8 +12,9 @@ from ngcausal.io import (AUC_HEADER, ConfigError, DataError, ExperimentConfig,
                          load_config, read_auc_csv, read_dataset_csv,
                          read_matrix_csv, save_checkpoint, save_config,
                          write_auc_csv, write_dataset_csv, write_matrix_csv)
+from ngcausal.evaluation import lambda_grid
 from ngcausal.model import Architecture, init_model, predict
-from ngcausal.numerics import SeededRng
+from ngcausal.datasets import SeededRng
 
 
 class TestConfigRoundTrip:
@@ -86,8 +87,30 @@ class TestConfigRoundTrip:
         # nothing read evaluation.seeds or output.dir: --seed and --out set them
         with pytest.raises(ConfigError, match=r"unknown key\(s\) \['seeds'\]"):
             config_from_dict({"evaluation": {"seeds": [0, 1]}})
-        with pytest.raises(ConfigError, match=r"unknown section\(s\) \['output'\]"):
+        with pytest.raises(ConfigError, match=r"^config: unknown key\(s\) \['output'\]$"):
             config_from_dict({"output": {"dir": "out"}})
+
+    @pytest.mark.parametrize("data,message", [
+        # the root is read like every section, and named "config"
+        ([1, 2], "config: expected a mapping, got list"),
+        ("text", "config: expected a mapping, got str"),
+        ({"output": {}, "model": {}}, "config: unknown key(s) ['output']"),
+        ({"generator": [1]}, "generator: expected a mapping, got list"),
+        ({"generator": {"lorenz": 3}}, "generator.lorenz: expected a mapping, got int"),
+        ({"generator": {"p": 0}}, "generator: p must be >= 1, got 0"),
+        ({"generator": {"kind": "arma"}},
+         "generator: unknown generator kind 'arma'; expected one of ('var', 'lorenz')")])
+    def test_every_level_read_by_one_reader(self, data, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("size,ratio", [(1, 100.0), (0, 100.0), (20, 1.0),
+                                            (20, float("nan")), (20, float("inf"))])
+    def test_grid_shape_rule_shared_with_lambda_grid(self, size, ratio):
+        with pytest.raises(ValueError) as direct:
+            lambda_grid(1.0, size, ratio)
+        with pytest.raises(ConfigError, match=f"^penalty: {re.escape(str(direct.value))}$"):
+            config_from_dict({"penalty": {"grid_size": size, "grid_ratio": ratio}})
 
     def test_type_error_names_field(self):
         with pytest.raises(ConfigError, match="generator.p"):
@@ -100,7 +123,7 @@ class TestConfigRoundTrip:
             load_config(path)
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(ConfigError, match="generator.kind"):
+        with pytest.raises(ConfigError, match="^generator: unknown generator kind 'arma'"):
             config_from_dict({"generator": {"kind": "arma"}})
         with pytest.raises(ConfigError, match="^penalty: unknown penalty kind 'lasso'"):
             config_from_dict({"penalty": {"kind": "lasso"}})

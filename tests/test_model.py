@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from ngcausal import _kernels as kernels
 from ngcausal.model import (Architecture, ComponentMLP, build_lagged,
                             init_model, loss_and_grad, predict)
-from ngcausal.numerics import SeededRng
+from ngcausal.datasets import SeededRng
 from oracles import finite_diff_grad
 
 
@@ -58,6 +60,16 @@ class TestBuildLagged:
     def test_t_not_greater_than_k_rejected(self):
         with pytest.raises(ValueError):
             build_lagged(np.zeros((3, 2)), 3)
+
+    @pytest.mark.parametrize("K,message", [
+        (0, "K must be >= 1, got 0"), (-1, "K must be >= 1, got -1"),
+        (True, "K must be an integer, got True"), (2.5, "K must be an integer, got 2.5")])
+    def test_k_is_a_count(self, K, message):
+        # the rule of ComponentMLP and model.K; K=0 would build an empty design
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_lagged(np.ones((6, 2)), K)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ComponentMLP(2, K, Architecture())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_series_rejected(self, bad):

@@ -8,7 +8,7 @@ from ngcausal import _kernels as kernels
 from ngcausal.datasets import VarGenConfig, standardize
 from ngcausal.model import (Architecture, ComponentMLP, LaggedDataset,
                             build_lagged, init_model, loss_and_grad)
-from ngcausal.numerics import SeededRng
+from ngcausal.datasets import SeededRng
 from ngcausal.optim import FitResult, OptimizationError, OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec, apply_prox, penalty_value
 
@@ -516,7 +516,10 @@ class TestOptimizerConfigValidation:
         ({"rel_tol": float("nan")}, "rel_tol must be finite and > 0, got nan"),
         ({"rel_tol": float("inf")}, "rel_tol must be finite and > 0, got inf"),
         ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
-        ({"max_iters": -3}, "max_iters must be >= 1, got -3")])
+        ({"max_iters": -3}, "max_iters must be >= 1, got -3"),
+        # a float would fail the first fit with a TypeError from range
+        ({"max_iters": 2.5}, "max_iters must be an integer, got 2.5"),
+        ({"max_iters": True}, "max_iters must be an integer, got True")])
     def test_rejects_settings_that_hang_or_skip_the_fit(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             OptimizerConfig(**kwargs)

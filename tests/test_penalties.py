@@ -1,11 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
+from ngcausal import evaluation
+from ngcausal.datasets import SeededRng, VarGenConfig, standardize
+from ngcausal.evaluation import sweep_path
+from ngcausal.io import ConfigError, config_from_dict
 from ngcausal.model import ComponentMLP, init_model, Architecture
-from ngcausal.numerics import SeededRng
-from ngcausal.penalties import PenaltySpec, apply_prox, penalty_value
+from ngcausal.optim import OptimizerConfig
+from ngcausal.penalties import PenaltySpec, apply_prox, penalty_path, penalty_value
 from oracles import oracle_prox_group, oracle_prox_hier
 
 
@@ -258,3 +264,74 @@ class TestApplyProx:
         model = ComponentMLP(2, 1, Architecture(hidden_sizes=()))
         with pytest.raises(ValueError):
             apply_prox(PenaltySpec("group", 1.0), model, model.theta, step=0.0)
+
+
+# Every malformed lambda path, with the one message each gets wherever it is
+# given: penalty_path checks the path's shape, PenaltySpec each lambda.
+BAD_GRIDS = [
+    pytest.param([1.0, 2.0], "lambda grid must be strictly decreasing, got [1.0, 2.0]",
+                 id="increasing"),
+    pytest.param([1.0, 1.0], "lambda grid must be strictly decreasing, got [1.0, 1.0]",
+                 id="repeated"),
+    pytest.param([5.0, 1.0, -1.0], "lambda must be finite and >= 0, got -1.0", id="negative"),
+    pytest.param([1.0, float("nan")], "lambda must be finite and >= 0, got nan", id="nan"),
+    pytest.param([float("inf"), 1.0], "lambda must be finite and >= 0, got inf", id="inf"),
+    pytest.param([], "lambda grid must be a nonempty 1-d array, got shape (0,)", id="empty"),
+    pytest.param([[5.0], [1.0]], "lambda grid must be a nonempty 1-d array, got shape (2, 1)",
+                 id="2-d"),
+]
+
+# where the config reader answers otherwise: an empty list asks for a grid
+# derived from the data, and a nested list is no list of numbers
+CONFIG_OUTCOMES = {"[]": None, "[[5.0], [1.0]]": "penalty.lambdas[]: expected a number, got [5.0]"}
+
+
+class TestPenaltyPath:
+    def test_one_spec_per_lambda(self):
+        lambdas, specs = penalty_path("hierarchical", [3, 2.5, 0])
+        assert lambdas.dtype == np.float64 and lambdas.tolist() == [3.0, 2.5, 0.0]
+        assert specs == [PenaltySpec("hierarchical", lam) for lam in (3.0, 2.5, 0.0)]
+        assert [type(spec.lam) for spec in specs] == [float] * 3
+
+    @pytest.mark.parametrize("grid,message", BAD_GRIDS)
+    def test_bad_grid_rejected(self, grid, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            penalty_path("group", grid)
+
+    @pytest.mark.parametrize("grid,message", BAD_GRIDS)
+    def test_config_reads_the_same_rule(self, grid, message):
+        data = {"penalty": {"lambdas": grid}}
+        outcome = CONFIG_OUTCOMES.get(repr(grid), f"penalty: {message}")
+        if outcome is None:
+            assert config_from_dict(data).penalty.lambdas == ()
+            return
+        with pytest.raises(ConfigError, match=f"^{re.escape(outcome)}$"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind,grid,message", [
+        *(pytest.param("group", *case.values, id=case.id) for case in BAD_GRIDS),
+        pytest.param("lasso", [1.0], "unknown penalty kind 'lasso'; expected one of "
+                                     "('group', 'hierarchical')", id="unknown-kind")])
+    def test_sweep_rejects_before_any_fit(self, monkeypatch, jobs, kind, grid, message):
+        calls = {"fit": 0, "build_lagged": 0}
+
+        def counted(name):
+            real = getattr(evaluation, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started")
+
+        for name in calls:
+            monkeypatch.setattr(evaluation, name, counted(name))
+        monkeypatch.setattr(evaluation.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        ts = standardize(VarGenConfig(p=4, K=1, burn_in=50).generate(80, 0)[0])[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep_path(ts, 1, kind, grid, Architecture(hidden_sizes=()),
+                       OptimizerConfig(), seed=0, jobs=jobs)
+        assert calls == {"fit": 0, "build_lagged": 0}

@@ -100,6 +100,22 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
+NO_NUMPY_RANDOM_SCRIPT = """
+import sys
+import ngcausal, ngcausal.io, ngcausal.cli
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy imports numpy.random on first use; a CSV-only run never draws
+    src = os.path.dirname(os.path.dirname(ngcausal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_runtime_never_loads_scipy():
     src = os.path.dirname(os.path.dirname(ngcausal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
