@@ -10,8 +10,8 @@ ROC/AUC sweep harness.
 from .datasets import (LorenzGenConfig, SeededRng, SimulationError,
                        VarGenConfig, make_sparse_var, simulate_lorenz,
                        simulate_var, standardize)
-from .model import (Architecture, ComponentMLP, LaggedDataset, build_lagged,
-                    init_model, loss_and_grad, predict)
+from .model import (Architecture, ComponentMLP, DataError, LaggedDataset,
+                    build_lagged, init_model, loss_and_grad, predict)
 from .penalties import PenaltySpec, apply_prox, penalty_value
 from .optim import FitResult, OptimizationError, OptimizerConfig, fit
 from .evaluation import (DegenerateTruthError, SweepResult, auc, edge_rates,
@@ -20,7 +20,7 @@ from .evaluation import (DegenerateTruthError, SweepResult, auc, edge_rates,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Architecture", "ComponentMLP", "DegenerateTruthError",
+    "Architecture", "ComponentMLP", "DataError", "DegenerateTruthError",
     "FitResult", "LaggedDataset", "LorenzGenConfig",
     "OptimizationError", "OptimizerConfig", "PenaltySpec", "SeededRng",
     "SimulationError", "SweepResult", "VarGenConfig",

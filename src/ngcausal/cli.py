@@ -1,8 +1,9 @@
 """Command-line interface: simulate, fit, sweep, report.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 optimization
-failure, 5 I/O failure.  All outputs are deterministic byte streams given
-the same config and seed, independent of --jobs.
+failure, 5 I/O failure; ``main`` maps each error class the library raises
+to its code and judges no data itself.  All outputs are deterministic byte
+streams given the same config and seed, independent of --jobs.
 """
 
 import argparse
@@ -61,17 +62,8 @@ def _resolved_seed(cfg, args):
 
 
 def _fit_ready(ts, cfg):
-    """The series as the fits see them: standardized when configured.  A
-    series too short for K lags or with a constant column is a DataError."""
-    T, K = ts.shape[0], cfg.model.K
-    if T <= K:
-        raise DataError(f"need T > K, got T={T}, K={K}")
-    if not cfg.evaluation.standardize:
-        return ts
-    try:
-        return standardize(ts)[0]
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    """The series as the fits see them: standardized when configured."""
+    return standardize(ts)[0] if cfg.evaluation.standardize else ts
 
 
 def _outdir(args):
@@ -150,11 +142,8 @@ def cmd_sweep(args):
     if cfg.penalty.lambdas:
         lams = np.asarray(cfg.penalty.lambdas, dtype=np.float64)
     else:
-        try:
-            lam_max = lambda_max_linear(ts, K)
-        except ValueError as exc:  # no finite, positive penalty scale
-            raise DataError(str(exc)) from exc
-        lams = lambda_grid(lam_max, cfg.penalty.grid_size, cfg.penalty.grid_ratio)
+        lams = lambda_grid(lambda_max_linear(ts, K), cfg.penalty.grid_size,
+                           cfg.penalty.grid_ratio)
     _say(args, f"sweeping {lams.size} lambdas in [{lams[-1]:.4g}, {lams[0]:.4g}]")
 
     sweep = sweep_path(ts, K, kind, lams, arch, cfg.optimizer, seed, jobs=args.jobs)
@@ -268,7 +257,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, DegenerateTruthError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OptimizationError as exc:

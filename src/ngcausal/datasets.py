@@ -3,11 +3,15 @@
 Time series are plain (T, p) float64 arrays, row t = observation at time t.
 Causal ground truth is a (p, p) 0/1 array with entry (i, j) = 1 when series j
 drives series i.  Every draw comes from a stream seeded by ``SeededRng``.
+Counts (p, K, T, burn_in) are checked by ``model._count``; ``standardize``
+raises ``DataError`` for a series it cannot scale.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import DataError, _count
 
 
 def SeededRng(seed):
@@ -65,36 +69,30 @@ def spectral_radius(M):
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def make_sparse_var(rng, p, K, edge_prob=0.2, magnitude=0.1,
-                    target_radius=0.95, noise_sigma=0.1):
+def make_sparse_var(rng, p, K, edge_prob=0.2, target_radius=0.95, noise_sigma=0.1):
     """Draw a sparse stable VAR system with a known causal graph.
 
     Every diagonal entry is active (self-dependence); each off-diagonal edge
     (i, j) is active with probability edge_prob.  An active edge carries the
-    same signed magnitude at all K lags (one sign flip per edge).  All
+    same coefficient at all K lags (one sign flip per edge).  All
     coefficients are then rescaled by a common factor, bisected to adjacent
     floats around target_radius as spectral_radius computes it; eigvals is
     accurate to ~1e-5 only on these near-repeated eigenvalues.
     """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    p, K = _count("p", p), _count("K", K)
     if not (0 < edge_prob <= 1):
         raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob}")
     if not (0 < target_radius < 1):
         raise ValueError(f"target_radius must be in (0, 1), got {target_radius}")
-    if not (np.isfinite(magnitude) and magnitude > 0):
-        raise ValueError(f"magnitude must be finite and > 0, got {magnitude}")
     if not (np.isfinite(noise_sigma) and noise_sigma > 0):
         raise ValueError(f"noise_sigma must be finite and > 0, got {noise_sigma}")
 
     adjacency = (rng.random((p, p)) < edge_prob).astype(np.float64)
     np.fill_diagonal(adjacency, 1.0)
     signs = np.where(rng.random((p, p)) < 0.5, -1.0, 1.0)
-    base = adjacency * signs * magnitude
+    # the bisection cancels any common scale; 0.1 keeps older systems bit-identical
+    base = adjacency * signs * 0.1
     coeffs = np.repeat(base[np.newaxis, :, :], K, axis=0)
-
-    if not np.any(coeffs):
-        raise ValueError("cannot rescale an all-zero coefficient set")
 
     def radius_at(scale):
         return spectral_radius(companion_matrix(scale * coeffs)) - target_radius
@@ -121,10 +119,7 @@ def simulate_var(proc, T, rng, burn_in=200, init=None):
     drops the first burn_in.  Requires burn_in + T > K.  Stops with a
     SimulationError once a value is non-finite or above 1e8 in magnitude.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    T, burn_in = _count("T", T), _count("burn_in", burn_in, least=0)
     p, K = proc.p, proc.K
     total = burn_in + T
     if total <= K:
@@ -177,12 +172,8 @@ def simulate_lorenz(cfg, T, rng, init=None):
     discarded before the T returned rows.  A state that is non-finite or
     above 1e8 in magnitude raises SimulationError.
     """
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
-    if cfg.p < 4:
-        raise ValueError(f"p must be >= 4, got {cfg.p}")
-    if cfg.burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {cfg.burn_in}")
+    T, p = _count("T", T), _count("p", cfg.p, least=4)
+    burn_in = _count("burn_in", cfg.burn_in, least=0)
     if not np.isfinite(cfg.F):
         raise ValueError(f"F must be finite, got {cfg.F}")
     if not (np.isfinite(cfg.dt) and cfg.dt > 0):
@@ -190,7 +181,6 @@ def simulate_lorenz(cfg, T, rng, init=None):
     if not (np.isfinite(cfg.noise_sigma) and cfg.noise_sigma >= 0):
         raise ValueError(f"noise_sigma must be finite and >= 0, got {cfg.noise_sigma}")
 
-    p = cfg.p
     if init is not None:
         state = np.asarray(init, dtype=np.float64).copy()
         if state.shape != (p,):
@@ -198,7 +188,7 @@ def simulate_lorenz(cfg, T, rng, init=None):
     else:
         state = cfg.F + rng.normal(0.0, 0.01, size=p)
 
-    total = cfg.burn_in + T
+    total = burn_in + T
     out = np.empty((total, p))
     noise = rng.normal(0.0, cfg.noise_sigma, size=(total, p))
     for t in range(total):
@@ -206,7 +196,7 @@ def simulate_lorenz(cfg, T, rng, init=None):
         if not np.all(np.abs(state) <= 1e8):
             raise SimulationError(f"Lorenz trajectory diverged at step {t}")
         out[t] = state
-    return out[cfg.burn_in:], lorenz_truth(p)
+    return out[burn_in:], lorenz_truth(p)
 
 
 # ------------------------------------------------------------ preprocessing
@@ -223,10 +213,10 @@ def standardize(ts):
         std = ts.std(axis=0)
     bad = np.flatnonzero(std == 0)
     if bad.size:
-        raise ValueError(f"zero-variance column(s) {bad.tolist()}: cannot standardize")
+        raise DataError(f"zero-variance column(s) {bad.tolist()}: cannot standardize")
     bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
     if bad.size:  # non-finite entries, or an overflow: the fits would see NaN or 0
-        raise ValueError(f"non-finite mean or std in column(s) {bad.tolist()}: cannot standardize")
+        raise DataError(f"non-finite mean or std in column(s) {bad.tolist()}: cannot standardize")
     return (ts - mean) / std, mean, std
 
 
@@ -240,7 +230,6 @@ class VarGenConfig:
     p: int = 10
     K: int = 3
     edge_prob: float = 0.2
-    magnitude: float = 0.1
     target_radius: float = 0.95
     noise_sigma: float = 0.1
     burn_in: int = 200
@@ -248,8 +237,7 @@ class VarGenConfig:
     def generate(self, T, seed):
         rng = SeededRng(seed)
         proc = make_sparse_var(rng, self.p, self.K, self.edge_prob,
-                               self.magnitude, self.target_radius,
-                               self.noise_sigma)
+                               self.target_radius, self.noise_sigma)
         ts = simulate_var(proc, T, rng, burn_in=self.burn_in)
         return ts, proc.truth
 

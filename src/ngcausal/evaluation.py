@@ -16,12 +16,12 @@ import numpy as np
 
 from . import _kernels as kernels
 from .datasets import SeededRng, child_seed
-from .model import _count, build_lagged, init_model
+from .model import DataError, _count, build_lagged, init_model
 from .optim import OptimizationError, fit
 from .penalties import penalty_path
 
 
-class DegenerateTruthError(ValueError):
+class DegenerateTruthError(DataError):
     """Ground truth has no positives or no negatives among scored entries."""
 
 
@@ -104,10 +104,10 @@ def lambda_max_linear(ts, K):
         norms = np.sqrt((G.reshape(K, p, p) ** 2).sum(axis=0))  # (input j, output i)
     lam_max = 2.0 * float(norms.max()) * (1.0 + 1e-9)
     if not np.isfinite(lam_max):
-        raise ValueError(f"penalty scale of the data is not finite ({lam_max}); "
-                         "rescale or standardize the series")
+        raise DataError(f"penalty scale of the data is not finite ({lam_max}); "
+                        "rescale or standardize the series")
     if lam_max <= 0:
-        raise ValueError("data is constant: no usable penalty scale")
+        raise DataError("data is constant: no usable penalty scale")
     return lam_max
 
 

@@ -23,6 +23,7 @@ Every CSV is read by one set of rules: blank and whitespace-only lines are
 skipped; every row has the header's field count (a matrix: its first row's);
 a short row or a bad value is a ``DataError`` naming ``<path>:<line>``; and a
 file without data rows is the ``DataError`` ``<path>: no data rows``.
+``DataError`` is the library's one error for unusable data (``model.py``).
 """
 
 import contextlib
@@ -38,17 +39,13 @@ import yaml
 
 from .datasets import LorenzGenConfig, VarGenConfig
 from .evaluation import _grid_shape
-from .model import ComponentMLP, Architecture, _count
+from .model import ComponentMLP, Architecture, DataError, _count
 from .optim import OptimizerConfig
 from .penalties import PenaltySpec, penalty_path
 
 
 class ConfigError(Exception):
     """A config file is unreadable or a field is missing/ill-typed."""
-
-
-class DataError(Exception):
-    """A data file (dataset, truth, checkpoint, sweep output) is malformed."""
 
 
 FLOAT_FMT = "{:.17g}"
@@ -258,8 +255,12 @@ def load_checkpoint(path):
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid checkpoint JSON: {exc}") from exc
     try:
-        if doc["format_version"] != CHECKPOINT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {doc['format_version']}")
+        version = doc["format_version"]
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc}") from exc
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version {version}")
+    try:
         theta = np.array([float.fromhex(h) for h in doc["theta_hex"]])
         # every Architecture field is required but init_scale, which older
         # files lack (they load with the default); their flag to freeze the

@@ -8,6 +8,8 @@ independent of series j's history.
 
 With no hidden layers the network degenerates to the linear autoregressive
 map (a single weight row plus bias), which is how the linear baseline is fit.
+Every layer shares the input rules here: ``_count`` for a count setting and
+``DataError`` for data that cannot be used.
 """
 
 import operator
@@ -18,6 +20,11 @@ import numpy as np
 from . import _kernels as kernels
 
 ACTIVATIONS = ("tanh", "relu")
+
+
+class DataError(ValueError):
+    """Data that cannot be fit or scored, raised where it is judged (lagged
+    design, standardization, penalty scale, truth graph, file); CLI exit 3."""
 
 
 def _count(name, value, least=1):
@@ -138,9 +145,9 @@ def build_lagged(ts, K):
     ts = np.asarray(ts, dtype=np.float64)
     T, p = ts.shape
     if T <= K:
-        raise ValueError(f"need T > K, got T={T}, K={K}")
+        raise DataError(f"need T > K, got T={T}, K={K}")
     if not np.isfinite(ts).all():
-        raise ValueError("series must be finite")
+        raise DataError("series must be finite")
     # Fortran order: the MLP kernels read X.T, which is then C-contiguous
     X = np.empty((T - K, p * K), order="F")
     for k in range(1, K + 1):

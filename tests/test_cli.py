@@ -38,6 +38,8 @@ def failing_dataset(case):
     ts = np.random.default_rng(0).normal(size=(60, 4))
     if case == "short":
         return ts[:2], {"model": {"K": 2}}, "need T > K, got T=2, K=2"
+    if case == "one row":  # standardized before its lags are built
+        return ts[:1], {}, "zero-variance column(s) [0, 1, 2, 3]: cannot standardize"
     if case == "constant column":
         ts[:, 1] = 3.0
         return ts, {}, "zero-variance column(s) [1]: cannot standardize"
@@ -470,7 +472,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("command,case", [
-        ("fit", "short"), ("sweep", "short"), ("fit", "constant column"),
+        ("fit", "short"), ("sweep", "short"), ("fit", "one row"),
+        ("sweep", "one row"), ("fit", "constant column"),
         ("sweep", "constant column"), ("fit", "overflowing mean"),
         ("sweep", "overflowing mean"), ("sweep", "constant data"),
         ("sweep", "unbounded scale")])
@@ -573,8 +576,8 @@ class TestExitCodes:
          "generator: burn_in must be >= 0, got -10"),
         ({"var": {"burn_in": -10}}, "generator: burn_in must be >= 0, got -10"),
         ({"var": {"K": 0}}, "generator: K must be >= 1, got 0"),
-        ({"var": {"magnitude": float("nan")}},
-         "generator: magnitude must be finite and > 0, got nan"),
+        # removed: the bisection to target_radius cancels any common scale
+        ({"var": {"magnitude": 0.1}}, "generator.var: unknown key(s) ['magnitude']"),
         ({"var": {"noise_sigma": float("nan")}},
          "generator: noise_sigma must be finite and > 0, got nan"),
         # far beyond any address space: the allocator refuses it at once

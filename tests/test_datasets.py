@@ -118,13 +118,11 @@ class TestMakeSparseVar:
             make_sparse_var(rng, 4, 2, edge_prob=0.0)
         with pytest.raises(ValueError):
             make_sparse_var(rng, 4, 2, target_radius=1.0)
-        with pytest.raises(ValueError):
-            make_sparse_var(rng, 4, 2, magnitude=-1.0)
 
     @pytest.mark.parametrize("K,kwargs,message", [
         (0, {}, "K must be >= 1, got 0"),
-        (2, {"magnitude": float("nan")}, "magnitude must be finite and > 0, got nan"),
-        (2, {"magnitude": float("inf")}, "magnitude must be finite and > 0, got inf"),
+        (2.5, {}, "K must be an integer, got 2.5"),
+        (True, {}, "K must be an integer, got True"),
         (2, {"noise_sigma": float("nan")}, "noise_sigma must be finite and > 0, got nan"),
         (2, {"noise_sigma": float("inf")}, "noise_sigma must be finite and > 0, got inf")])
     def test_out_of_range_setting_named(self, K, kwargs, message):
@@ -262,7 +260,8 @@ class TestSimulateLorenz:
         ({"dt": float("inf")}, "dt must be finite and > 0, got inf"),
         ({"noise_sigma": float("nan")}, "noise_sigma must be finite and >= 0, got nan"),
         ({"noise_sigma": float("inf")}, "noise_sigma must be finite and >= 0, got inf"),
-        ({"burn_in": -10}, "burn_in must be >= 0, got -10")])
+        ({"burn_in": -10}, "burn_in must be >= 0, got -10"),
+        ({"burn_in": 2.5}, "burn_in must be an integer, got 2.5")])
     def test_out_of_range_setting_named(self, setting, message):
         cfg = LorenzGenConfig(p=5, **{"burn_in": 10, **setting})
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -338,3 +337,18 @@ class TestGenConfigs:
         zero_mask = proc.truth == 0
         for k in range(3):
             assert np.all(proc.coeffs[k][zero_mask] == 0)
+
+
+class TestCounts:
+    """The VAR generator's counts are checked by ``model._count``: a float is
+    rejected, not truncated."""
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: make_sparse_var(SeededRng(0), 0, 2), "p must be >= 1, got 0"),
+        (lambda: simulate_var(make_sparse_var(SeededRng(0), 4, 2), 2.5, SeededRng(1)),
+         "T must be an integer, got 2.5"),
+        (lambda: VarGenConfig().generate(2.5, 0), "T must be an integer, got 2.5")],
+        ids=["p zero", "simulate_var T", "VarGenConfig T"])
+    def test_count_rejected_in_count_wording(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()

@@ -4,7 +4,9 @@ module-level function and class is used by the package.
 A deletion that leaves its import behind fails here.  A name listed in the
 module's ``__all__`` counts as used, which covers re-exports.  A function or
 class that only ``__init__.py`` re-exports and only tests call is dead code
-unless it is one of the user entry points named below.
+unless it is one of the user entry points named below.  The CLI catches
+``ValueError`` only where it turns argv or generator settings into usage or
+config errors, so it never judges data the library has judged.
 """
 
 import ast
@@ -93,3 +95,40 @@ def test_check_sees_an_unreferenced_definition():
         "__init__": "from .a import Dead\nDead()\n",
     }
     assert unreferenced_definitions(sources) == [("a", "Dead"), ("a", "recursive")]
+
+
+# The only places where the CLI turns a ValueError into something else: the
+# library raises DataError where it judges the data, and main maps it to exit 3.
+CLI_VALUE_ERROR_HANDLERS = {
+    "_positive_int": "argv parsing: a bad --jobs is a usage error",
+    "cmd_simulate": "generator settings become config errors",
+}
+BROAD = {"ValueError", "Exception", "BaseException"}
+
+
+def value_error_handlers(source):
+    """Names of the module-level functions of ``source`` with an ``except``
+    clause that catches ValueError: by name, through a broader class, or bare."""
+    found = set()
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for handler in ast.walk(node):
+            if isinstance(handler, ast.ExceptHandler) and (
+                    handler.type is None
+                    or {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)} & BROAD):
+                found.add(node.name)
+    return sorted(found)
+
+
+def test_cli_does_not_judge_data_again():
+    with open(os.path.join(os.path.dirname(ngcausal.__file__), "cli.py")) as fh:
+        assert value_error_handlers(fh.read()) == sorted(CLI_VALUE_ERROR_HANDLERS)
+
+
+def test_check_sees_a_value_error_handler():
+    source = ("def a():\n    try:\n        f()\n    except (KeyError, ValueError):\n        pass\n"
+              "def b():\n    try:\n        f()\n    except DataError:\n        pass\n"
+              "def c():\n    try:\n        f()\n    except:\n        pass\n"
+              "def d():\n    try:\n        f()\n    except Exception as exc:\n        pass\n")
+    assert value_error_handlers(source) == ["a", "c", "d"]

@@ -1,6 +1,7 @@
 """The package's exported names: each one resolves, none twice, the README
 documents each, and the test-only helpers that were folded into the
-production code paths stay out.
+production code paths stay out.  Data the library cannot use raises the one
+exported ``DataError`` where it is judged.
 The runtime loads numpy and PyYAML only."""
 
 import dataclasses
@@ -10,9 +11,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ngcausal
+import ngcausal.io
 
 REMOVED = ["matvec", "finite_diff_grad", "prox_group_block",
            "prox_hierarchical_column", "prox_step", "objective", "forward",
@@ -85,7 +88,52 @@ def test_lagged_dataset_fields():
         "inputs", "targets", "p", "K"]
 
 
-@pytest.mark.parametrize("func,name", [("lambda_max_linear", "center")])
+def _data_fault(case):
+    """Call the library on data it cannot use."""
+    ts = np.random.default_rng(0).normal(size=(60, 4))
+    if case == "short":
+        ngcausal.build_lagged(ts[:2], 2)
+    elif case == "non-finite series":
+        ts[5, 1] = np.nan
+        ngcausal.build_lagged(ts, 2)
+    elif case == "constant column":
+        ts[:, 1] = 3.0
+        ngcausal.standardize(ts)
+    elif case == "overflowing mean":
+        ts[:, 3] = (ts[:, 3] ** 2 + 1.0) * 1e307
+        ngcausal.standardize(ts)
+    elif case == "constant data":
+        ngcausal.lambda_max_linear(np.ones_like(ts), 2)
+    elif case == "non-finite scale":
+        ts[:, 2] *= 1e200
+        ngcausal.lambda_max_linear(ts, 2)
+    else:
+        ngcausal.edge_rates(np.ones((3, 3)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("case,message", [
+    ("short", "need T > K, got T=2, K=2"),
+    ("non-finite series", "series must be finite"),
+    ("constant column", "zero-variance column(s) [1]: cannot standardize"),
+    ("overflowing mean", "non-finite mean or std in column(s) [3]: cannot standardize"),
+    ("constant data", "data is constant: no usable penalty scale"),
+    ("non-finite scale", "penalty scale of the data is not finite (inf); "
+                         "rescale or standardize the series"),
+    ("degenerate truth", "truth needs at least one positive and one negative edge "
+                         "(got 9 positives, 0 negatives)")])
+def test_data_fault_is_a_data_error(case, message):
+    with pytest.raises(ngcausal.DataError, match=f"^{re.escape(message)}$"):
+        _data_fault(case)
+
+
+def test_data_error_is_one_value_error():
+    assert issubclass(ngcausal.DataError, ValueError)
+    assert ngcausal.io.DataError is ngcausal.DataError
+    assert issubclass(ngcausal.DegenerateTruthError, ngcausal.DataError)
+
+
+@pytest.mark.parametrize("func,name", [("lambda_max_linear", "center"),
+                                       ("make_sparse_var", "magnitude")])
 def test_removed_parameter_absent(func, name):
     assert name not in inspect.signature(getattr(ngcausal, func)).parameters
 
