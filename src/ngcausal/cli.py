@@ -51,6 +51,7 @@ def _report_fits(args, sweep):
         for li in range(n_lam):
             _say(args, f"series {i}: lambda {li + 1}/{n_lam} "
                        f"({sweep.iterations[li, i]} iters, "
+                       f"{sweep.backtracks[li, i]} backtracks, "
                        f"objective {sweep.objectives[li, i]:.6g})")
 
 

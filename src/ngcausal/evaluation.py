@@ -138,6 +138,7 @@ class SweepResult:
     graphs: list              # per lambda: (p, p) lag-profile row norms
     lag_profiles: np.ndarray  # (n_lambda, p, p, K): [lambda, output i, input j, lag k]
     iterations: np.ndarray    # (n_lambda, p)
+    backtracks: np.ndarray    # (n_lambda, p) rejected trial steps
     converged: np.ndarray     # (n_lambda, p) bool
     objectives: np.ndarray    # (n_lambda, p) final penalized objective
     models: list              # per series: ComponentMLP fit at lambdas[-1]
@@ -154,15 +155,16 @@ def _series_path(data, i, specs, arch, opt, seed):
     path ``specs`` (one PenaltySpec per lambda).
 
     Returns the (n_lambda, p, K) lag profiles of its fits, their (n_lambda,)
-    iteration counts, converged flags and final objectives, and the model
-    at the last lambda.  Each fit starts warm from the previous one's
-    FitResult, which is dropped with the path: the model keeps no forward
-    pass.
+    iteration counts, backtracks, converged flags and final objectives, and
+    the model at the last lambda.  Each fit starts warm from the previous
+    one's FitResult, which is dropped with the path: the model keeps no
+    forward pass.
     """
     start = init_model(data.p, data.K, arch, SeededRng(child_seed(seed, i)))
     n_lam = len(specs)
     lags = np.empty((n_lam, data.p, data.K))
     iterations = np.empty(n_lam, dtype=np.int64)
+    backtracks = np.empty(n_lam, dtype=np.int64)
     converged = np.empty(n_lam, dtype=bool)
     objectives = np.empty(n_lam)
     for li, spec in enumerate(specs):
@@ -175,19 +177,35 @@ def _series_path(data, i, specs, arch, opt, seed):
             raise OptimizationError(f"series {i} at lambda {spec.lam:.6g}: {exc}") from exc
         lags[li] = kernels.lag_norms(start.model.weight(0), data.p, data.K)
         iterations[li] = start.iterations_run
+        backtracks[li] = start.backtracks
         converged[li] = start.converged
         objectives[li] = start.objective_trace[-1]
-    return lags, iterations, converged, objectives, start.model
+    return lags, iterations, backtracks, converged, objectives, start.model
+
+
+# the sweep a pool worker fits: (datasets, specs, arch, opt, seed), set once
+# per worker by _init_worker so that tasks carry only a series index
+_WORK = None
+
+
+def _init_worker(*work):
+    global _WORK
+    _WORK = work
+
+
+def _pooled_series_path(i):
+    datasets, specs, arch, opt, seed = _WORK
+    return _series_path(datasets[i], i, specs, arch, opt, seed)
 
 
 def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     """Fit every series down a descending lambda grid; assemble per-lambda graphs.
 
     The penalty path is checked (``penalty_path``) and the lagged design
-    built once, before any fit.  Fits for different
-    series are independent and run on a pool of min(jobs, p) processes when
-    that is more than one, each task carrying its series' dataset.  Results
-    are deterministic in (ts, configs, seed) regardless of jobs.  Graph entry
+    built once, before any fit.  Fits for different series are independent
+    and run on a pool of min(jobs, p) processes when that is more than one;
+    each worker receives the datasets once, and each task is a series index.
+    Results are deterministic in (ts, configs, seed) regardless of jobs.  Graph entry
     (i, j) is the norm of lag-profile row (i, j): zero exactly when every
     first-layer weight series j feeds into model i is zero.  ``models``
     holds each series' model at the last lambda, so a one-lambda sweep is a
@@ -197,21 +215,24 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     """
     lambdas, specs = penalty_path(kind, lambdas)
     jobs = _count("jobs", jobs)
-    tasks = [(data, i, specs, arch, opt, seed)
-             for i, data in enumerate(build_lagged(ts, K))]
-    workers = min(jobs, len(tasks))  # a forked pool starts every worker at once
+    datasets = build_lagged(ts, K)
+    workers = min(jobs, len(datasets))  # a forked pool starts every worker at once
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            per_series = list(pool.map(_series_path, *zip(*tasks)))
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_init_worker,
+                initargs=(datasets, specs, arch, opt, seed)) as pool:
+            per_series = list(pool.map(_pooled_series_path, range(len(datasets))))
     else:
-        per_series = [_series_path(*task) for task in tasks]
+        per_series = [_series_path(data, i, specs, arch, opt, seed)
+                      for i, data in enumerate(datasets)]
 
-    lags, iterations, converged, objectives, models = zip(*per_series)
+    lags, iterations, backtracks, converged, objectives, models = zip(*per_series)
     lag_profiles = np.stack(lags, axis=1)
     return SweepResult(lambdas=lambdas,
                        graphs=list(np.sqrt((lag_profiles ** 2).sum(axis=3))),
                        lag_profiles=lag_profiles,
                        iterations=np.stack(iterations, axis=1),
+                       backtracks=np.stack(backtracks, axis=1),
                        converged=np.stack(converged, axis=1),
                        objectives=np.stack(objectives, axis=1),
                        models=list(models))

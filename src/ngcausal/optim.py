@@ -12,11 +12,16 @@ which guarantees the penalized objective never increases.  Each line search
 after the first starts from the short Barzilai-Borwein step s.y / y.y of the
 last accepted move (s the change in parameters, y the change in the loss
 gradient), floored at min_step, so the step can grow again after a
-backtrack; where s.y <= 0 it starts from the last accepted step instead.
-This is the start GISTA (Gong et al., ICML 2013) uses.  A fit starts from
-a model, with its first line search at initial_step, or warm from the
-previous FitResult on the same data: from its model, with its final step
-clamped to [min_step, initial_step].
+backtrack; where s.y <= 0 the move shows no positive curvature to size a
+step by, and the search restarts at initial_step.  This is the start GISTA
+(Gong et al., ICML 2013) uses, initial_step standing for its largest step,
+so a nonconvex fit leaving a saddle along negative curvature takes long
+steps there: the all-zero first layer a series' model has down a sweep
+until, at some lambda, its first group enters.  A fit starts from a model,
+with its first line search at initial_step, or warm from the previous
+FitResult on the same data: from its model, with its final step clamped to
+[min_step, initial_step].  Every rejected trial step counts as one
+backtrack.
 
 Nothing the loop already has is computed twice.  The forward pass of each
 accepted candidate, with its residual, is the next gradient's forward pass;
@@ -88,6 +93,7 @@ class FitResult:
     iterations_run: int
     converged: bool
     final_step: float
+    backtracks: int          # rejected trial steps, over all iterations
     _last_pass: tuple = field(default=None, repr=False, compare=False)
 
 
@@ -128,7 +134,7 @@ def fit(data, spec, start, opt):
         raise OptimizationError("non-finite objective at initialization")
     trace = [obj]
     converged = False
-    iterations = 0
+    iterations = backtracks = 0
     g = delta = None
 
     for iterations in range(1, opt.max_iters + 1):
@@ -137,11 +143,14 @@ def fit(data, spec, start, opt):
         if not np.isfinite(g).all():
             raise OptimizationError(f"non-finite gradient at iteration {iterations}")
         if delta is not None:
-            # short Barzilai-Borwein step from the last accepted move
+            # short Barzilai-Borwein step from the last accepted move, or a
+            # restart at initial_step where the move had no positive curvature
             y = g - g_prev
             sy = float(delta @ y)
             if sy > 0:
                 step = max(sy / float(y @ y), opt.min_step)
+            else:
+                step = opt.initial_step
         slack = 1e-12 * max(1.0, abs(loss_val))
         while True:
             cand = model.theta - step * g
@@ -156,6 +165,7 @@ def fit(data, spec, start, opt):
             if new_loss <= bound:
                 break
             step *= BACKTRACK_FACTOR
+            backtracks += 1
             if step < opt.min_step:
                 raise OptimizationError(
                     f"the line search drove the step below min_step={opt.min_step} "
@@ -173,5 +183,5 @@ def fit(data, spec, start, opt):
 
     return FitResult(model=model, objective_trace=np.asarray(trace),
                      iterations_run=iterations, converged=converged,
-                     final_step=step,
+                     final_step=step, backtracks=backtracks,
                      _last_pass=(data, model.theta.copy(), loss_val, acts))

@@ -7,9 +7,18 @@ first layer ``w1`` of shape (H, K*p) whose column ``k*p + j`` is series ``j``
 at lag ``k+1``.  The hierarchical prox shrinks the lag suffixes k..K of each
 series from the deepest lag up (Jenatton et al., "Proximal Methods for
 Hierarchical Sparse Coding", JMLR 2011).
+
+``reference_fit`` is the proximal gradient loop of ``optim.fit`` without
+any of its reuse: it runs ``loss_and_grad`` afresh on every model and
+candidate, and ``penalty_value`` on every accepted one.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
+
+from ngcausal.model import loss_and_grad
+from ngcausal.penalties import apply_prox, penalty_value
 
 
 def finite_diff_grad(f, x, h=1e-6):
@@ -100,3 +109,58 @@ def oracle_penalty(kind, w1, p, K):
             s += lag[j, k] * lag[j, k]
             suffix[j, k] = np.sqrt(s)
     return suffix.sum()
+
+
+def reference_fit(data, spec, model, opt, step=None):
+    """Proximal gradient from ``model`` with a short Barzilai-Borwein start,
+    a restart at ``opt.initial_step`` after a move with s.y <= 0, and
+    backtracking; the first line search starts at ``step`` (default
+    ``opt.initial_step``).
+
+    Returns a namespace of ``trace`` (objectives, the start's first),
+    ``model``, ``step`` (the last accepted), ``converged``, ``backtracks``
+    and ``log``: one (rule, trial steps) per iteration, rule being None on
+    the first iteration, "bb" when s.y > 0 set the first trial step and
+    "restart" when it did not, and the trial steps in the order tried, the
+    last one accepted.
+    """
+    step = opt.initial_step if step is None else step
+    obj = loss_and_grad(model, data)[0] + penalty_value(spec, model)
+    trace = [obj]
+    log = []
+    converged = False
+    g_prev = s = None
+    for _ in range(opt.max_iters):
+        val, g = loss_and_grad(model, data)
+        rule = None
+        if s is not None:
+            y = g - g_prev
+            sy = s @ y
+            if sy > 0:
+                step, rule = max(sy / (y @ y), opt.min_step), "bb"
+            else:
+                step, rule = opt.initial_step, "restart"
+        g_prev = g
+        trials = []
+        while True:
+            trials.append(step)
+            probe = model.copy()
+            probe.theta[:] = model.theta - step * g
+            apply_prox(spec, probe, probe.theta, step)
+            new_loss = loss_and_grad(probe, data)[0]
+            s = probe.theta - model.theta
+            if new_loss <= (val + g @ s + (s @ s) / (2.0 * step)
+                            + 1e-12 * max(1.0, abs(val))):
+                break
+            step *= 0.5
+        model = probe
+        new_obj = new_loss + penalty_value(spec, model)
+        trace.append(new_obj)
+        log.append((rule, trials))
+        if abs(obj - new_obj) < opt.rel_tol * max(1.0, abs(obj)):
+            converged = True
+            break
+        obj = new_obj
+    return SimpleNamespace(trace=np.asarray(trace), model=model, step=step,
+                           converged=converged, log=log,
+                           backtracks=sum(len(trials) - 1 for _, trials in log))

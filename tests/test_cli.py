@@ -276,7 +276,7 @@ class TestProgressLines:
         for k, line in enumerate(fits):
             i, li = divmod(k, n_lam)
             assert re.fullmatch(rf"series {i}: lambda {li + 1}/{n_lam} "
-                                r"\(\d+ iters, objective \S+\)", line), line
+                                r"\(\d+ iters, \d+ backtracks, objective \S+\)", line), line
         if command == "sweep":
             assert lines[0].startswith(f"sweeping {n_lam} lambdas in [")
             assert lines[1:-1] == fits

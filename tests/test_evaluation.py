@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import numpy as np
@@ -14,6 +13,7 @@ from ngcausal.model import Architecture, ComponentMLP, build_lagged, init_model
 from ngcausal.datasets import SeededRng, child_seed
 from ngcausal.optim import OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec
+from oracles import reference_fit
 
 
 def models_with_norms(norm_rows):
@@ -256,6 +256,7 @@ class TestSweepPath:
         for ga, gb in zip(a.graphs, b.graphs):
             assert np.array_equal(ga, gb)
         assert np.array_equal(a.iterations, b.iterations)
+        assert np.array_equal(a.backtracks, b.backtracks)
         # models are each series' fit at the last lambda
         assert len(a.models) == len(b.models) == 4
         for i, (ma, mb) in enumerate(zip(a.models, b.models)):
@@ -265,12 +266,14 @@ class TestSweepPath:
 
     @pytest.mark.parametrize("p,expected", [(10, [10]), (1, [])])
     def test_pool_has_at_most_one_worker_per_series(self, monkeypatch, p, expected):
-        # a forked pool starts all its workers at once: this fake starts none
-        pools = []
+        # a forked pool starts all its workers at once: this fake starts none;
+        # each worker gets the datasets once, and each task is a series index
+        pools, tasks = [], []
 
         class FakePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 pools.append(max_workers)
+                initializer(*initargs)      # what each worker runs first
 
             def __enter__(self):
                 return self
@@ -279,20 +282,23 @@ class TestSweepPath:
                 return False
 
             def map(self, fn, *iterables):
+                tasks.extend(zip(*iterables))
                 return map(fn, *iterables)
 
         monkeypatch.setattr(evaluation.concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(evaluation, "_WORK", None)
         ts = standardize(VarGenConfig(p=p, K=1, burn_in=50).generate(60, 0)[0])[0]
         sw = sweep_path(ts, 1, "group", [1.0], Architecture(hidden_sizes=()),
                         OptimizerConfig(max_iters=50), seed=0, jobs=500)
         assert pools == expected
+        assert tasks == [(i,) for i in range(p)] if expected else tasks == []
         assert len(sw.models) == p
 
     @pytest.mark.parametrize("kind", ["group", "hierarchical"])
     def test_equals_chain_of_cold_fits(self, kind):
-        # sweep_path starts each fit warm from the one before; fits from the
-        # previous model, first trying its final step, each run their own
-        # starting forward pass and match it
+        # sweep_path starts each fit warm from the one before; the reference
+        # loop from the previous model, first trying its final step, runs
+        # every forward pass afresh and matches it
         ts = standardize(VarGenConfig(p=3, K=2, burn_in=100).generate(200, 5)[0])[0]
         lams = lambda_grid(lambda_max_linear(ts, 2), 3, 20.0)
         arch = Architecture(hidden_sizes=(4,))
@@ -301,16 +307,16 @@ class TestSweepPath:
         models = [[None] * 3 for _ in lams]
         for i, data in enumerate(build_lagged(ts, 2)):
             model = init_model(3, 2, arch, SeededRng(child_seed(4, i)))
-            step_opt = opt
+            step = opt.initial_step
             for li, lam in enumerate(lams):
-                res = fit(data, PenaltySpec(kind, lam), model, step_opt)
-                model = models[li][i] = res.model
-                step_opt = dataclasses.replace(
-                    opt, initial_step=min(res.final_step, opt.initial_step))
+                ref = reference_fit(data, PenaltySpec(kind, lam), model, opt, step)
+                model = models[li][i] = ref.model
+                step = min(ref.step, opt.initial_step)
                 assert np.array_equal(lag_profile(model), sw.lag_profiles[li][i])
-                assert res.iterations_run == sw.iterations[li, i]
-                assert res.converged == sw.converged[li, i]
-                assert res.objective_trace[-1] == sw.objectives[li, i]
+                assert len(ref.log) == sw.iterations[li, i]
+                assert ref.backtracks == sw.backtracks[li, i]
+                assert ref.converged == sw.converged[li, i]
+                assert ref.trace[-1] == sw.objectives[li, i]
             assert np.array_equal(model.theta, sw.models[i].theta)
         for li in range(len(lams)):
             assert_graph_of_lag_profile(sw.graphs[li], sw.lag_profiles[li], models[li])

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from ngcausal import _kernels as kernels
+from ngcausal import optim
 from ngcausal.datasets import VarGenConfig, standardize
 from ngcausal.model import (Architecture, ComponentMLP, LaggedDataset,
                             build_lagged, init_model, loss_and_grad)
 from ngcausal.datasets import SeededRng
 from ngcausal.optim import FitResult, OptimizationError, OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec, apply_prox, penalty_value
+from oracles import reference_fit
 
 
 def assert_monotone_trace(trace):
@@ -27,53 +29,6 @@ def small_dataset(seed, p=3, K=2, T=60):
 def seeded_model(data, arch, seed):
     """The seeded initial model of data's series, as sweep_path builds it."""
     return init_model(data.p, data.K, arch, SeededRng(seed))
-
-
-def reference_fit(data, spec, arch, opt, seed):
-    """Proximal gradient with a short Barzilai-Borwein start and backtracking,
-    running loss_and_grad afresh every iteration.
-
-    Returns (trace, model, final step, log); log holds one (rule, backtracks,
-    accepted step) per iteration, rule being None on the first iteration,
-    "bb" when s.y > 0 set the trial step and "kept" when it did not.
-    """
-    model = seeded_model(data, arch, seed)
-    step = opt.initial_step
-    obj = loss_and_grad(model, data)[0] + penalty_value(spec, model)
-    trace = [obj]
-    log = []
-    g_prev = s = None
-    for _ in range(opt.max_iters):
-        val, g = loss_and_grad(model, data)
-        rule = None
-        if s is not None:
-            y = g - g_prev
-            sy = s @ y
-            rule = "kept"
-            if sy > 0:
-                step = max(sy / (y @ y), opt.min_step)
-                rule = "bb"
-        g_prev = g
-        backtracks = 0
-        while True:
-            probe = model.copy()
-            probe.theta[:] = model.theta - step * g
-            apply_prox(spec, probe, probe.theta, step)
-            new_loss = loss_and_grad(probe, data)[0]
-            s = probe.theta - model.theta
-            if new_loss <= (val + g @ s + (s @ s) / (2.0 * step)
-                            + 1e-12 * max(1.0, abs(val))):
-                break
-            step *= 0.5
-            backtracks += 1
-        model = probe
-        new_obj = new_loss + penalty_value(spec, model)
-        trace.append(new_obj)
-        log.append((rule, backtracks, step))
-        if abs(obj - new_obj) < opt.rel_tol * max(1.0, abs(obj)):
-            break
-        obj = new_obj
-    return np.asarray(trace), model, step, log
 
 
 def fit_objective(model, data, spec):
@@ -239,6 +194,8 @@ class TestFit:
                 y = g - g_prev
                 if delta @ y > 0:
                     step = max((delta @ y) / (y @ y), opt.min_step)
+                else:
+                    step = opt.initial_step
             g_prev = g
             while True:
                 cand = model.theta - step * g
@@ -254,8 +211,7 @@ class TestFit:
             if abs(prev - new_loss) < opt.rel_tol * max(1.0, abs(prev)):
                 break
             prev = new_loss
-        n = min(len(trace), len(res.objective_trace))
-        assert np.allclose(res.objective_trace[:n], trace[:n], rtol=0, atol=1e-12)
+        assert np.array_equal(res.objective_trace, trace)
 
     @pytest.mark.parametrize("kind,lam", [("group", 0.0), ("hierarchical", 0.0),
                                           ("group", 3.0), ("hierarchical", 3.0)])
@@ -269,31 +225,40 @@ class TestFit:
         opt = OptimizerConfig(max_iters=150, initial_step=0.05, rel_tol=1e-9)
         res = fit(data, spec, seeded_model(data, arch, 22), opt)
 
-        trace, model, step, log = reference_fit(data, spec, arch, opt, seed=22)
-        assert sum(backtracks for _, backtracks, _ in log) > 0
-        assert np.array_equal(res.objective_trace, trace)
-        assert np.array_equal(res.model.theta, model.theta)
-        assert res.final_step == step
+        ref = reference_fit(data, spec, seeded_model(data, arch, 22), opt)
+        assert ref.backtracks > 0
+        assert np.array_equal(res.objective_trace, ref.trace)
+        assert np.array_equal(res.model.theta, ref.model.theta)
+        assert res.final_step == ref.step
+        assert res.backtracks == ref.backtracks
+        assert res.converged == ref.converged
 
-    def test_nonpositive_curvature_keeps_previous_step(self):
-        # where s.y <= 0 along the last move (tanh is nonconvex) the trial
-        # step is the last accepted one, not a Barzilai-Borwein step; fit is
-        # held to this reference loop bit for bit, so its steps are the log's
+    def test_nonpositive_curvature_restarts_at_initial_step(self, monkeypatch):
+        # where s.y <= 0 along the last move (tanh is nonconvex) the first
+        # trial step is initial_step, not a Barzilai-Borwein step; fit must
+        # try every step the reference loop tries, in the same order
         data = small_dataset(17, T=120)
         arch = Architecture(hidden_sizes=(5, 3), init_scale=1.0)
         spec = PenaltySpec("group", 3.0)
         opt = OptimizerConfig(max_iters=150, initial_step=0.05, rel_tol=1e-9)
+        tried = []
+
+        def recording_prox(spec, model, theta, step):
+            tried.append(step)
+            return apply_prox(spec, model, theta, step)
+
+        monkeypatch.setattr(optim, "apply_prox", recording_prox)
         res = fit(data, spec, seeded_model(data, arch, 22), opt)
-        trace, model, step, log = reference_fit(data, spec, arch, opt, seed=22)
-        assert np.array_equal(res.objective_trace, trace)
-        assert np.array_equal(res.model.theta, model.theta)
-        assert res.final_step == step
-        kept = [k for k, (rule, backtracks, _) in enumerate(log)
-                if rule == "kept" and backtracks == 0]
-        assert len(kept) > 0
-        assert any(rule == "bb" for rule, _, _ in log)
-        for k in kept:
-            assert log[k][2] == log[k - 1][2]
+        ref = reference_fit(data, spec, seeded_model(data, arch, 22), opt)
+        assert tried == [step for _, trials in ref.log for step in trials]
+        assert np.array_equal(res.objective_trace, ref.trace)
+        assert res.backtracks == ref.backtracks
+        restarts = [trials for rule, trials in ref.log if rule == "restart"]
+        assert any(len(trials) == 1 for trials in restarts)
+        assert any(len(trials) > 1 for trials in restarts)
+        assert any(rule == "bb" for rule, _ in ref.log)
+        for trials in restarts:
+            assert trials[0] == opt.initial_step
 
     def test_fit_one_iteration_equals_prox_step(self):
         data = small_dataset(16)
@@ -351,21 +316,23 @@ class TestWarmStart:
                                           ("group", 1.5), ("hierarchical", 1.5)])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_handed_over_forward_pass_changes_no_bit(self, kind, lam, activation):
-        # the warm start takes the previous fit's last forward pass; a fit
-        # from the same model at the same first step runs that pass afresh
+        # the warm start takes the previous fit's last forward pass; the
+        # reference loop from the same model at the same first step runs
+        # every pass afresh, and restarts at opt.initial_step, not at the
+        # first step, after a move with s.y <= 0
         data = small_dataset(24, T=120)
         arch = Architecture(hidden_sizes=(5, 3), activation=activation, init_scale=1.0)
         first = fit(data, PenaltySpec(kind, 2 * lam), seeded_model(data, arch, 3),
                     OptimizerConfig(max_iters=40))
         spec, opt = PenaltySpec(kind, lam), OptimizerConfig()
         warm = fit(data, spec, first, opt)
-        same_step = dataclasses.replace(
-            opt, initial_step=min(first.final_step, opt.initial_step))
-        cold = fit(data, spec, first.model, same_step)
-        assert np.array_equal(warm.objective_trace, cold.objective_trace)
-        assert np.array_equal(warm.model.theta, cold.model.theta)
-        assert warm.final_step == cold.final_step
-        assert warm.iterations_run == cold.iterations_run
+        ref = reference_fit(data, spec, first.model, opt,
+                            step=min(first.final_step, opt.initial_step))
+        assert np.array_equal(warm.objective_trace, ref.trace)
+        assert np.array_equal(warm.model.theta, ref.model.theta)
+        assert warm.final_step == ref.step
+        assert warm.iterations_run == len(ref.log)
+        assert warm.backtracks == ref.backtracks
 
     def test_forward_pass_of_other_data_or_model_rejected(self):
         ts = standardize(VarGenConfig(p=3, K=2, burn_in=50).generate(120, 24)[0])[0]
@@ -532,3 +499,4 @@ class TestOptimizerConfigValidation:
         assert isinstance(res, FitResult)
         assert res.objective_trace.shape == (res.iterations_run + 1,)
         assert res.final_step > 0
+        assert isinstance(res.backtracks, int) and res.backtracks >= 0
