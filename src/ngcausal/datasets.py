@@ -3,15 +3,15 @@
 Time series are plain (T, p) float64 arrays, row t = observation at time t.
 Causal ground truth is a (p, p) 0/1 array with entry (i, j) = 1 when series j
 drives series i.  Every draw comes from a stream seeded by ``SeededRng``.
-Counts (p, K, T, burn_in) are checked by ``model._count``; ``standardize``
-raises ``DataError`` for a series it cannot scale.
+Settings are checked by ``model._count`` (counts) and ``model._real`` (reals);
+``standardize`` raises ``DataError`` for a series it cannot scale.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DataError, _count
+from .model import DataError, _count, _real
 
 
 def SeededRng(seed):
@@ -22,8 +22,8 @@ def SeededRng(seed):
 
 
 def child_seed(seed, index):
-    """Derive an integer child seed from (parent seed, stream index)."""
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
+    """Integer child seed of (parent seed, stream index), by numpy's seed rule."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -80,12 +80,11 @@ def make_sparse_var(rng, p, K, edge_prob=0.2, target_radius=0.95, noise_sigma=0.
     accurate to ~1e-5 only on these near-repeated eigenvalues.
     """
     p, K = _count("p", p), _count("K", K)
-    if not (0 < edge_prob <= 1):
+    if not (0 < _real("edge_prob", edge_prob) <= 1):
         raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob}")
-    if not (0 < target_radius < 1):
+    if not (0 < _real("target_radius", target_radius) < 1):
         raise ValueError(f"target_radius must be in (0, 1), got {target_radius}")
-    if not (np.isfinite(noise_sigma) and noise_sigma > 0):
-        raise ValueError(f"noise_sigma must be finite and > 0, got {noise_sigma}")
+    _real("noise_sigma", noise_sigma, 0)
 
     adjacency = (rng.random((p, p)) < edge_prob).astype(np.float64)
     np.fill_diagonal(adjacency, 1.0)
@@ -174,12 +173,9 @@ def simulate_lorenz(cfg, T, rng, init=None):
     """
     T, p = _count("T", T), _count("p", cfg.p, least=4)
     burn_in = _count("burn_in", cfg.burn_in, least=0)
-    if not np.isfinite(cfg.F):
-        raise ValueError(f"F must be finite, got {cfg.F}")
-    if not (np.isfinite(cfg.dt) and cfg.dt > 0):
-        raise ValueError(f"dt must be finite and > 0, got {cfg.dt}")
-    if not (np.isfinite(cfg.noise_sigma) and cfg.noise_sigma >= 0):
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {cfg.noise_sigma}")
+    _real("F", cfg.F)
+    _real("dt", cfg.dt, 0)
+    _real("noise_sigma", cfg.noise_sigma, 0, strict=False)
 
     if init is not None:
         state = np.asarray(init, dtype=np.float64).copy()

@@ -9,14 +9,13 @@ sweeping a descending lambda grid.
 """
 
 import concurrent.futures
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as kernels
 from .datasets import SeededRng, child_seed
-from .model import DataError, _count, build_lagged, init_model
+from .model import DataError, _count, _real, build_lagged, init_model
 from .optim import OptimizationError, fit
 from .penalties import penalty_path
 
@@ -114,14 +113,12 @@ def lambda_max_linear(ts, K):
 def _grid_shape(size, ratio):
     """Size an integer >= 2, ratio finite and > 1: shared with the config."""
     _count("grid_size", size, least=2)
-    if not (math.isfinite(ratio) and ratio > 1):
-        raise ValueError(f"grid_ratio must be finite and > 1, got {ratio}")
+    _real("grid_ratio", ratio, 1)
 
 
 def lambda_grid(lam_max, size=20, ratio=100.0):
     """Descending log-spaced grid from a finite lam_max > 0 down to lam_max / ratio."""
-    if not (math.isfinite(lam_max) and lam_max > 0):
-        raise ValueError(f"lam_max must be finite and > 0, got {lam_max}")
+    _real("lam_max", lam_max, 0)
     _grid_shape(size, ratio)
     return np.geomspace(lam_max, lam_max / ratio, size)
 
@@ -169,10 +166,7 @@ def _series_path(data, i, specs, arch, opt, seed):
     objectives = np.empty(n_lam)
     for li, spec in enumerate(specs):
         try:
-            # fit raises on any non-finite value, so numpy's overflow
-            # warnings would only repeat that error
-            with np.errstate(over="ignore", invalid="ignore"):
-                start = fit(data, spec, start, opt)
+            start = fit(data, spec, start, opt)
         except OptimizationError as exc:
             raise OptimizationError(f"series {i} at lambda {spec.lam:.6g}: {exc}") from exc
         lags[li] = kernels.lag_norms(start.model.weight(0), data.p, data.K)

@@ -8,10 +8,12 @@ independent of series j's history.
 
 With no hidden layers the network degenerates to the linear autoregressive
 map (a single weight row plus bias), which is how the linear baseline is fit.
-Every layer shares the input rules here: ``_count`` for a count setting and
-``DataError`` for data that cannot be used.
+Every layer shares the input rules here: ``_count`` for a count setting,
+``_real`` for a real-valued one and ``DataError`` for unusable data.
 """
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -40,6 +42,18 @@ def _count(name, value, least=1):
     return n
 
 
+def _real(name, value, low=-math.inf, strict=True):
+    """``value`` as a finite float > ``low`` (>= when not ``strict``); a bool
+    or a non-number is rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    x = float(value)
+    if not (math.isfinite(x) and (x > low if strict else x >= low)):
+        bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
+    return x
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Network shape and init scale shared by all per-series models in an
@@ -54,8 +68,7 @@ class Architecture:
         object.__setattr__(self, "hidden_sizes", widths)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}; expected one of {sorted(ACTIVATIONS)}")
-        if not (np.isfinite(self.init_scale) and self.init_scale >= 0):
-            raise ValueError(f"init_scale must be finite and >= 0, got {self.init_scale}")
+        _real("init_scale", self.init_scale, 0, strict=False)
 
 
 class ComponentMLP:

@@ -11,7 +11,7 @@ on the unpenalized loss L
 which guarantees the penalized objective never increases.  Each line search
 after the first starts from the short Barzilai-Borwein step s.y / y.y of the
 last accepted move (s the change in parameters, y the change in the loss
-gradient), floored at min_step, so the step can grow again after a
+gradient), floored at MIN_STEP, so the step can grow again after a
 backtrack; where s.y <= 0 the move shows no positive curvature to size a
 step by, and the search restarts at initial_step.  This is the start GISTA
 (Gong et al., ICML 2013) uses, initial_step standing for its largest step,
@@ -20,8 +20,8 @@ steps there: the all-zero first layer a series' model has down a sweep
 until, at some lambda, its first group enters.  A fit starts from a model,
 with its first line search at initial_step, or warm from the previous
 FitResult on the same data: from its model, with its final step clamped to
-[min_step, initial_step].  Every rejected trial step counts as one
-backtrack.
+[MIN_STEP, initial_step].  Every rejected trial step counts as one
+backtrack; a line search that halves the step below MIN_STEP fails the fit.
 
 Nothing the loop already has is computed twice.  The forward pass of each
 accepted candidate, with its residual, is the next gradient's forward pass;
@@ -49,10 +49,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels as kernels
-from .model import _count, loss_and_grad
+from .model import _count, _real, loss_and_grad
 from .penalties import apply_prox, penalty_value
 
 BACKTRACK_FACTOR = 0.5
+MIN_STEP = 1e-12  # floor of every step: BB, backtracking and warm start
 
 
 class OptimizationError(RuntimeError):
@@ -64,18 +65,12 @@ class OptimizerConfig:
     initial_step: float = 1e-2
     max_iters: int = 20000
     rel_tol: float = 1e-4
-    min_step: float = 1e-12
 
     def __post_init__(self):
-        # an infinite step never backtracks below min_step, and a NaN
+        # an infinite step never backtracks below MIN_STEP, and a NaN
         # tolerance never stops: either would run a fit forever or to the cap
-        if not (math.isfinite(self.initial_step) and self.initial_step > 0):
-            raise ValueError(f"initial_step must be finite and > 0, got {self.initial_step}")
-        if not (0 < self.min_step < self.initial_step):
-            raise ValueError("need 0 < min_step < initial_step, got "
-                             f"min_step={self.min_step}, initial_step={self.initial_step}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
-            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
+        _real("initial_step", self.initial_step, MIN_STEP)
+        _real("rel_tol", self.rel_tol, 0)
         _count("max_iters", self.max_iters)
 
 
@@ -97,12 +92,13 @@ class FitResult:
     _last_pass: tuple = field(default=None, repr=False, compare=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every non-finite value raises below
 def fit(data, spec, start, opt):
     """Run proximal gradient descent to convergence from a copy of a model.
 
     ``start`` is a ComponentMLP, fit from its first line search at
     opt.initial_step, or the previous FitResult on this very dataset, fit
-    warm from its model and its final_step clamped to [opt.min_step,
+    warm from its model and its final_step clamped to [MIN_STEP,
     opt.initial_step].  A FitResult of other data, or whose model was
     changed in place since, raises ValueError.  Stops when the relative
     objective change drops below opt.rel_tol or after opt.max_iters
@@ -117,7 +113,7 @@ def fit(data, spec, start, opt):
             raise ValueError("start is a fit on another dataset")
         if theta.tobytes() != model.theta.tobytes():
             raise ValueError("start's model was changed since its fit")
-        step = min(max(start.final_step, opt.min_step), opt.initial_step)
+        step = min(max(start.final_step, MIN_STEP), opt.initial_step)
     else:
         model, step = start, opt.initial_step
         if model.p != data.p or model.K != data.K:
@@ -148,7 +144,7 @@ def fit(data, spec, start, opt):
             y = g - g_prev
             sy = float(delta @ y)
             if sy > 0:
-                step = max(sy / float(y @ y), opt.min_step)
+                step = max(sy / float(y @ y), MIN_STEP)
             else:
                 step = opt.initial_step
         slack = 1e-12 * max(1.0, abs(loss_val))
@@ -166,9 +162,9 @@ def fit(data, spec, start, opt):
                 break
             step *= BACKTRACK_FACTOR
             backtracks += 1
-            if step < opt.min_step:
+            if step < MIN_STEP:
                 raise OptimizationError(
-                    f"the line search drove the step below min_step={opt.min_step} "
+                    f"the line search drove the step below MIN_STEP={MIN_STEP} "
                     f"at iteration {iterations}")
         model.theta[:] = cand
         loss_val, acts = new_loss, new_acts

@@ -16,15 +16,15 @@ it is and returns 0.0, as ``penalty_value`` does: a fit is then unpenalized.
 
 ``penalty_path`` builds a sweep's PenaltySpecs, one per lambda: it checks the
 path's shape (1-d, nonempty, strictly decreasing), and ``PenaltySpec`` alone
-checks the kind and that each lambda is finite and >= 0.
+checks the kind and that each lambda is finite and >= 0 (``model._real``).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as kernels
+from .model import _real
 
 PENALTY_KINDS = ("group", "hierarchical")
 
@@ -39,8 +39,7 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {PENALTY_KINDS}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
+        _real("lambda", self.lam, 0, strict=False)
 
 
 def penalty_path(kind, lambdas):

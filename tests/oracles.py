@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from ngcausal.model import loss_and_grad
+from ngcausal.optim import MIN_STEP
 from ngcausal.penalties import apply_prox, penalty_value
 
 
@@ -137,7 +138,7 @@ def reference_fit(data, spec, model, opt, step=None):
             y = g - g_prev
             sy = s @ y
             if sy > 0:
-                step, rule = max(sy / (y @ y), opt.min_step), "bb"
+                step, rule = max(sy / (y @ y), MIN_STEP), "bb"
             else:
                 step, rule = opt.initial_step, "restart"
         g_prev = g

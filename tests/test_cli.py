@@ -517,11 +517,14 @@ class TestExitCodes:
         ({}, ["--seed", -1], "seed must be a nonnegative integer, got -1"),
         # a fit would never return (inf), run to the cap (nan) or not run (0, -3)
         ({"optimizer": {"initial_step": float("inf")}}, [],
-         "optimizer: initial_step must be finite and > 0, got inf"),
+         "optimizer: initial_step must be finite and > 1e-12, got inf"),
         ({"optimizer": {"rel_tol": float("nan")}}, [],
          "optimizer: rel_tol must be finite and > 0, got nan"),
         ({"optimizer": {"max_iters": 0}}, [], "optimizer: max_iters must be >= 1, got 0"),
-        ({"optimizer": {"max_iters": -3}}, [], "optimizer: max_iters must be >= 1, got -3")])
+        ({"optimizer": {"max_iters": -3}}, [], "optimizer: max_iters must be >= 1, got -3"),
+        # the step floor is the constant optim.MIN_STEP; resolved configs
+        # written while it was a setting carry the key
+        ({"optimizer": {"min_step": 1e-12}}, [], "optimizer: unknown key(s) ['min_step']")])
     def test_bad_model_or_seed_is_config_error_2(self, tmp_path, capsys, command,
                                                   overrides, seed, message):
         cfg = write_config(tmp_path / "c.yaml", **overrides)

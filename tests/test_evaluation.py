@@ -345,6 +345,19 @@ class TestSweepPath:
             sweep_path(ts, 1, "group", [1.0], Architecture(hidden_sizes=()),
                        OptimizerConfig(), seed=0, jobs=jobs)
 
+    def test_seed_follows_numpys_seed_rule(self, monkeypatch):
+        # a float seed is not truncated to an int: numpy rejects it, as
+        # SeededRng does, before any fit; numpy integers key the same streams
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        assert child_seed(np.int64(1), np.int64(2)) == child_seed(1, 2)
+        monkeypatch.setattr(evaluation, "fit", unreachable)
+        ts = standardize(VarGenConfig(p=2, K=1, burn_in=50).generate(40, 0)[0])[0]
+        with pytest.raises(TypeError, match="1.5"):
+            sweep_path(ts, 1, "group", [1.0], Architecture(hidden_sizes=()),
+                       OptimizerConfig(), seed=1.5)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_series_is_a_value_error(self, bad):
         # not an OptimizationError: the data is at fault, not the optimizer

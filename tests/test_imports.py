@@ -6,7 +6,9 @@ module's ``__all__`` counts as used, which covers re-exports.  A function or
 class that only ``__init__.py`` re-exports and only tests call is dead code
 unless it is one of the user entry points named below.  The CLI catches
 ``ValueError`` only where it turns argv or generator settings into usage or
-config errors, so it never judges data the library has judged.
+config errors, so it never judges data the library has judged.  ``isfinite``
+is read only by ``model._real``, the one check of a real-valued setting, and
+by the judges of data and of a fit's values named below.
 """
 
 import ast
@@ -78,12 +80,17 @@ def unreferenced_definitions(sources):
     return sorted(unused)
 
 
-def test_package_uses_its_definitions():
+def package_sources():
+    """Module name -> source of every module of the package."""
     sources = {}
     for path in MODULES:
         with open(path) as fh:
             sources[os.path.basename(path)[:-3]] = fh.read()
-    unused = [name for _, name in unreferenced_definitions(sources)]
+    return sources
+
+
+def test_package_uses_its_definitions():
+    unused = [name for _, name in unreferenced_definitions(package_sources())]
     assert sorted(unused) == sorted(ENTRY_POINTS)
 
 
@@ -132,3 +139,53 @@ def test_check_sees_a_value_error_handler():
               "def c():\n    try:\n        f()\n    except:\n        pass\n"
               "def d():\n    try:\n        f()\n    except Exception as exc:\n        pass\n")
     assert value_error_handlers(source) == ["a", "c", "d"]
+
+
+# The only readers of isfinite (math's or numpy's): every real-valued setting
+# goes through model._real, so a hand-written check of one fails here.
+ISFINITE_READERS = {
+    "model._real": "the one check of every real-valued setting",
+    "model.build_lagged": "judges a series before its lags are built",
+    "datasets.standardize": "judges each column's mean and std",
+    "evaluation.lambda_max_linear": "judges the data's penalty scale",
+    "io._dataset_row": "judges each dataset row as it is read",
+    "optim.fit": "judges the objective and gradient of every iteration",
+}
+
+
+def isfinite_readers(sources):
+    """Where the modules in ``sources`` (module name -> source) read
+    ``isfinite``, as a name or an attribute: ``module.function``,
+    ``module.Class.method``, or ``module`` for a module-level statement."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                scopes = [(f"{module}.{node.name}.{m.name}", m) for m in node.body
+                          if isinstance(m, ast.FunctionDef)]
+            elif isinstance(node, ast.FunctionDef):
+                scopes = [(f"{module}.{node.name}", node)]
+            else:
+                scopes = [(module, node)]
+            for name, scope in scopes:
+                if any(isinstance(n, ast.Name) and n.id == "isfinite"
+                       or isinstance(n, ast.Attribute) and n.attr == "isfinite"
+                       for n in ast.walk(scope)):
+                    found.add(name)
+    return sorted(found)
+
+
+def test_one_owner_checks_real_settings():
+    assert isfinite_readers(package_sources()) == sorted(ISFINITE_READERS)
+
+
+def test_check_sees_an_isfinite_reader():
+    sources = {
+        "a": "import math\nfrom numpy import isfinite\n\n"
+             "def f(x):\n    return math.isfinite(x)\n\n"
+             "class C:\n    def m(self):\n        return all(map(isfinite, self.v))\n\n"
+             "    def n(self):\n        return self.v > 0\n\n"
+             "OK = np.isfinite(1.0)\n",
+        "b": "def g(x):\n    return x > 0\n",
+    }
+    assert isfinite_readers(sources) == ["a", "a.C.m", "a.f"]

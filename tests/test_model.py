@@ -6,7 +6,11 @@ import pytest
 from ngcausal import _kernels as kernels
 from ngcausal.model import (Architecture, ComponentMLP, build_lagged,
                             init_model, loss_and_grad, predict)
-from ngcausal.datasets import SeededRng
+from ngcausal.datasets import (LorenzGenConfig, SeededRng, make_sparse_var,
+                               simulate_lorenz)
+from ngcausal.evaluation import lambda_grid
+from ngcausal.optim import MIN_STEP, OptimizerConfig
+from ngcausal.penalties import PenaltySpec
 from oracles import finite_diff_grad
 
 
@@ -296,3 +300,63 @@ class TestArchitecture:
         clone = model.copy()
         clone.theta[:] = 0.0
         assert not np.array_equal(model.theta, clone.theta)
+
+
+# Every real-valued setting, checked by model._real alone: (call with the
+# value, name, bound as the messages word it, a value at the bound, and the
+# message at it, None where the bound value is accepted).
+def _lorenz(**setting):
+    return simulate_lorenz(LorenzGenConfig(p=4, burn_in=0, **setting), 5, SeededRng(0))
+
+
+REAL_SETTINGS = {
+    "lam": (lambda v: PenaltySpec("group", v), "lambda", " and >= 0", 0.0, None),
+    "initial_step": (lambda v: OptimizerConfig(initial_step=v), "initial_step",
+                     " and > 1e-12", MIN_STEP,
+                     "initial_step must be finite and > 1e-12, got 1e-12"),
+    "rel_tol": (lambda v: OptimizerConfig(rel_tol=v), "rel_tol", " and > 0", 0.0,
+                "rel_tol must be finite and > 0, got 0.0"),
+    "init_scale": (lambda v: Architecture(init_scale=v), "init_scale", " and >= 0",
+                   0.0, None),
+    "lam_max": (lambda v: lambda_grid(v), "lam_max", " and > 0", 0.0,
+                "lam_max must be finite and > 0, got 0.0"),
+    "grid_ratio": (lambda v: lambda_grid(1.0, 3, v), "grid_ratio", " and > 1", 1.0,
+                   "grid_ratio must be finite and > 1, got 1.0"),
+    "var.noise_sigma": (lambda v: make_sparse_var(SeededRng(0), 3, 1, noise_sigma=v),
+                        "noise_sigma", " and > 0", 0.0,
+                        "noise_sigma must be finite and > 0, got 0.0"),
+    # the interval settings keep their interval messages
+    "edge_prob": (lambda v: make_sparse_var(SeededRng(0), 3, 1, edge_prob=v),
+                  "edge_prob", "", 0.0, "edge_prob must be in (0, 1], got 0.0"),
+    "target_radius": (lambda v: make_sparse_var(SeededRng(0), 3, 1, target_radius=v),
+                      "target_radius", "", 1.0, "target_radius must be in (0, 1), got 1.0"),
+    "F": (lambda v: _lorenz(F=v), "F", "", -5.0, None),   # no bound: any finite F
+    "dt": (lambda v: _lorenz(dt=v), "dt", " and > 0", 0.0,
+           "dt must be finite and > 0, got 0.0"),
+    "lorenz.noise_sigma": (lambda v: _lorenz(noise_sigma=v), "noise_sigma", " and >= 0",
+                           0.0, None),
+}
+
+
+def _real_cases():
+    for setting, (_, name, bound, at_bound, message) in REAL_SETTINGS.items():
+        yield pytest.param(setting, True, f"{name} must be a real number, got True",
+                           id=f"{setting}-True")
+        yield pytest.param(setting, "1", f"{name} must be a real number, got '1'",
+                           id=f"{setting}-str")
+        for value in (np.nan, np.inf):
+            yield pytest.param(setting, value, f"{name} must be finite{bound}, got {value}",
+                               id=f"{setting}-{value}")
+        yield pytest.param(setting, at_bound, message, id=f"{setting}-at-bound")
+
+
+@pytest.mark.parametrize("setting,value,message", _real_cases())
+def test_real_setting_follows_one_rule(setting, value, message):
+    # a bool or a non-number is no number, not 1.0 or a TypeError from deep
+    # inside; a value at the bound is accepted or rejected in bound wording
+    call = REAL_SETTINGS[setting][0]
+    if message is None:
+        call(value)
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ngcausal.datasets import VarGenConfig, standardize
 from ngcausal.model import (Architecture, ComponentMLP, LaggedDataset,
                             build_lagged, init_model, loss_and_grad)
 from ngcausal.datasets import SeededRng
-from ngcausal.optim import FitResult, OptimizationError, OptimizerConfig, fit
+from ngcausal.optim import MIN_STEP, FitResult, OptimizationError, OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec, apply_prox, penalty_value
 from oracles import reference_fit
 
@@ -166,14 +167,27 @@ class TestFit:
         assert_monotone_trace(res.objective_trace)
 
     def test_step_underflow_raises(self):
-        # curvature so large that the accepted step sits below min_step
-        X = np.full((4, 1), 100.0)
+        # curvature (about 8e16) so large that every step above MIN_STEP
+        # fails the sufficient-decrease test
+        X = np.full((4, 1), 1e8)
         y = np.array([1.0, -1.0, 2.0, 0.5])
         data = LaggedDataset(inputs=X, targets=y, p=1, K=1)
-        opt = OptimizerConfig(initial_step=1e-2, min_step=9e-3)
-        with pytest.raises(OptimizationError, match="min_step"):
+        opt = OptimizerConfig(initial_step=1e-2)
+        with pytest.raises(OptimizationError, match="below MIN_STEP=1e-12 at iteration 1$"):
             fit(data, PenaltySpec("group", 0.0),
                 seeded_model(data, Architecture(hidden_sizes=()), 0), opt)
+
+    def test_overflow_is_an_optimization_error_without_warnings(self):
+        # fit raises on every non-finite value, so numpy's overflow warnings
+        # stay inside it: a direct call needs no errstate of its own
+        ts = VarGenConfig(p=3, K=2, burn_in=50).generate(60, 0)[0] * 1e160
+        data = build_lagged(ts, 2)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OptimizationError,
+                               match="^non-finite objective at initialization$"):
+                fit(data, PenaltySpec("group", 1.0), seeded_model(data, Architecture(), 0),
+                    OptimizerConfig())
 
     def test_lambda_zero_matches_plain_gradient_descent(self):
         # the prox at lambda = 0 is the identity, so the trace must equal an
@@ -193,7 +207,7 @@ class TestFit:
             if delta is not None:
                 y = g - g_prev
                 if delta @ y > 0:
-                    step = max((delta @ y) / (y @ y), opt.min_step)
+                    step = max((delta @ y) / (y @ y), MIN_STEP)
                 else:
                     step = opt.initial_step
             g_prev = g
@@ -473,13 +487,13 @@ class TestOptimizerConfigValidation:
         with pytest.raises(ValueError):
             OptimizerConfig(initial_step=0.0)
         with pytest.raises(ValueError):
-            OptimizerConfig(min_step=1.0, initial_step=0.5)
+            OptimizerConfig(initial_step=MIN_STEP)
         with pytest.raises(ValueError):
             OptimizerConfig(rel_tol=0.0)
 
     @pytest.mark.parametrize("kwargs,message", [
         # checked at construction: a fit with an infinite step never returns
-        ({"initial_step": float("inf")}, "initial_step must be finite and > 0, got inf"),
+        ({"initial_step": float("inf")}, "initial_step must be finite and > 1e-12, got inf"),
         ({"rel_tol": float("nan")}, "rel_tol must be finite and > 0, got nan"),
         ({"rel_tol": float("inf")}, "rel_tol must be finite and > 0, got inf"),
         ({"max_iters": 0}, "max_iters must be >= 1, got 0"),
