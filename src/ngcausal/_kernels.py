@@ -11,23 +11,33 @@ so the column group of series ``j`` is ``w1[:, j::p]``, and ``w1`` viewed as
 ``(H, K, p)`` holds series ``j``'s group at ``[:, :, j]``.
 
 The MLP kernels store activations unit-major: every layer's output is a
-``(width, N)`` array, one row per unit and one column per data row, so a
-layer is ``W @ a_prev`` plus a bias broadcast along rows and the bias
-gradient is a sum along rows.  The design matrix ``X`` stays ``(N, p*K)``;
-the kernels read it as ``X.T``, which is C-contiguous when ``X`` is in
+``(width, N)`` array, one row per unit and one column per data row.  They
+read a design ``X`` of shape ``(N, p*K + 1)``: the stacked lags and a last
+column of ones, so the first layer is one GEMM of ``[W1 | b1]`` with ``X.T``
+and its bias gradient is the last column of its weight gradient; deeper
+layers add their bias along rows.  ``X.T`` is C-contiguous when ``X`` is in
 Fortran order, as :func:`ngcausal.model.build_lagged` builds it.  Any memory
-order gives the same values up to rounding.
+order gives the same values up to rounding.  Before the one-unit output
+layer the backward pass keeps that layer's weight row aside and scales the
+rows of the next weight gradient by it, instead of scaling every row of
+the ``(width, N)`` delta.
 
-The norm and prox kernels work on all series at once but add squares in a
-fixed order, lag outer and hidden unit inner, one term at a time
-(``np.add.accumulate`` is sequential by definition, while ``sum`` may switch
-to pairwise summation).  Their results are therefore reproducible to the
-bit, and equal to a plain loop over (series, lag, unit) in that order.  Each
-prox kernel also returns the unscaled penalty of its result, summed exactly
-as ``penalty_value`` sums it, so the optimizer need not compute it again.
+The norm and prox kernels work on all series at once from one ``(K, p)``
+table of block sums of squares: ``[k, j]`` adds the squares of series
+``j``'s lag-``k+1`` block over the hidden units in order.  A group norm adds
+its column of the table over lags in order; a lag norm is the square root
+of an entry.  Every sum adds one term at a time (``np.add.accumulate`` is
+sequential by definition, while ``sum`` may switch to pairwise summation),
+so the results are reproducible to the bit.  The hierarchical prox and
+penalty run the nested-suffix recurrence on the lag norms, deepest lag
+first, with ``np.hypot``.  Each prox kernel also returns the unscaled
+penalty of its result, computed from the result's table by the formulas
+``penalty_value`` uses, so the optimizer need not compute it again.
 """
 
 import numpy as np
+
+_TINY = float(np.nextafter(0.0, 1.0))  # the least positive float
 
 
 def layer(theta, dims, w_off, b_off, l):
@@ -39,18 +49,21 @@ def layer(theta, dims, w_off, b_off, l):
 
 
 def layer_activations(theta, dims, w_off, b_off, act, X):
-    """Activations of every layer, unit-major, for the rows of X.
+    """Activations of every layer, unit-major, for the rows of the design X.
 
-    Returns ``[X.T, a_1, ..., a_L]``: the (p*K, N) input view, the hidden
-    activations after the nonlinearity, each (width, N), and last the
-    linear output layer of shape (1, N).
+    Returns ``[X.T, a_1, ..., a_L]``: the (p*K + 1, N) input view, the
+    hidden activations after the nonlinearity, each (width, N), and last
+    the linear output layer of shape (1, N).
     """
     L = len(dims) - 1
     acts = [X.T]
     for l in range(L):
         W, b = layer(theta, dims, w_off, b_off, l)
-        z = W @ acts[l]
-        z += b[:, None]
+        if l == 0:
+            z = np.concatenate((W, b[:, None]), axis=1) @ acts[0]
+        else:
+            z = W @ acts[l]
+            z += b[:, None]
         if l < L - 1:
             if act == "tanh":
                 np.tanh(z, out=z)
@@ -61,8 +74,8 @@ def layer_activations(theta, dims, w_off, b_off, act, X):
 
 
 def mlp_loss(theta, dims, w_off, b_off, act, X, y):
-    """Sum of squared residuals over all rows of X, and the forward pass that
-    :func:`mlp_loss_grad` takes: the activations of
+    """Sum of squared residuals over all rows of the design X, and the
+    forward pass that :func:`mlp_loss_grad` takes: the activations of
     :func:`layer_activations` whose last entry holds the (1, N) residual
     ``output - y`` instead of the output."""
     acts = layer_activations(theta, dims, w_off, b_off, act, X)
@@ -75,115 +88,138 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts):
     """Loss plus exact reverse-mode gradient, written into ``grad``.
 
     ``acts`` is the forward pass :func:`mlp_loss` returned for this same
-    ``theta`` on the rows ``X``, so neither the forward pass nor the
+    ``theta`` on the design ``X``, so neither the forward pass nor the
     residual is computed again.
     """
     L = len(dims) - 1
     r = acts[-1][0]
     loss = np.dot(r, r)
 
-    delta = 2.0 * r[None, :]
+    # the gradient at layer l's output is scale[:, None] * delta, or delta
+    # itself while scale is None
+    delta, scale = 2.0 * r[None, :], None
     for l in range(L - 1, -1, -1):
         W, _ = layer(theta, dims, w_off, b_off, l)
-        # gW = delta @ a_in.T, computed as (a_in @ delta.T).T, which is
-        # faster at large N when X is in Fortran order
-        grad[w_off[l]:w_off[l] + W.size] = (acts[l] @ delta.T).T.ravel()
-        delta.sum(axis=1, out=grad[b_off[l]:b_off[l] + W.shape[0]])
-        if l > 0:
-            h = acts[l]
-            if act == "tanh":
-                # (1 - h^2) * (W.T @ delta), built in one buffer; before a
-                # one-unit layer, W.T @ delta is an outer product, which two
-                # broadcast multiplies do faster than the GEMM
-                d = h * h
-                np.subtract(1.0, d, out=d)
-                if W.shape[0] == 1:
-                    d *= W.T
-                    d *= delta
-                else:
-                    d *= W.T @ delta
-            else:
-                # relu: h > 0 exactly where the pre-activation was > 0
-                d = W.T @ delta
-                np.copyto(d, 0.0, where=~(h > 0.0))
-            delta = d
+        dout, din = W.shape
+        # (a_in @ delta.T) is gW.T, faster at large N than delta @ a_in.T
+        # when X is in Fortran order
+        G = acts[l] @ delta.T
+        if scale is not None:
+            G *= scale
+        grad[w_off[l]:w_off[l] + W.size].reshape(dout, din)[...] = G[:din].T
+        if l == 0:
+            grad[b_off[0]:b_off[0] + dout] = G[din]   # the design's ones column
+            break
+        gb = grad[b_off[l]:b_off[l] + dout]
+        delta.sum(axis=1, out=gb)
+        if scale is not None:
+            gb *= scale
+        if dout == 1:
+            # W.T @ delta is the outer product of W's one row with delta:
+            # that row becomes the scale of the next layer's gradient
+            scale = W[0] if scale is None else W[0] * scale[0]
+            back = delta
+        else:
+            back = (W if scale is None else W * scale[:, None]).T @ delta
+            scale = None
+        h = acts[l]
+        if act == "tanh":
+            d = h * h
+            np.subtract(1.0, d, out=d)
+            d *= back
+        else:
+            # relu: h > 0 exactly where the pre-activation was > 0
+            d = np.where(h > 0.0, back, 0.0)
+        delta = d
     return loss
 
 
-def _sq_norms(blocks):
-    """Euclidean norm of each column of a (n, p) array, adding squares in row order."""
-    return np.sqrt(np.add.accumulate(blocks * blocks, axis=0)[-1])
+def _table(w1, p, K):
+    """(K, p) block sums of squares: [k, j] adds w1[h, k*p + j]**2 over h in order."""
+    return np.add.accumulate(w1 * w1, axis=0)[-1].reshape(K, p)
 
 
-def _lag_major(w1, p, K):
-    """First layer as a (K, H, p) array: [k, h, j] = w1[h, k*p + j]."""
-    H = w1.shape[0]
-    return w1.reshape(H, K, p).transpose(1, 0, 2)
+def _group_norms(table):
+    """Norm of each series' group: its column of the table added over lags in order."""
+    return np.sqrt(np.add.accumulate(table, axis=0)[-1])
 
 
-def _block_norms(w):
-    """Per (series j, lag k) block norms of a lag-major (K, H, p) layer, shape (p, K)."""
-    # C order: a caller's sum over the whole array adds in memory order, so
-    # the layout is part of the result's bits
-    return np.ascontiguousarray(np.sqrt(np.add.accumulate(w * w, axis=1)[:, -1]).T)
+def _suffix_norms(lag):
+    """(K, p) lag-suffix (k..K) norms from the (K, p) lag norms, deepest lag
+    first: n_k = hypot(lag_k, n_{k+1}), with n_{K-1} = lag_{K-1}."""
+    n = np.empty(lag.shape)   # C order: the caller's sum adds in memory order
+    r = 0.0
+    for k in range(lag.shape[0] - 1, -1, -1):
+        r = np.hypot(lag[k], r, out=n[k])
+    return n
+
+
+def _scale_blocks(w1, factor):
+    """Scale column k*p + j of w1 by the (K, p) factor[k, j] in place.
+    Adding 0.0 turns -0.0 into +0.0 and leaves every other value as it is,
+    so a column whose factor is 0 becomes exact positive zeros."""
+    w1 *= factor.reshape(-1)
+    w1 += 0.0
+
+
+def _shrink(norms, thr):
+    """Group soft-threshold factors: 1 - thr / norm, exactly 0 where
+    norm <= thr (thr / thr is 1), and NaN for a NaN norm.
+
+    A zero thr is raised to the least positive float first: no norm lies
+    between the two (a nonzero norm is at least sqrt of it, about 2e-162),
+    so the same groups are zeroed, and no division is by zero.
+    """
+    thr = max(thr, _TINY)
+    return 1.0 - thr / np.maximum(norms, thr)
 
 
 def group_norms(w1, p, K):
     """Frobenius norm of each input series' column group of the first layer."""
-    return _sq_norms(_lag_major(w1, p, K).reshape(-1, p))
+    return _group_norms(_table(w1, p, K))
 
 
 def lag_norms(w1, p, K):
     """Per (series j, lag k) block norms of the first layer, shape (p, K)."""
-    return _block_norms(_lag_major(w1, p, K))
+    return np.sqrt(_table(w1, p, K)).T
 
 
 def suffix_norm_sum(block_norms):
     """Sum over series of all lag-suffix (k..K) norms, from the (p, K) block
     norms :func:`lag_norms` returns: the unscaled hierarchical penalty."""
-    suffix_sq = (block_norms ** 2)[:, ::-1].cumsum(axis=1)[:, ::-1]
-    return np.sqrt(suffix_sq).sum()
-
-
-def _prox_suffixes(w1, p, K, thr, starts):
-    """Group soft-threshold of the lag suffixes (k0..K) of every column group,
-    for each k0 in ``starts`` in turn, in place.  Returns the lag-major
-    (K, H, p) copy of the result.
-
-    A suffix whose norm is <= thr becomes exact (positive) zeros; otherwise it
-    is scaled by (1 - thr / norm).  A NaN norm fails the test, so its suffix
-    is scaled to NaN, not zeroed.
-    """
-    w = np.ascontiguousarray(_lag_major(w1, p, K))
-    # the scale of a zeroed suffix may be inf or NaN: overwritten below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k0 in starts:
-            suffix = w[k0:]
-            nrm = _sq_norms(suffix.reshape(-1, p))
-            suffix *= 1.0 - thr / nrm
-            np.copyto(suffix, 0.0, where=nrm <= thr)
-    w1[...] = w.transpose(1, 0, 2).reshape(w1.shape)
-    return w
+    return _suffix_norms(block_norms.T).sum()
 
 
 def prox_group(w1, p, K, thr):
-    """Blockwise group soft-threshold of every column group, in place.
+    """Blockwise group soft-threshold of every column group, in place: one
+    shrink factor per series, from its group norm, scales all its blocks.
 
     Returns the sum of the result's group norms, added as
     ``group_norms(w1, p, K).sum()`` adds them.
     """
-    w = _prox_suffixes(w1, p, K, thr, [0])
-    return _sq_norms(w.reshape(-1, p)).sum()
+    factor = np.empty((K, p))
+    factor[...] = _shrink(_group_norms(_table(w1, p, K)), thr)
+    _scale_blocks(w1, factor)
+    return _group_norms(_table(w1, p, K)).sum()
 
 
 def prox_hier(w1, p, K, thr):
     """Nested-suffix prox of every column group, in place.
 
     For each series the group soft-threshold is applied to the lag suffixes
-    (k..K) for k = K down to 1, innermost first, each with the same threshold.
-    The result always has a suffix zero pattern over lags.  Returns the sum
-    of the result's lag-suffix norms, as
+    (k..K) for k = K down to 1, innermost first, each with the same
+    threshold (Jenatton et al., JMLR 2011).  On norms this is the
+    recurrence n_k = hypot(lag_k, r_{k+1}), r_k = (n_k - thr)+ from
+    r_{K+1} = 0, where n_k is the norm suffix k has when its turn comes and
+    r_k its norm after; block k is then scaled once, by the product of the
+    factors of suffixes 1..k.  The result always has a suffix zero pattern
+    over lags.  Returns the sum of the result's lag-suffix norms, as
     ``suffix_norm_sum(lag_norms(w1, p, K))`` computes it.
     """
-    w = _prox_suffixes(w1, p, K, thr, range(K - 1, -1, -1))
-    return suffix_norm_sum(_block_norms(w))
+    lag = np.sqrt(_table(w1, p, K))
+    n = np.empty((K, p))
+    r = 0.0
+    for k in range(K - 1, -1, -1):
+        r = np.maximum(np.hypot(lag[k], r, out=n[k]) - thr, 0.0)
+    _scale_blocks(w1, np.multiply.accumulate(_shrink(n, thr), axis=0))
+    return _suffix_norms(np.sqrt(_table(w1, p, K))).sum()

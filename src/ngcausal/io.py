@@ -148,7 +148,11 @@ def _check_scalar(section, key, value, typ):
     accepted, expected = _SCALARS[typ]
     if not isinstance(value, accepted) or (typ is not bool and isinstance(value, bool)):
         raise ConfigError(f"{section}.{key}: expected {expected}, got {value!r}")
-    return typ(value)
+    try:
+        return typ(value)
+    except OverflowError:
+        raise ConfigError(f"{section}.{key}: expected a finite number, "
+                          "got an integer too large for a float") from None
 
 
 def _fill_dataclass(cls, data, keys=(), omit=()):

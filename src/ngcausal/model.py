@@ -47,7 +47,10 @@ def _real(name, value, low=-math.inf, strict=True):
     or a non-number is rejected, not converted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range is not finite
+        x = math.inf
     if not (math.isfinite(x) and (x > low if strict else x >= low)):
         bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
         raise ValueError(f"{name} must be finite{bound}, got {value}")
@@ -137,23 +140,61 @@ class LaggedDataset:
     """Design matrix of stacked lags with the matching one-step-ahead targets.
 
     inputs[n] = (x[K+n-1], ..., x[n]) flattened lag-1 block first;
-    targets[n] = x[K+n, i] for its series i.  Both arrays are read-only:
-    every series' dataset holds the same ``inputs``.
+    targets[n] = x[K+n, i] for its series i.  ``design`` appends a column
+    of ones to ``inputs``; it carries the first layer's bias.  The arrays
+    of :func:`build_lagged` are read-only: every series' dataset holds the
+    same design and ``inputs``.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
     p: int
     K: int
+    # not a field: the design build_lagged made, of which inputs is a view
+    _design = None
 
     @property
     def n_rows(self):
         return self.inputs.shape[0]
 
+    def _views_design(self):
+        return self._design is not None and self.inputs.base is self._design
+
+    @property
+    def design(self):
+        """``inputs`` with a trailing column of ones, in Fortran order: the
+        array the MLP kernels read.  For a dataset of :func:`build_lagged`
+        it is the design ``inputs`` views; otherwise each read builds it."""
+        return self._design if self._views_design() else _with_ones(self.inputs)
+
+    def __getstate__(self):
+        # a pickle (a spawned pool worker's copy) carries the design once
+        # and rebuilds inputs as its view, so the copy reads no new design
+        state = dict(self.__dict__)
+        if self._views_design():
+            state["inputs"] = None
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if self.inputs is None:
+            self._design.flags.writeable = False
+            self.inputs = self._design[:, :-1]
+
+
+def _with_ones(X):
+    """A Fortran-ordered copy of the (N, d) array X with a column of ones appended."""
+    D = np.empty((X.shape[0], X.shape[1] + 1), order="F")
+    D[:, :-1] = X
+    D[:, -1] = 1.0
+    return D
+
 
 def build_lagged(ts, K):
     """One LaggedDataset per series of a finite (T, p) array, all sharing one
-    read-only design; series i's targets are the read-only view ts[K:, i]."""
+    read-only (T-K, p*K + 1) design whose last column is ones; ``inputs`` is
+    the view of its other columns, and series i's targets are the read-only
+    view ts[K:, i]."""
     K = _count("K", K)
     ts = np.asarray(ts, dtype=np.float64)
     T, p = ts.shape
@@ -161,25 +202,32 @@ def build_lagged(ts, K):
         raise DataError(f"need T > K, got T={T}, K={K}")
     if not np.isfinite(ts).all():
         raise DataError("series must be finite")
-    # Fortran order: the MLP kernels read X.T, which is then C-contiguous
-    X = np.empty((T - K, p * K), order="F")
+    # Fortran order: the MLP kernels read D.T, which is then C-contiguous
+    D = np.empty((T - K, p * K + 1), order="F")
     for k in range(1, K + 1):
-        X[:, (k - 1) * p:k * p] = ts[K - k:T - k]
+        D[:, (k - 1) * p:k * p] = ts[K - k:T - k]
+    D[:, -1] = 1.0
     Y = ts[K:]
-    X.flags.writeable = Y.flags.writeable = False
-    return [LaggedDataset(inputs=X, targets=Y[:, i], p=p, K=K) for i in range(p)]
+    D.flags.writeable = Y.flags.writeable = False
+    X = D[:, :-1]
+    datasets = [LaggedDataset(inputs=X, targets=Y[:, i], p=p, K=K) for i in range(p)]
+    for data in datasets:
+        data._design = D
+    return datasets
 
 
 # ------------------------------------------------------------- evaluation
 
 
 def predict(model, X):
-    """Batched forward pass; X is (N, p*K). Returns (N,) predictions."""
+    """Batched forward pass; X is (N, p*K). Returns (N,) predictions, the
+    fit's forward pass on the design X with its column of ones."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dims[0]:
         raise ValueError(f"inputs must be (N, {model.dims[0]}), got {X.shape}")
     acts = kernels.layer_activations(model.theta, model.dims, model.w_off,
-                                     model.b_off, model.arch.activation, X)
+                                     model.b_off, model.arch.activation,
+                                     _with_ones(X))
     return acts[-1][0]
 
 
@@ -188,13 +236,15 @@ def loss_and_grad(model, data, acts=None):
     plus its exact gradient as a flat vector in theta layout.
 
     ``acts`` are activations that ``kernels.mlp_loss`` returned for this
-    model's current theta on ``data``; they stand in for a new forward pass.
+    model's current theta on ``data.design``; they stand in for a new
+    forward pass.
     """
     if acts is None:
         acts = kernels.mlp_loss(model.theta, model.dims, model.w_off, model.b_off,
-                                model.arch.activation, data.inputs, data.targets)[1]
+                                model.arch.activation, data.design, data.targets)[1]
     g = np.empty(model.n_params)
+    # acts[0] is the transposed design the forward pass read
     val = kernels.mlp_loss_grad(model.theta, model.dims, model.w_off,
                                 model.b_off, model.arch.activation,
-                                data.inputs, g, acts)
+                                acts[0].T, g, acts)
     return float(val), g

@@ -23,12 +23,15 @@ FitResult on the same data: from its model, with its final step clamped to
 [MIN_STEP, initial_step].  Every rejected trial step counts as one
 backtrack; a line search that halves the step below MIN_STEP fails the fit.
 
-Nothing the loop already has is computed twice.  The forward pass of each
-accepted candidate, with its residual, is the next gradient's forward pass;
-the prox returns the penalty of the candidate it builds, so penalty_value
-runs only at the start of a fit; and a warm start takes its predecessor's
-last forward pass instead of running it again.  Scalars stay Python floats.
-Each of these leaves every result bit for bit what the plain loop gives.
+Nothing the loop already has is computed twice.  A fit reads its data's
+design (``LaggedDataset.design``: the inputs and a column of ones that
+carries the first layer's bias) once, at its start; the forward pass of
+each accepted candidate, with its residual, is the next gradient's forward
+pass; the prox returns the penalty of the candidate it builds, so
+penalty_value runs only at the start of a fit; and a warm start takes its
+predecessor's last forward pass instead of running it again.  Scalars stay
+Python floats.  Each of these leaves every result bit for bit what the
+plain loop gives.
 
 The default rel_tol (1e-4) stops fits deliberately early.  Because only the
 first layer is penalized, prolonged optimization lets the network drain
@@ -106,6 +109,7 @@ def fit(data, spec, start, opt):
     """
     if data.n_rows < 1:
         raise ValueError("dataset is empty")
+    X = data.design
     if isinstance(start, FitResult):
         model = start.model
         fit_data, theta, loss_val, acts = start._last_pass
@@ -122,7 +126,7 @@ def fit(data, spec, start, opt):
                 f"p={data.p}, K={data.K}")
         loss_val, acts = kernels.mlp_loss(model.theta, model.dims, model.w_off,
                                           model.b_off, model.arch.activation,
-                                          data.inputs, data.targets)
+                                          X, data.targets)
         loss_val = float(loss_val)
     model = model.copy()
     obj = loss_val + penalty_value(spec, model)
@@ -153,7 +157,7 @@ def fit(data, spec, start, opt):
             pen = apply_prox(spec, model, cand, step)
             new_loss, new_acts = kernels.mlp_loss(cand, model.dims, model.w_off,
                                                   model.b_off, model.arch.activation,
-                                                  data.inputs, data.targets)
+                                                  X, data.targets)
             new_loss = float(new_loss)
             delta = cand - model.theta
             bound = (loss_val + float(g @ delta)

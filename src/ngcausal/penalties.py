@@ -10,7 +10,8 @@ Two structures over the K lag blocks of each input series' column group:
 Both have exact proximal operators: blockwise soft-thresholding, applied
 once per group or recursively over the nested suffixes (innermost, i.e.
 deepest lag, first -- for nested groups that composition is the exact prox
-of the summed penalty).  Prox steps write exact zeros, so "group norm > 0"
+of the summed penalty; the kernel runs it on the block norms and scales
+each block once).  Prox steps write exact zeros, so "group norm > 0"
 is a well-defined edge decision.  At lam = 0 ``apply_prox`` leaves theta as
 it is and returns 0.0, as ``penalty_value`` does: a fit is then unpenalized.
 

@@ -1,12 +1,23 @@
 """Slow, obviously correct reference implementations that tests compare the
 package against; nothing in ``ngcausal`` calls them.
 
-The norm and prox oracles add squares one at a time, series outer, lag, then
-hidden unit inner, and zero a group when its norm is <= the threshold, on a
-first layer ``w1`` of shape (H, K*p) whose column ``k*p + j`` is series ``j``
-at lag ``k+1``.  The hierarchical prox shrinks the lag suffixes k..K of each
-series from the deepest lag up (Jenatton et al., "Proximal Methods for
-Hierarchical Sparse Coding", JMLR 2011).
+The norm and prox oracles work on a first layer ``w1`` of shape (H, K*p)
+whose column ``k*p + j`` is series ``j`` at lag ``k+1``, in the kernels'
+summation order, one term at a time: the sum of squares of each (lag,
+series) block adds its hidden units in order, a group norm adds its blocks'
+sums over lags in order, and a lag-suffix norm is built deepest lag first
+with ``hypot``.  A group whose norm is <= the threshold gets the factor 0,
+and the prox adds 0.0 to every scaled weight, so every zero it leaves is
++0.0.  The hierarchical
+prox shrinks the lag suffixes k..K of each series from the deepest lag up
+(Jenatton et al., "Proximal Methods for Hierarchical Sparse Coding", JMLR
+2011), computed on norms: the suffix k has norm n_k = hypot(lag_k, r_{k+1})
+when its turn comes and r_k = (n_k - thr)+ after it.
+
+``loop_prox_group`` and ``loop_prox_hier`` are a second reference: the
+nested-suffix prox as a plain loop that shrinks the weights suffix by
+suffix, each suffix norm a sequential sum over (lag, unit).  They agree
+with the oracles up to rounding.
 
 ``reference_fit`` is the proximal gradient loop of ``optim.fit`` without
 any of its reuse: it runs ``loss_and_grad`` afresh on every model and
@@ -37,33 +48,88 @@ def finite_diff_grad(f, x, h=1e-6):
     return g
 
 
-def oracle_group_norms(w1, p, K):
+def oracle_table(w1, p, K):
+    """(K, p) block sums of squares, each adding its hidden units in order."""
     H = w1.shape[0]
+    out = np.empty((K, p))
+    for k in range(K):
+        for j in range(p):
+            c = k * p + j
+            s = 0.0
+            for h in range(H):
+                s += w1[h, c] * w1[h, c]
+            out[k, j] = s
+    return out
+
+
+def oracle_group_norms(w1, p, K):
+    table = oracle_table(w1, p, K)
     out = np.empty(p)
     for j in range(p):
         s = 0.0
         for k in range(K):
-            c = k * p + j
-            for h in range(H):
-                s += w1[h, c] * w1[h, c]
+            s += table[k, j]
         out[j] = np.sqrt(s)
     return out
 
 
 def oracle_lag_norms(w1, p, K):
-    H = w1.shape[0]
-    out = np.empty((p, K))
+    """(p, K) block norms."""
+    return np.sqrt(oracle_table(w1, p, K)).T
+
+
+def _oracle_scale(w1, p, K, j, factors):
+    """Scale series j's lag-k block by factors[k]; -0.0 + 0.0 is +0.0."""
+    for k in range(K):
+        c = k * p + j
+        for h in range(w1.shape[0]):
+            w1[h, c] = w1[h, c] * factors[k] + 0.0
+
+
+def _oracle_factor(nrm, thr):
+    return 0.0 if nrm <= thr else 1.0 - thr / nrm
+
+
+def oracle_prox_group(w1, p, K, thr):
+    nrm = oracle_group_norms(w1, p, K)
     for j in range(p):
-        for k in range(K):
-            c = k * p + j
-            s = 0.0
-            for h in range(H):
-                s += w1[h, c] * w1[h, c]
-            out[j, k] = np.sqrt(s)
-    return out
+        _oracle_scale(w1, p, K, j, [_oracle_factor(nrm[j], thr)] * K)
 
 
-def _oracle_shrink_suffix(w1, p, j, k0, K, thr):
+def oracle_prox_hier(w1, p, K, thr):
+    lag = oracle_lag_norms(w1, p, K)
+    for j in range(p):
+        factors = [0.0] * K
+        r = 0.0
+        for k in range(K - 1, -1, -1):
+            n = np.hypot(lag[j, k], r)
+            r = max(n - thr, 0.0) if not np.isnan(n) else n
+            factors[k] = _oracle_factor(n, thr)
+        cumulative, c = [], 1.0
+        for f in factors:
+            c *= f
+            cumulative.append(c)
+        _oracle_scale(w1, p, K, j, cumulative)
+
+
+def oracle_penalty(kind, w1, p, K):
+    """Unscaled penalty of w1 from the oracle norms: the group norms, or each
+    series' lag-suffix norms built from its lag norms deepest lag first with
+    hypot, then added up by numpy's sum over the (p,) or C-ordered (K, p)
+    array, the sum ``penalty_value`` takes."""
+    if kind == "group":
+        return oracle_group_norms(w1, p, K).sum()
+    lag = oracle_lag_norms(w1, p, K)
+    suffix = np.empty((K, p))
+    for j in range(p):
+        r = 0.0
+        for k in range(K - 1, -1, -1):
+            r = np.hypot(lag[j, k], r)
+            suffix[k, j] = r
+    return suffix.sum()
+
+
+def _loop_shrink_suffix(w1, p, j, k0, K, thr):
     H = w1.shape[0]
     s = 0.0
     for k in range(k0, K):
@@ -84,32 +150,15 @@ def _oracle_shrink_suffix(w1, p, j, k0, K, thr):
                 w1[h, c] *= scale
 
 
-def oracle_prox_group(w1, p, K, thr):
+def loop_prox_group(w1, p, K, thr):
     for j in range(p):
-        _oracle_shrink_suffix(w1, p, j, 0, K, thr)
+        _loop_shrink_suffix(w1, p, j, 0, K, thr)
 
 
-def oracle_prox_hier(w1, p, K, thr):
+def loop_prox_hier(w1, p, K, thr):
     for j in range(p):
         for k0 in range(K - 1, -1, -1):
-            _oracle_shrink_suffix(w1, p, j, k0, K, thr)
-
-
-def oracle_penalty(kind, w1, p, K):
-    """Unscaled penalty of w1 from the oracle norms: the group norms, or each
-    series' lag-suffix norms built from its lag norms deepest lag first, then
-    added up by numpy's sum over the (p,) or C-ordered (p, K) array, the sum
-    ``penalty_value`` takes."""
-    if kind == "group":
-        return oracle_group_norms(w1, p, K).sum()
-    lag = oracle_lag_norms(w1, p, K)
-    suffix = np.empty((p, K))
-    for j in range(p):
-        s = 0.0
-        for k in range(K - 1, -1, -1):
-            s += lag[j, k] * lag[j, k]
-            suffix[j, k] = np.sqrt(s)
-    return suffix.sum()
+            _loop_shrink_suffix(w1, p, j, k0, K, thr)
 
 
 def reference_fit(data, spec, model, opt, step=None):

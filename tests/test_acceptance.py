@@ -36,10 +36,12 @@ SEEDS = range(5)
 AUC_FLOORS = {"group": 0.8957, "hierarchical": 0.8575}
 # measured mean 0.8640, minus 0.02
 LORENZ_AUC_FLOOR = 0.8440
-# total iterations of the five sweeps of one penalty, measured 6,795 (group)
-# and 7,482 (hierarchical) with the line search restarting at initial_step
-# after a move with s.y <= 0; keeping the last accepted step there took 8,066
-# and 9,365, and the shrink-only step rule about 30,500 and 31,400
+# total iterations of the five sweeps of one penalty, measured 6,818 (group)
+# and 7,421 (hierarchical) with the first layer's bias in the design (6,795
+# and 7,482 before, a change of rounding only), with the line search
+# restarting at initial_step after a move with s.y <= 0; keeping the last
+# accepted step there took 8,066 and 9,365, and the shrink-only step rule
+# about 30,500 and 31,400
 VAR_ITERATION_CEILING = 9_000
 # VAR(1) truth, K=3 model: share of recovered true edges fit with lag order
 # 1, measured 0.720, 0.536, 0.630, 0.577, 0.409 (mean 0.574) hierarchical

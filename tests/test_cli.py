@@ -524,7 +524,12 @@ class TestExitCodes:
         ({"optimizer": {"max_iters": -3}}, [], "optimizer: max_iters must be >= 1, got -3"),
         # the step floor is the constant optim.MIN_STEP; resolved configs
         # written while it was a setting carry the key
-        ({"optimizer": {"min_step": 1e-12}}, [], "optimizer: unknown key(s) ['min_step']")])
+        ({"optimizer": {"min_step": 1e-12}}, [], "optimizer: unknown key(s) ['min_step']"),
+        # an int beyond the float range, not an OverflowError traceback
+        ({"penalty": {"lam": 10**400}}, [],
+         "penalty.lam: expected a finite number, got an integer too large for a float"),
+        ({"penalty": {"lambdas": [10**400, 1.0]}}, [],
+         "penalty.lambdas[]: expected a finite number, got an integer too large for a float")])
     def test_bad_model_or_seed_is_config_error_2(self, tmp_path, capsys, command,
                                                   overrides, seed, message):
         cfg = write_config(tmp_path / "c.yaml", **overrides)

@@ -2,18 +2,23 @@
 ``oracles.py``: the kernels must agree with them to the bit, with the same
 values, the same NaNs and the same signs of zeros.  The penalty a prox
 kernel returns must equal, to the bit, the one recomputed from the oracle
-norms of its result.
+norms of its result.  The prox kernels must also agree, to rtol=1e-13 and
+with the same zeros and NaNs, with the second reference that shrinks the
+weights suffix by suffix.
 """
 
 import numpy as np
 import pytest
 
 from ngcausal import _kernels as kernels
-from oracles import (oracle_group_norms, oracle_lag_norms, oracle_penalty,
-                     oracle_prox_group, oracle_prox_hier)
+from oracles import (loop_prox_group, loop_prox_hier, oracle_group_norms,
+                     oracle_lag_norms, oracle_penalty, oracle_prox_group,
+                     oracle_prox_hier)
 
 PROX_CASES = [(kernels.prox_group, oracle_prox_group, "group"),
               (kernels.prox_hier, oracle_prox_hier, "hierarchical")]
+LOOP_CASES = [(kernels.prox_group, loop_prox_group),
+              (kernels.prox_hier, loop_prox_hier)]
 
 
 def assert_bit_equal(actual, expected):
@@ -30,6 +35,19 @@ def check_prox(kernel, oracle, kind, w1, p, K, thr):
     assert_bit_equal(got, want)
     assert_bit_equal(np.asarray(penalty), np.asarray(oracle_penalty(kind, want, p, K)))
     return got
+
+
+def check_against_loop(kernel, loop, w1, p, K, thr):
+    """The kernel's result against the suffix-by-suffix loop: equal to
+    rtol=1e-13, with the same zeros, all +0.0, and the same NaNs."""
+    got, want = w1.copy(), w1.copy()
+    kernel(got, p, K, thr)
+    loop(want, p, K, thr)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(got == 0.0, want == 0.0)
+    zeroed = (got == 0.0) & (w1 != 0.0)
+    assert not np.any(np.signbit(got[zeroed])) and not np.any(np.signbit(want[zeroed]))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 def random_case(gen):
@@ -79,6 +97,62 @@ def test_prox_matches_oracle(seed, kernel, oracle, kind):
     w1, p, K = random_case(gen)
     for thr in thresholds(gen, w1, p, K):
         check_prox(kernel, oracle, kind, w1, p, K, thr)
+
+
+@pytest.mark.parametrize("seed", range(150))
+@pytest.mark.parametrize("kernel,loop", LOOP_CASES, ids=["group", "hier"])
+def test_prox_matches_suffix_loop(seed, kernel, loop):
+    # thresholds exactly at a norm are left out: the two summation orders
+    # may put that norm an ulp to either side of it
+    gen = np.random.default_rng(seed)
+    w1, p, K = random_case(gen)
+    for thr in thresholds(gen, w1, p, K)[:3]:
+        check_against_loop(kernel, loop, w1, p, K, thr)
+
+
+@pytest.mark.parametrize("H,K,p", [(10, 5, 50), (10, 3, 20)])
+@pytest.mark.parametrize("kernel,oracle,kind", PROX_CASES, ids=["group", "hier"])
+def test_prox_at_model_sizes(H, K, p, kernel, oracle, kind):
+    # first layers of the benchmark's and a larger model, with thresholds
+    # that zero no group, some lag suffixes (hierarchical), some groups, and
+    # every group; each sits in the middle of the widest gap between the
+    # lower half of the nonzero last-lag norms or between the nonzero group
+    # norms, since near a norm the factor 1 - thr / norm loses digits in
+    # either summation order
+    w1 = np.random.default_rng(H * 100 + K * 10 + p).normal(scale=0.1, size=(H, K * p))
+    w1.reshape(H, K, p)[:, :, ::7] = 0.0
+    nrm = oracle_group_norms(w1, p, K)
+    last = np.sort(oracle_lag_norms(w1, p, K)[:, K - 1])
+    last = last[last > 0]
+
+    def between(norms):
+        i = int(np.argmax(np.diff(norms)))
+        return 0.5 * float(norms[i] + norms[i + 1])
+
+    for thr in (0.0, between(last[:last.size // 2]), between(np.sort(nrm[nrm > 0])),
+                2.0 * nrm.max()):
+        check_prox(kernel, oracle, kind, w1, p, K, thr)
+        check_against_loop(kernel, dict(LOOP_CASES)[kernel], w1, p, K, thr)
+
+
+@pytest.mark.parametrize("kernel,oracle,kind", PROX_CASES, ids=["group", "hier"])
+def test_zero_threshold_keeps_zero_groups_zero(kernel, oracle, kind):
+    # at thr = 0 an all-zero group has factor 0, not 1 - 0/0: it stays +0.0,
+    # and every other weight keeps its value to the bit
+    w1 = np.random.default_rng(7).normal(size=(4, 3 * 5))
+    w3 = w1.reshape(4, 3, 5)
+    w3[:, :, 1] = 0.0
+    w3[:, :, 3] = -0.0
+    w3[:, 1:, 4] = 0.0
+    got = check_prox(kernel, oracle, kind, w1, 5, 3, 0.0)
+    g3 = got.reshape(4, 3, 5)
+    assert not np.any(np.isnan(got))
+    assert np.array_equal(g3[:, :, [1, 3]], np.zeros((4, 3, 2)))
+    assert not np.any(np.signbit(g3[:, :, [1, 3]]))
+    live = np.ones((3, 5), dtype=bool)
+    live[:, [1, 3]] = False
+    live[1:, 4] = False
+    assert np.array_equal(g3[:, live], w3[:, live])
 
 
 @pytest.mark.parametrize("H,K,p", [(8, 1, 1), (4, 2, 1), (2, 4, 1), (1, 8, 1),

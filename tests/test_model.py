@@ -9,7 +9,7 @@ from ngcausal.model import (Architecture, ComponentMLP, build_lagged,
 from ngcausal.datasets import (LorenzGenConfig, SeededRng, make_sparse_var,
                                simulate_lorenz)
 from ngcausal.evaluation import lambda_grid
-from ngcausal.optim import MIN_STEP, OptimizerConfig
+from ngcausal.optim import MIN_STEP, OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec
 from oracles import finite_diff_grad
 
@@ -102,6 +102,45 @@ class TestBuildLagged:
         assert data.inputs.shape == (48, 6)
         assert data.inputs.flags.f_contiguous
 
+    def test_design_is_inputs_with_a_column_of_ones(self):
+        # the kernels read the design: the first layer's bias is its last column
+        datasets = build_lagged(SeededRng(2).normal(size=(50, 3)), 2)
+        data = datasets[0]
+        D = data.design
+        assert D.shape == (48, 7) and D.flags.f_contiguous and not D.flags.writeable
+        assert np.array_equal(D[:, -1], np.ones(48))
+        assert np.array_equal(D[:, :-1], data.inputs)
+        assert data.inputs.base is D                 # a view, not a copy
+        assert all(d.design is D for d in datasets)
+
+    def test_pickled_datasets_keep_one_design(self):
+        # a spawned pool worker gets its datasets by pickle: the copy still
+        # shares one read-only design that inputs views, so no fit copies it
+        import pickle
+        datasets = build_lagged(SeededRng(2).normal(size=(50, 3)), 2)
+        loaded = pickle.loads(pickle.dumps(datasets))
+        D = loaded[0].design
+        assert all(d.design is D for d in loaded)
+        assert all(d.inputs.base is D for d in loaded)
+        assert D.flags.f_contiguous and not D.flags.writeable
+        assert np.array_equal(D, datasets[0].design)
+        for d, orig in zip(loaded, datasets):
+            assert np.array_equal(d.inputs, orig.inputs)
+            assert np.array_equal(d.targets, orig.targets)
+
+    def test_design_follows_inputs_set_by_hand(self):
+        # a dataset not made by build_lagged, or whose inputs were replaced,
+        # reads its design from its inputs as they are now
+        from ngcausal.model import LaggedDataset
+        X = np.arange(6.0).reshape(3, 2)
+        data = LaggedDataset(inputs=X, targets=np.zeros(3), p=2, K=1)
+        X[1, 0] = -1.0
+        assert np.array_equal(data.design, [[0.0, 1.0, 1.0], [-1.0, 3.0, 1.0], [4.0, 5.0, 1.0]])
+        built = build_lagged(SeededRng(2).normal(size=(10, 2)), 1)[0]
+        built.inputs = np.ascontiguousarray(built.inputs) + 1.0
+        assert np.array_equal(built.design[:, :-1], built.inputs)
+        assert np.array_equal(built.design[:, -1], np.ones(9))
+
 
 class TestMemoryOrder:
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
@@ -148,6 +187,21 @@ class TestForward:
         model = ComponentMLP(p=2, K=2, arch=Architecture(hidden_sizes=(3,)))
         with pytest.raises(ValueError):
             predict_one(model, np.ones(3))
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("hidden", [(), (5,), (5, 3)])
+    def test_predict_is_the_fits_forward_pass(self, activation, hidden):
+        # predict appends the ones column and runs the fit's forward kernel:
+        # its output minus the targets is the fit's last residual, bit for bit
+        ts = SeededRng(4).normal(size=(80, 3))
+        data = build_lagged(ts, 2)[1]
+        arch = Architecture(hidden_sizes=hidden, activation=activation, init_scale=0.5)
+        res = fit(data, PenaltySpec("group", 1.0), init_model(3, 2, arch, SeededRng(5)),
+                  OptimizerConfig(max_iters=5))
+        acts = res._last_pass[3]
+        assert np.array_equal(res._last_pass[1], res.model.theta)
+        residual = predict(res.model, data.inputs) - data.targets
+        assert residual.tobytes() == acts[-1][0].tobytes()
 
     def test_matches_batched_predict(self):
         # rows do not interact: one row at a time gives the batched values
@@ -208,6 +262,17 @@ class TestGrad:
         # nonzero biases: with zero ones, a row whose relu units are all off
         # puts the next layer exactly on its kink, where differences fail
         model.theta[:] = np.random.default_rng(13).normal(scale=0.5, size=model.n_params)
+        self.assert_matches_finite_differences(model, data)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("hidden", [(), (5,), (5, 3)])
+    def test_matches_finite_differences_with_the_bias_column(self, activation, hidden):
+        # the first layer's bias gradient is the ones column of the weight
+        # GEMM, and before the one-unit output the gradient rows are scaled
+        # by its weight after the GEMM; nonzero biases keep relu off its kinks
+        model, data = random_instance(31, p=3, K=2, hidden=hidden, N=60,
+                                      activation=activation)
+        model.theta[:] = np.random.default_rng(31).normal(scale=0.5, size=model.n_params)
         self.assert_matches_finite_differences(model, data)
 
     def test_zero_input_column_zero_first_layer_grad(self):
@@ -347,6 +412,9 @@ def _real_cases():
         for value in (np.nan, np.inf):
             yield pytest.param(setting, value, f"{name} must be finite{bound}, got {value}",
                                id=f"{setting}-{value}")
+        # an int beyond the float range is not finite, not an OverflowError
+        yield pytest.param(setting, 10**400, f"{name} must be finite{bound}, got {10**400}",
+                           id=f"{setting}-10**400")
         yield pytest.param(setting, at_bound, message, id=f"{setting}-at-bound")
 
 
