@@ -91,11 +91,11 @@ def lambda_max_linear(ts, K):
     a few ulps above it, and that group keeps a tiny nonzero weight.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    p = ts.shape[1]
     # A C-ordered copy keeps the grid bit-equal to the one computed before
     # build_lagged returned Fortran order: X.T @ R rounds differently for the
     # two memory orders.  It costs one copy of the design.
     X = np.ascontiguousarray(build_lagged(ts, K)[0].inputs)
+    p = ts.shape[1]
     Y = ts[K:]
     R = Y - Y.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # raised on below

@@ -8,6 +8,8 @@ independent of series j's history.
 
 With no hidden layers the network degenerates to the linear autoregressive
 map (a single weight row plus bias), which is how the linear baseline is fit.
+A LaggedDataset holds the one array a fit reads, the design: the stacked
+lags and a column of ones for the first layer's bias.
 Every layer shares the input rules here: ``_count`` for a count setting,
 ``_real`` for a real-valued one and ``DataError`` for unusable data.
 """
@@ -135,51 +137,47 @@ def init_model(p, K, arch, rng):
 # ------------------------------------------------------------------ data
 
 
-@dataclass
+@dataclass(frozen=True)
 class LaggedDataset:
-    """Design matrix of stacked lags with the matching one-step-ahead targets.
+    """One series' stacked-lag design with its one-step-ahead targets.
 
-    inputs[n] = (x[K+n-1], ..., x[n]) flattened lag-1 block first;
-    targets[n] = x[K+n, i] for its series i.  ``design`` appends a column
-    of ones to ``inputs``; it carries the first layer's bias.  The arrays
-    of :func:`build_lagged` are read-only: every series' dataset holds the
-    same design and ``inputs``.
+    ``design`` is (N, p*K + 1), N >= 1: design[n] = (x[K+n-1], ..., x[n], 1)
+    flattened lag-1 block first, its last column of ones carrying the first
+    layer's bias; targets[n] = x[K+n, i] for its series i.  Its shapes are
+    checked once, when it is built.  The arrays of :func:`build_lagged` are
+    read-only, since every series' dataset holds the same design; so is an
+    unpickled dataset's design.
     """
 
-    inputs: np.ndarray
+    design: np.ndarray
     targets: np.ndarray
     p: int
     K: int
-    # not a field: the design build_lagged made, of which inputs is a view
-    _design = None
+
+    def __post_init__(self):
+        width = _count("p", self.p) * _count("K", self.K) + 1
+        D, y = self.design, self.targets
+        n = D.shape[0] if D.ndim else 0
+        if not (n >= 1 and D.shape == (n, width) and y.shape == (n,)
+                and (D[:, -1] == 1.0).all()):
+            raise ValueError(
+                f"a LaggedDataset with p={self.p}, K={self.K} needs an (N, {width}) "
+                f"design with N >= 1 and a last column of ones, and (N,) targets; "
+                f"got design {D.shape}, targets {y.shape}")
+
+    def __setstate__(self, state):
+        # numpy unpickles a read-only array as writeable
+        self.__dict__.update(state)
+        self.design.flags.writeable = False
+
+    @property
+    def inputs(self):
+        """The stacked lags: the (N, p*K) view of the design without its ones."""
+        return self.design[:, :-1]
 
     @property
     def n_rows(self):
-        return self.inputs.shape[0]
-
-    def _views_design(self):
-        return self._design is not None and self.inputs.base is self._design
-
-    @property
-    def design(self):
-        """``inputs`` with a trailing column of ones, in Fortran order: the
-        array the MLP kernels read.  For a dataset of :func:`build_lagged`
-        it is the design ``inputs`` views; otherwise each read builds it."""
-        return self._design if self._views_design() else _with_ones(self.inputs)
-
-    def __getstate__(self):
-        # a pickle (a spawned pool worker's copy) carries the design once
-        # and rebuilds inputs as its view, so the copy reads no new design
-        state = dict(self.__dict__)
-        if self._views_design():
-            state["inputs"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        if self.inputs is None:
-            self._design.flags.writeable = False
-            self.inputs = self._design[:, :-1]
+        return self.design.shape[0]
 
 
 def _with_ones(X):
@@ -192,11 +190,12 @@ def _with_ones(X):
 
 def build_lagged(ts, K):
     """One LaggedDataset per series of a finite (T, p) array, all sharing one
-    read-only (T-K, p*K + 1) design whose last column is ones; ``inputs`` is
-    the view of its other columns, and series i's targets are the read-only
-    view ts[K:, i]."""
+    read-only (T-K, p*K + 1) design in Fortran order whose last column is
+    ones; series i's targets are the read-only view ts[K:, i]."""
     K = _count("K", K)
     ts = np.asarray(ts, dtype=np.float64)
+    if ts.ndim != 2 or ts.shape[1] < 1:
+        raise DataError(f"series must be a (T, p) array with p >= 1, got shape {ts.shape}")
     T, p = ts.shape
     if T <= K:
         raise DataError(f"need T > K, got T={T}, K={K}")
@@ -209,11 +208,7 @@ def build_lagged(ts, K):
     D[:, -1] = 1.0
     Y = ts[K:]
     D.flags.writeable = Y.flags.writeable = False
-    X = D[:, :-1]
-    datasets = [LaggedDataset(inputs=X, targets=Y[:, i], p=p, K=K) for i in range(p)]
-    for data in datasets:
-        data._design = D
-    return datasets
+    return [LaggedDataset(design=D, targets=Y[:, i], p=p, K=K) for i in range(p)]
 
 
 # ------------------------------------------------------------- evaluation

@@ -24,8 +24,8 @@ FitResult on the same data: from its model, with its final step clamped to
 backtrack; a line search that halves the step below MIN_STEP fails the fit.
 
 Nothing the loop already has is computed twice.  A fit reads its data's
-design (``LaggedDataset.design``: the inputs and a column of ones that
-carries the first layer's bias) once, at its start; the forward pass of
+design (``LaggedDataset.design``: the stacked lags and a column of ones
+that carries the first layer's bias) once, at its start; the forward pass of
 each accepted candidate, with its residual, is the next gradient's forward
 pass; the prox returns the penalty of the candidate it builds, so
 penalty_value runs only at the start of a fit; and a warm start takes its
@@ -107,8 +107,6 @@ def fit(data, spec, start, opt):
     objective change drops below opt.rel_tol or after opt.max_iters
     iterations; the converged flag records which.
     """
-    if data.n_rows < 1:
-        raise ValueError("dataset is empty")
     X = data.design
     if isinstance(start, FitResult):
         model = start.model

@@ -22,15 +22,27 @@ with the oracles up to rounding.
 ``reference_fit`` is the proximal gradient loop of ``optim.fit`` without
 any of its reuse: it runs ``loss_and_grad`` afresh on every model and
 candidate, and ``penalty_value`` on every accepted one.
+
+``hand_made`` is a ``LaggedDataset`` of given inputs and targets, its
+design the inputs with a column of ones appended.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from ngcausal.model import loss_and_grad
+from ngcausal.model import LaggedDataset, loss_and_grad
 from ngcausal.optim import MIN_STEP
 from ngcausal.penalties import apply_prox, penalty_value
+
+
+def hand_made(X, y, p, K):
+    """The dataset of (N, p*K) inputs X and (N,) targets y, its design in
+    the Fortran order of ``build_lagged``'s."""
+    X = np.asarray(X, dtype=np.float64)
+    design = np.ones((X.shape[0], X.shape[1] + 1), order="F")
+    design[:, :-1] = X
+    return LaggedDataset(design=design, targets=y, p=p, K=K)
 
 
 def finite_diff_grad(f, x, h=1e-6):

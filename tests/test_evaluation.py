@@ -1,3 +1,7 @@
+import concurrent.futures
+import dataclasses
+import functools
+import multiprocessing
 import re
 
 import numpy as np
@@ -202,10 +206,8 @@ class TestLambdaGrid:
         from_f = lambda_max_linear(ts, 2)
 
         def c_ordered(ts, K):
-            datasets = build_lagged(ts, K)
-            for data in datasets:
-                data.inputs = np.ascontiguousarray(data.inputs)
-            return datasets
+            return [dataclasses.replace(data, design=np.ascontiguousarray(data.design))
+                    for data in build_lagged(ts, K)]
 
         monkeypatch.setattr("ngcausal.evaluation.build_lagged", c_ordered)
         assert lambda_max_linear(ts, 2).hex() == from_f.hex()
@@ -263,6 +265,22 @@ class TestSweepPath:
             assert np.array_equal(ma.theta, mb.theta)
             assert np.array_equal(lag_profile(ma), a.lag_profiles[-1][i])
         assert_graph_of_lag_profile(a.graphs[-1], a.lag_profiles[-1], a.models)
+
+    def test_spawned_pool_matches_serial(self, monkeypatch):
+        # a spawned (or forkserver) worker gets its datasets by pickle, not
+        # by fork: its sweep must give the serial sweep's bits all the same
+        ts = standardize(VarGenConfig(p=4, K=2, burn_in=100).generate(200, 5)[0])[0]
+        lams = lambda_grid(lambda_max_linear(ts, 2), 4, 50.0)
+        arch = Architecture(hidden_sizes=(4,))
+        a = sweep_path(ts, 2, "hierarchical", lams, arch, OptimizerConfig(), seed=6, jobs=1)
+        spawned = functools.partial(concurrent.futures.ProcessPoolExecutor,
+                                    mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawned)
+        b = sweep_path(ts, 2, "hierarchical", lams, arch, OptimizerConfig(), seed=6, jobs=2)
+        for name in ("lag_profiles", "iterations", "backtracks", "converged", "objectives"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        for ma, mb in zip(a.models, b.models):
+            assert ma.theta.tobytes() == mb.theta.tobytes()
 
     @pytest.mark.parametrize("p,expected", [(10, [10]), (1, [])])
     def test_pool_has_at_most_one_worker_per_series(self, monkeypatch, p, expected):

@@ -1,17 +1,19 @@
+import dataclasses
+import pickle
 import re
 
 import numpy as np
 import pytest
 
 from ngcausal import _kernels as kernels
-from ngcausal.model import (Architecture, ComponentMLP, build_lagged,
-                            init_model, loss_and_grad, predict)
+from ngcausal.model import (Architecture, ComponentMLP, LaggedDataset,
+                            build_lagged, init_model, loss_and_grad, predict)
 from ngcausal.datasets import (LorenzGenConfig, SeededRng, make_sparse_var,
                                simulate_lorenz)
 from ngcausal.evaluation import lambda_grid
 from ngcausal.optim import MIN_STEP, OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec
-from oracles import finite_diff_grad
+from oracles import finite_diff_grad, hand_made
 
 
 def random_instance(seed, p=None, K=None, hidden=None, N=None, activation=None):
@@ -27,11 +29,9 @@ def random_instance(seed, p=None, K=None, hidden=None, N=None, activation=None):
     activation = activation or draw
     arch = Architecture(hidden_sizes=hidden, activation=activation, init_scale=0.5)
     model = init_model(p, K, arch, SeededRng(seed))
-    from ngcausal.model import LaggedDataset
     X = gen.normal(size=(N, p * K))
     y = gen.normal(size=N)
-    data = LaggedDataset(inputs=X, targets=y, p=p, K=K)
-    return model, data
+    return model, hand_made(X, y, p, K)
 
 
 class TestBuildLagged:
@@ -87,11 +87,11 @@ class TestBuildLagged:
         ts = SeededRng(3).normal(size=(20, 3))
         datasets = build_lagged(ts, 2)
         assert len(datasets) == 3
-        assert all(d.inputs is datasets[0].inputs for d in datasets)
+        assert all(d.design is datasets[0].design for d in datasets)
         for i, d in enumerate(datasets):
             assert np.array_equal(d.targets, ts[2:, i])
             assert np.shares_memory(d.targets, ts)   # a view, not a copy
-            for arr in (d.inputs, d.targets):
+            for arr in (d.design, d.inputs, d.targets):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
         assert ts.flags.writeable                      # the caller's array is untouched
@@ -116,7 +116,6 @@ class TestBuildLagged:
     def test_pickled_datasets_keep_one_design(self):
         # a spawned pool worker gets its datasets by pickle: the copy still
         # shares one read-only design that inputs views, so no fit copies it
-        import pickle
         datasets = build_lagged(SeededRng(2).normal(size=(50, 3)), 2)
         loaded = pickle.loads(pickle.dumps(datasets))
         D = loaded[0].design
@@ -128,18 +127,54 @@ class TestBuildLagged:
             assert np.array_equal(d.inputs, orig.inputs)
             assert np.array_equal(d.targets, orig.targets)
 
-    def test_design_follows_inputs_set_by_hand(self):
-        # a dataset not made by build_lagged, or whose inputs were replaced,
-        # reads its design from its inputs as they are now
-        from ngcausal.model import LaggedDataset
-        X = np.arange(6.0).reshape(3, 2)
-        data = LaggedDataset(inputs=X, targets=np.zeros(3), p=2, K=1)
-        X[1, 0] = -1.0
-        assert np.array_equal(data.design, [[0.0, 1.0, 1.0], [-1.0, 3.0, 1.0], [4.0, 5.0, 1.0]])
-        built = build_lagged(SeededRng(2).normal(size=(10, 2)), 1)[0]
-        built.inputs = np.ascontiguousarray(built.inputs) + 1.0
-        assert np.array_equal(built.design[:, :-1], built.inputs)
-        assert np.array_equal(built.design[:, -1], np.ones(9))
+
+def _bad_shape(case):
+    """Design and targets of a hand-made dataset, p=2, K=1 and 50 rows,
+    broken as ``case`` says."""
+    X = np.random.default_rng(0).normal(size=(50, 2))
+    D = np.column_stack([X, np.ones(50)])
+    y = X[:, 0]
+    return {"one target": (D, np.array([3.0])),
+            "one target short": (D, y[:-1]),
+            "column of targets": (D, y[:, None]),
+            "no ones column": (X, y),
+            "two extra columns": (np.column_stack([D, X[:, 0]]), y),
+            "last column not ones": (np.column_stack([X, X[:, 0]]), y),
+            "no rows": (D[:0], y[:0]),
+            "1-d design": (D[:, 0], y)}[case]
+
+
+class TestHandMadeDataset:
+    @pytest.mark.parametrize("case,design_shape,targets_shape", [
+        ("one target", (50, 3), (1,)),
+        ("one target short", (50, 3), (49,)),
+        ("column of targets", (50, 3), (50, 1)),
+        ("no ones column", (50, 2), (50,)),
+        ("two extra columns", (50, 4), (50,)),
+        ("last column not ones", (50, 3), (50,)),
+        ("no rows", (0, 3), (0,)),
+        ("1-d design", (50,), (50,))])
+    def test_bad_shape_is_one_value_error(self, case, design_shape, targets_shape):
+        # left to the fit, a bad shape runs against broadcast targets or dies
+        # inside numpy's matmul or broadcast; the dataset refuses it when built
+        message = ("a LaggedDataset with p=2, K=1 needs an (N, 3) design with N >= 1 "
+                   "and a last column of ones, and (N,) targets; "
+                   f"got design {design_shape}, targets {targets_shape}")
+        D, y = _bad_shape(case)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LaggedDataset(design=D, targets=y, p=2, K=1)
+        built = build_lagged(np.ones((51, 2)), 1)[0]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(built, design=D, targets=y)
+
+    @pytest.mark.parametrize("p,K,message", [
+        (0, 1, "p must be >= 1, got 0"), (2, True, "K must be an integer, got True"),
+        (2.0, 1, "p must be an integer, got 2.0")])
+    def test_p_and_k_are_counts(self, p, K, message):
+        # the rule of ComponentMLP and build_lagged, before the shapes they set
+        D, y = _bad_shape("no rows")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LaggedDataset(design=D, targets=y, p=p, K=K)
 
 
 class TestMemoryOrder:
@@ -150,8 +185,8 @@ class TestMemoryOrder:
                                       activation=activation)
         out = {}
         for order in "CF":
-            data.inputs = np.asarray(data.inputs, order=order)
-            assert data.inputs.flags[order + "_CONTIGUOUS"]
+            data = dataclasses.replace(data, design=np.asarray(data.design, order=order))
+            assert data.design.flags[order + "_CONTIGUOUS"]
             out[order] = (*loss_and_grad(model, data), predict(model, data.inputs))
         for c, f in zip(out["C"], out["F"]):
             np.testing.assert_allclose(c, f, rtol=1e-12, atol=0.0)
@@ -217,9 +252,8 @@ class TestLoss:
         assert loss_and_grad(model, data)[0] == 0.0
 
     def test_zero_model_sums_squared_targets(self):
-        from ngcausal.model import LaggedDataset
         model = ComponentMLP(p=1, K=1, arch=Architecture(hidden_sizes=(2,)))
-        data = LaggedDataset(inputs=np.zeros((2, 1)), targets=np.array([1.0, 2.0]), p=1, K=1)
+        data = hand_made(np.zeros((2, 1)), np.array([1.0, 2.0]), 1, 1)
         assert loss_and_grad(model, data)[0] == 5.0
 
     @pytest.mark.parametrize("seed", range(5))
@@ -323,10 +357,9 @@ class TestLinearEquivalence:
         # zero-hidden model: loss/grad equal the normal-equation forms
         gen = np.random.default_rng(2)
         p, K, N = 3, 2, 30
-        from ngcausal.model import LaggedDataset
         X = gen.normal(size=(N, p * K))
         y = gen.normal(size=N)
-        data = LaggedDataset(inputs=X, targets=y, p=p, K=K)
+        data = hand_made(X, y, p, K)
         model = ComponentMLP(p, K, Architecture(hidden_sizes=()))
         w = gen.normal(size=p * K)
         b = 0.3

@@ -8,12 +8,12 @@ import pytest
 from ngcausal import _kernels as kernels
 from ngcausal import optim
 from ngcausal.datasets import VarGenConfig, standardize
-from ngcausal.model import (Architecture, ComponentMLP, LaggedDataset,
-                            build_lagged, init_model, loss_and_grad)
+from ngcausal.model import (Architecture, ComponentMLP, build_lagged,
+                            init_model, loss_and_grad)
 from ngcausal.datasets import SeededRng
 from ngcausal.optim import MIN_STEP, FitResult, OptimizationError, OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec, apply_prox, penalty_value
-from oracles import reference_fit
+from oracles import hand_made, reference_fit
 
 
 def assert_monotone_trace(trace):
@@ -54,7 +54,7 @@ class TestObjective:
 
     def test_zero_model_zero_targets(self):
         model = ComponentMLP(2, 1, Architecture(hidden_sizes=(3,)))
-        data = LaggedDataset(inputs=np.ones((4, 2)), targets=np.zeros(4), p=2, K=1)
+        data = hand_made(np.ones((4, 2)), np.zeros(4), 2, 1)
         assert fit_objective(model, data, PenaltySpec("group", 3.0)) == 0.0
 
     def test_recomposition(self):
@@ -79,7 +79,8 @@ class TestProxStep:
     def test_fixed_point_when_gradient_zero(self):
         # zero network on zero targets is an exact stationary point
         data = small_dataset(6)
-        data.targets = np.zeros(data.n_rows)    # build_lagged's targets are read-only
+        # build_lagged's targets are read-only
+        data = dataclasses.replace(data, targets=np.zeros(data.n_rows))
         model = ComponentMLP(3, 2, Architecture(hidden_sizes=(3,)))
         new_model, _ = one_prox_step(model, data, PenaltySpec("group", 0.0), step=1e-3)
         assert np.array_equal(new_model.theta, model.theta)
@@ -88,7 +89,7 @@ class TestProxStep:
         # p=1, K=1, linear: one weight w and bias b
         X = np.array([[1.0], [2.0], [-1.0]])
         y = np.array([0.5, 1.5, -0.2])
-        data = LaggedDataset(inputs=X, targets=y, p=1, K=1)
+        data = hand_made(X, y, 1, 1)
         model = ComponentMLP(1, 1, Architecture(hidden_sizes=()))
         w, b, step, lam = 0.3, 0.1, 0.05, 2.0
         model.weight(0)[0, 0] = w
@@ -171,7 +172,7 @@ class TestFit:
         # fails the sufficient-decrease test
         X = np.full((4, 1), 1e8)
         y = np.array([1.0, -1.0, 2.0, 0.5])
-        data = LaggedDataset(inputs=X, targets=y, p=1, K=1)
+        data = hand_made(X, y, 1, 1)
         opt = OptimizerConfig(initial_step=1e-2)
         with pytest.raises(OptimizationError, match="below MIN_STEP=1e-12 at iteration 1$"):
             fit(data, PenaltySpec("group", 0.0),

@@ -83,9 +83,12 @@ def test_architecture_is_frozen():
 
 
 def test_lagged_dataset_fields():
-    # no series_index: nothing read the index that build_lagged stored
+    # no series_index: nothing read the index that build_lagged stored; the
+    # design is the one array, and inputs a read-only view of it
     assert [f.name for f in dataclasses.fields(ngcausal.LaggedDataset)] == [
-        "inputs", "targets", "p", "K"]
+        "design", "targets", "p", "K"]
+    assert ngcausal.LaggedDataset.__dataclass_params__.frozen
+    assert ngcausal.LaggedDataset.inputs.fset is None
 
 
 def _data_fault(case):
@@ -96,6 +99,16 @@ def _data_fault(case):
     elif case == "non-finite series":
         ts[5, 1] = np.nan
         ngcausal.build_lagged(ts, 2)
+    elif case == "1-d series":
+        ngcausal.build_lagged(ts[:, 0], 2)
+    elif case == "3-d series":
+        ngcausal.build_lagged(ts[:, :, None], 2)
+    elif case == "no series":
+        ngcausal.build_lagged(ts[:, :0], 2)
+    elif case == "1-d series for a penalty scale":
+        ngcausal.lambda_max_linear(ts[:, 0], 2)
+    elif case == "no series for a penalty scale":
+        ngcausal.lambda_max_linear(ts[:, :0], 2)
     elif case == "constant column":
         ts[:, 1] = 3.0
         ngcausal.standardize(ts)
@@ -114,6 +127,13 @@ def _data_fault(case):
 @pytest.mark.parametrize("case,message", [
     ("short", "need T > K, got T=2, K=2"),
     ("non-finite series", "series must be finite"),
+    ("1-d series", "series must be a (T, p) array with p >= 1, got shape (60,)"),
+    ("3-d series", "series must be a (T, p) array with p >= 1, got shape (60, 4, 1)"),
+    ("no series", "series must be a (T, p) array with p >= 1, got shape (60, 0)"),
+    ("1-d series for a penalty scale",
+     "series must be a (T, p) array with p >= 1, got shape (60,)"),
+    ("no series for a penalty scale",
+     "series must be a (T, p) array with p >= 1, got shape (60, 0)"),
     ("constant column", "zero-variance column(s) [1]: cannot standardize"),
     ("overflowing mean", "non-finite mean or std in column(s) [3]: cannot standardize"),
     ("constant data", "data is constant: no usable penalty scale"),
