@@ -56,10 +56,10 @@ def _report_fits(args, sweep):
 
 
 def _resolved_seed(cfg, args):
-    seed = cfg.generator.seed if args.seed is None else args.seed
-    if seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
+    """--seed, or the config's seed (judged when the config was read)."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {args.seed}")
+    return cfg.generator.seed if args.seed is None else args.seed
 
 
 def _fit_ready(ts, cfg):
@@ -79,7 +79,7 @@ def cmd_simulate(args):
     cfg = load_config(args.config)
     # the resolved config saved below records the seed drawn from
     seed = cfg.generator.seed = _resolved_seed(cfg, args)
-    try:
+    try:  # the config judged every setting but simulate_var's burn_in + T > K
         ts, truth = cfg.generator.instance().generate(cfg.generator.T, seed)
     except (ValueError, MemoryError) as exc:  # MemoryError: T too large to hold
         raise ConfigError(f"generator: {exc}") from exc

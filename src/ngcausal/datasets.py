@@ -3,7 +3,8 @@
 Time series are plain (T, p) float64 arrays, row t = observation at time t.
 Causal ground truth is a (p, p) 0/1 array with entry (i, j) = 1 when series j
 drives series i.  Every draw comes from a stream seeded by ``SeededRng``.
-Settings are checked by ``model._count`` (counts) and ``model._real`` (reals);
+A generator's settings are checked once, when its ``VarGenConfig`` or
+``LorenzGenConfig`` is built, by ``model._count`` and ``model._real``;
 ``standardize`` raises ``DataError`` for a series it cannot scale.
 """
 
@@ -79,14 +80,9 @@ def make_sparse_var(rng, p, K, edge_prob=0.2, target_radius=0.95, noise_sigma=0.
     floats around target_radius as spectral_radius computes it; eigvals is
     accurate to ~1e-5 only on these near-repeated eigenvalues.
     """
-    p, K = _count("p", p), _count("K", K)
-    if not (0 < _real("edge_prob", edge_prob) <= 1):
-        raise ValueError(f"edge_prob must be in (0, 1], got {edge_prob}")
-    if not (0 < _real("target_radius", target_radius) < 1):
-        raise ValueError(f"target_radius must be in (0, 1), got {target_radius}")
-    _real("noise_sigma", noise_sigma, 0)
-
-    adjacency = (rng.random((p, p)) < edge_prob).astype(np.float64)
+    cfg = VarGenConfig(p, K, edge_prob, target_radius, noise_sigma)
+    p, K = cfg.p, cfg.K
+    adjacency = (rng.random((p, p)) < cfg.edge_prob).astype(np.float64)
     np.fill_diagonal(adjacency, 1.0)
     signs = np.where(rng.random((p, p)) < 0.5, -1.0, 1.0)
     # the bisection cancels any common scale; 0.1 keeps older systems bit-identical
@@ -94,7 +90,7 @@ def make_sparse_var(rng, p, K, edge_prob=0.2, target_radius=0.95, noise_sigma=0.
     coeffs = np.repeat(base[np.newaxis, :, :], K, axis=0)
 
     def radius_at(scale):
-        return spectral_radius(companion_matrix(scale * coeffs)) - target_radius
+        return spectral_radius(companion_matrix(scale * coeffs)) - cfg.target_radius
 
     hi = 1.0
     while radius_at(hi) < 0:
@@ -107,7 +103,7 @@ def make_sparse_var(rng, p, K, edge_prob=0.2, target_radius=0.95, noise_sigma=0.
     coeffs = hi * coeffs
 
     truth = (np.abs(coeffs) > 0).any(axis=0).astype(np.float64)
-    return VarProcess(coeffs=coeffs, noise_sigma=noise_sigma, truth=truth)
+    return VarProcess(coeffs=coeffs, noise_sigma=cfg.noise_sigma, truth=truth)
 
 
 def simulate_var(proc, T, rng, burn_in=200, init=None):
@@ -162,8 +158,8 @@ def lorenz_truth(p):
 
 
 def simulate_lorenz(cfg, T, rng, init=None):
-    """Euler-step the Lorenz-96 ring set up by ``cfg`` (a LorenzGenConfig)
-    and return (series, truth graph).
+    """Euler-step the Lorenz-96 ring set up by ``cfg`` (a LorenzGenConfig,
+    checked when it was built) and return (series, truth graph).
 
     x_{t+1} = x_t + dt * drift(x_t) + e_t with e_t ~ Normal(0, sigma^2 I).
     The initial state is the equilibrium F plus a small seeded perturbation
@@ -171,12 +167,7 @@ def simulate_lorenz(cfg, T, rng, init=None):
     discarded before the T returned rows.  A state that is non-finite or
     above 1e8 in magnitude raises SimulationError.
     """
-    T, p = _count("T", T), _count("p", cfg.p, least=4)
-    burn_in = _count("burn_in", cfg.burn_in, least=0)
-    _real("F", cfg.F)
-    _real("dt", cfg.dt, 0)
-    _real("noise_sigma", cfg.noise_sigma, 0, strict=False)
-
+    T, p = _count("T", T), cfg.p
     if init is not None:
         state = np.asarray(init, dtype=np.float64).copy()
         if state.shape != (p,):
@@ -184,7 +175,7 @@ def simulate_lorenz(cfg, T, rng, init=None):
     else:
         state = cfg.F + rng.normal(0.0, 0.01, size=p)
 
-    total = burn_in + T
+    total = cfg.burn_in + T
     out = np.empty((total, p))
     noise = rng.normal(0.0, cfg.noise_sigma, size=(total, p))
     for t in range(total):
@@ -192,7 +183,7 @@ def simulate_lorenz(cfg, T, rng, init=None):
         if not np.all(np.abs(state) <= 1e8):
             raise SimulationError(f"Lorenz trajectory diverged at step {t}")
         out[t] = state
-    return out[burn_in:], lorenz_truth(p)
+    return out[cfg.burn_in:], lorenz_truth(p)
 
 
 # ------------------------------------------------------------ preprocessing
@@ -230,6 +221,17 @@ class VarGenConfig:
     noise_sigma: float = 0.1
     burn_in: int = 200
 
+    def __post_init__(self):
+        self.p, self.K = _count("p", self.p), _count("K", self.K)
+        self.edge_prob = _real("edge_prob", self.edge_prob)
+        if not 0 < self.edge_prob <= 1:
+            raise ValueError(f"edge_prob must be in (0, 1], got {self.edge_prob}")
+        self.target_radius = _real("target_radius", self.target_radius)
+        if not 0 < self.target_radius < 1:
+            raise ValueError(f"target_radius must be in (0, 1), got {self.target_radius}")
+        self.noise_sigma = _real("noise_sigma", self.noise_sigma, 0)
+        self.burn_in = _count("burn_in", self.burn_in, least=0)
+
     def generate(self, T, seed):
         rng = SeededRng(seed)
         proc = make_sparse_var(rng, self.p, self.K, self.edge_prob,
@@ -247,6 +249,12 @@ class LorenzGenConfig:
     dt: float = 0.01
     noise_sigma: float = 0.01
     burn_in: int = 1000
+
+    def __post_init__(self):
+        self.p = _count("p", self.p, least=4)
+        self.burn_in = _count("burn_in", self.burn_in, least=0)
+        self.F, self.dt = _real("F", self.F), _real("dt", self.dt, 0)
+        self.noise_sigma = _real("noise_sigma", self.noise_sigma, 0, strict=False)
 
     def generate(self, T, seed):
         return simulate_lorenz(self, T, SeededRng(seed))

@@ -111,9 +111,9 @@ def lambda_max_linear(ts, K):
 
 
 def _grid_shape(size, ratio):
-    """Size an integer >= 2, ratio finite and > 1: shared with the config."""
-    _count("grid_size", size, least=2)
-    _real("grid_ratio", ratio, 1)
+    """(size, ratio) checked: size an integer >= 2, ratio finite and > 1;
+    shared with the config."""
+    return _count("grid_size", size, least=2), _real("grid_ratio", ratio, 1)
 
 
 def lambda_grid(lam_max, size=20, ratio=100.0):

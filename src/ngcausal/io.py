@@ -4,11 +4,12 @@ Formats (all deterministic byte streams given identical inputs, each written
 to ``path + ".tmp"`` and renamed over ``path``, so no reader sees half a file):
 
 * config        -- YAML with sections generator/model/penalty/optimizer/
-                   evaluation, read by one reader at every level (errors
-                   name the section, ``config`` at the root); each value is
-                   checked by its library owner (``PenaltySpec``,
-                   ``penalty_path``, ...); every tunable constant is visible
-                   here and round-trips losslessly.
+                   evaluation, read at every level by one reader that judges
+                   only its shape (errors name the section, ``config`` at
+                   the root); each value is checked once, at load, by its
+                   owning class (``VarGenConfig``, ``PenaltySpec``, ...);
+                   every tunable constant is visible here and round-trips
+                   losslessly.
 * checkpoint    -- versioned JSON; every ``Architecture`` field, and weights
                    stored as C99 hex floats so a reloaded model reproduces
                    forward outputs bit-identically.
@@ -85,7 +86,9 @@ class GeneratorSection:
         kinds = ("var", "lorenz")
         if self.kind not in kinds:
             raise ValueError(f"unknown generator kind {self.kind!r}; expected one of {kinds}")
-        _count("p", self.p)
+        self.p, self.T = _count("p", self.p), _count("T", self.T)
+        self.seed = _count("seed", self.seed, least=0)
+        self.instance()  # p as the chosen generator takes it
 
     def instance(self):
         """The configured generator object (p copied into it)."""
@@ -102,8 +105,8 @@ class ModelSection:
     init_scale: float = Architecture.init_scale
 
     def __post_init__(self):
-        _count("K", self.K)
-        self.architecture()
+        self.K = _count("K", self.K)
+        self.init_scale = self.architecture().init_scale
 
     def architecture(self):
         return Architecture(self.hidden, self.activation, self.init_scale)
@@ -118,16 +121,21 @@ class PenaltySection:
     lambdas: tuple = ()   # explicit descending grid; empty = derive from data
 
     def __post_init__(self):
-        PenaltySpec(self.kind, self.lam)
+        self.lam = PenaltySpec(self.kind, self.lam).lam
         if self.lambdas:
-            penalty_path(self.kind, self.lambdas)
-        _grid_shape(self.grid_size, self.grid_ratio)
+            self.lambdas = tuple(spec.lam for spec in penalty_path(self.kind, self.lambdas)[1])
+        self.grid_size, self.grid_ratio = _grid_shape(self.grid_size, self.grid_ratio)
 
 
 @dataclass
 class EvaluationSection:
     include_diagonal: bool = True
     standardize: bool = True
+
+    def __post_init__(self):
+        for name, value in dataclasses.asdict(self).items():
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass
@@ -139,25 +147,10 @@ class ExperimentConfig:
     evaluation: EvaluationSection = field(default_factory=EvaluationSection)
 
 
-# what each scalar type of a config field accepts, and its name in errors
-_SCALARS = {bool: ((bool,), "true/false"), int: ((int,), "an integer"),
-            float: ((int, float), "a number"), str: ((str,), "a string")}
-
-
-def _check_scalar(section, key, value, typ):
-    accepted, expected = _SCALARS[typ]
-    if not isinstance(value, accepted) or (typ is not bool and isinstance(value, bool)):
-        raise ConfigError(f"{section}.{key}: expected {expected}, got {value!r}")
-    try:
-        return typ(value)
-    except OverflowError:
-        raise ConfigError(f"{section}.{key}: expected a finite number, "
-                          "got an integer too large for a float") from None
-
-
 def _fill_dataclass(cls, data, keys=(), omit=()):
     """An instance of cls from its config mapping under ``keys``, the section
-    errors name (the root: ``config``); fields in ``omit`` keep their defaults."""
+    errors name (the root: ``config``); fields in ``omit`` keep their defaults.
+    Values pass to cls unchanged, a list as a tuple: cls judges them."""
     section = ".".join(keys) or "config"
     if data is None:
         data = {}
@@ -166,27 +159,17 @@ def _fill_dataclass(cls, data, keys=(), omit=()):
     fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in omit}
     unknown = set(data) - set(fields)
     if unknown:
-        raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"{section}: unknown key(s) {sorted(unknown, key=str)}")
     kwargs = {}
-    proto = cls()
-    for name, f in fields.items():
-        if name not in data:
-            continue
-        value = data[name]
-        default = getattr(proto, name)
-        if dataclasses.is_dataclass(default):
-            kwargs[name] = _fill_dataclass(type(default), value, (*keys, name),
-                                           f.metadata.get("omit", ()))
-        elif isinstance(default, tuple):
-            if value is None:
-                kwargs[name] = ()
-                continue
-            if not isinstance(value, (list, tuple)):
+    for name, value in data.items():
+        f = fields[name]
+        if dataclasses.is_dataclass(f.type):
+            value = _fill_dataclass(f.type, value, (*keys, name), f.metadata.get("omit", ()))
+        elif f.type is tuple:
+            if value is not None and not isinstance(value, (list, tuple)):
                 raise ConfigError(f"{section}.{name}: expected a list, got {value!r}")
-            elem = float if name == "lambdas" else int
-            kwargs[name] = tuple(_check_scalar(section, f"{name}[]", v, elem) for v in value)
-        else:
-            kwargs[name] = _check_scalar(section, name, value, type(default))
+            value = tuple(value or ())
+        kwargs[name] = value
     try:
         return cls(**kwargs)
     except ValueError as exc:

@@ -52,7 +52,7 @@ def _real(name, value, low=-math.inf, strict=True):
     try:
         x = float(value)
     except OverflowError:  # an int beyond the float range is not finite
-        x = math.inf
+        x, value = math.inf, "an integer too large for a float"
     if not (math.isfinite(x) and (x > low if strict else x >= low)):
         bound = "" if low == -math.inf else f" and {'>' if strict else '>='} {low:g}"
         raise ValueError(f"{name} must be finite{bound}, got {value}")
@@ -70,10 +70,11 @@ class Architecture:
 
     def __post_init__(self):
         widths = tuple(_count("hidden sizes", h) for h in self.hidden_sizes)
-        object.__setattr__(self, "hidden_sizes", widths)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}; expected one of {sorted(ACTIVATIONS)}")
-        _real("init_scale", self.init_scale, 0, strict=False)
+        scale = _real("init_scale", self.init_scale, 0, strict=False)
+        object.__setattr__(self, "hidden_sizes", widths)
+        object.__setattr__(self, "init_scale", scale)
 
 
 class ComponentMLP:
@@ -145,8 +146,8 @@ class LaggedDataset:
     flattened lag-1 block first, its last column of ones carrying the first
     layer's bias; targets[n] = x[K+n, i] for its series i.  Its shapes are
     checked once, when it is built.  The arrays of :func:`build_lagged` are
-    read-only, since every series' dataset holds the same design; so is an
-    unpickled dataset's design.
+    read-only, since every series' dataset holds the same design; an
+    unpickled dataset's arrays are read-only too.
     """
 
     design: np.ndarray
@@ -168,7 +169,7 @@ class LaggedDataset:
     def __setstate__(self, state):
         # numpy unpickles a read-only array as writeable
         self.__dict__.update(state)
-        self.design.flags.writeable = False
+        self.design.flags.writeable = self.targets.flags.writeable = False
 
     @property
     def inputs(self):

@@ -72,9 +72,9 @@ class OptimizerConfig:
     def __post_init__(self):
         # an infinite step never backtracks below MIN_STEP, and a NaN
         # tolerance never stops: either would run a fit forever or to the cap
-        _real("initial_step", self.initial_step, MIN_STEP)
-        _real("rel_tol", self.rel_tol, 0)
-        _count("max_iters", self.max_iters)
+        self.initial_step = _real("initial_step", self.initial_step, MIN_STEP)
+        self.rel_tol = _real("rel_tol", self.rel_tol, 0)
+        self.max_iters = _count("max_iters", self.max_iters)
 
 
 @dataclass

@@ -40,17 +40,19 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in PENALTY_KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {PENALTY_KINDS}")
-        _real("lambda", self.lam, 0, strict=False)
+        self.lam = _real("lambda", self.lam, 0, strict=False)
 
 
 def penalty_path(kind, lambdas):
     """The lambda path as a float64 array, and one PenaltySpec per lambda."""
-    lambdas = np.asarray(lambdas, dtype=np.float64)
-    if lambdas.ndim != 1 or lambdas.size == 0:
-        raise ValueError(f"lambda grid must be a nonempty 1-d array, got shape {lambdas.shape}")
+    shape = np.array(lambdas, dtype=object).shape  # object: a ragged grid has a shape too
+    if len(shape) != 1 or shape[0] == 0:
+        raise ValueError(f"lambda grid must be a nonempty 1-d array, got shape {shape}")
+    specs = [PenaltySpec(kind, lam) for lam in lambdas]
+    lambdas = np.array([spec.lam for spec in specs])
     if np.any(np.diff(lambdas) >= 0):
         raise ValueError(f"lambda grid must be strictly decreasing, got {lambdas.tolist()}")
-    return lambdas, [PenaltySpec(kind, float(lam)) for lam in lambdas]
+    return lambdas, specs
 
 
 def penalty_value(spec, model):

@@ -153,6 +153,33 @@ class TestFit:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_ints_in_float_fields_write_the_same_bytes(self, tmp_path):
+        # each float setting is stored as the float its owner checked, so a
+        # config written with ints gives a float config's files
+        def settings(num):
+            return {"generator": {"var": {"K": 1, "burn_in": 50, "edge_prob": num(1),
+                                          "noise_sigma": num(1)},
+                                  "lorenz": {"F": num(5), "dt": num(1), "noise_sigma": num(1)}},
+                    "model": {"hidden": [3], "init_scale": num(1)},
+                    "penalty": {"lam": num(1), "grid_ratio": num(50), "lambdas": [num(2), num(1)]},
+                    "optimizer": {"initial_step": num(1), "rel_tol": num(1)}}
+
+        outs = []
+        for num in (int, float):
+            cfg = write_config(tmp_path / f"{num.__name__}.yaml", **settings(num))
+            data, out = tmp_path / f"d_{num.__name__}", tmp_path / f"f_{num.__name__}"
+            assert run("simulate", "--config", cfg, "--out", data, "--quiet") == 0
+            assert run("fit", "--config", cfg, "--data", data / "dataset.csv",
+                       "--out", out, "--jobs", 1, "--quiet") == 0
+            outs.append((data, out))
+        (d_int, f_int), (d_float, f_float) = outs
+        assert "init_scale: 1.0\n" in (d_int / "resolved_config.yaml").read_text()
+        for name in os.listdir(d_float):
+            assert (d_int / name).read_bytes() == (d_float / name).read_bytes()
+        assert sorted(os.listdir(f_int)) == sorted(os.listdir(f_float))
+        for name in os.listdir(f_float):
+            assert (f_int / name).read_bytes() == (f_float / name).read_bytes()
+
 
 class TestSweep:
     @pytest.fixture()
@@ -513,7 +540,7 @@ class TestExitCodes:
         ({"model": {"K": 0}}, [], "model: K must be >= 1, got 0"),
         ({"model": {"init_scale": -1.0}}, [],
          "model: init_scale must be finite and >= 0, got -1.0"),
-        ({"generator": {"seed": -1}}, [], "seed must be a nonnegative integer, got -1"),
+        ({"generator": {"seed": -1}}, [], "generator: seed must be >= 0, got -1"),
         ({}, ["--seed", -1], "seed must be a nonnegative integer, got -1"),
         # a fit would never return (inf), run to the cap (nan) or not run (0, -3)
         ({"optimizer": {"initial_step": float("inf")}}, [],
@@ -527,9 +554,9 @@ class TestExitCodes:
         ({"optimizer": {"min_step": 1e-12}}, [], "optimizer: unknown key(s) ['min_step']"),
         # an int beyond the float range, not an OverflowError traceback
         ({"penalty": {"lam": 10**400}}, [],
-         "penalty.lam: expected a finite number, got an integer too large for a float"),
+         "penalty: lambda must be finite and >= 0, got an integer too large for a float"),
         ({"penalty": {"lambdas": [10**400, 1.0]}}, [],
-         "penalty.lambdas[]: expected a finite number, got an integer too large for a float")])
+         "penalty: lambda must be finite and >= 0, got an integer too large for a float")])
     def test_bad_model_or_seed_is_config_error_2(self, tmp_path, capsys, command,
                                                   overrides, seed, message):
         cfg = write_config(tmp_path / "c.yaml", **overrides)
@@ -540,15 +567,35 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("generator,message", [
-        ({"T": 0}, "T must be >= 1, got 0"),
-        ({"var": {"edge_prob": 2.0}}, "edge_prob must be in (0, 1], got 2.0"),
-        ({"kind": "lorenz", "p": 3}, "p must be >= 4, got 3")])
-    def test_bad_generator_setting_is_config_error_2(self, tmp_path, capsys,
-                                                      generator, message):
+    @pytest.mark.parametrize("command", ["simulate", "fit", "sweep"])
+    @pytest.mark.parametrize("generator,message,section,seed", [
+        ({"T": 0}, "T must be >= 1, got 0", "generator", []),
+        ({"var": {"edge_prob": 2.0}}, "edge_prob must be in (0, 1], got 2.0", "generator.var", []),
+        ({"kind": "lorenz", "p": 3}, "p must be >= 4, got 3", "generator", []),
+        ({"var": {"edge_prob": 5, "noise_sigma": -1}}, "edge_prob must be in (0, 1], got 5.0",
+         "generator.var", []),
+        # the lorenz section is judged under kind var too
+        ({"lorenz": {"dt": -3, "burn_in": -1}}, "burn_in must be >= 0, got -1",
+         "generator.lorenz", []),
+        ({"seed": -4}, "seed must be >= 0, got -4", "generator", ["--seed", 3])])
+    def test_bad_generator_setting_is_config_error_2(self, tmp_path, capsys, monkeypatch,
+                                                      command, generator, message, section,
+                                                      seed):
+        # every command judges the generator settings when it reads the
+        # config, before any data is read or drawn
+        def unreachable(*args, **kwargs):
+            raise AssertionError("data was read or drawn")
+
+        for name in ("read_dataset_csv", "read_matrix_csv"):
+            monkeypatch.setattr(cli, name, unreachable)
+        for gen in ("VarGenConfig", "LorenzGenConfig"):
+            monkeypatch.setattr(f"ngcausal.datasets.{gen}.generate", unreachable)
         cfg = write_config(tmp_path / "c.yaml", generator=generator)
-        assert run("simulate", "--config", cfg, "--out", tmp_path / "o", "--quiet") == 2
-        assert capsys.readouterr().err.splitlines() == [f"config error: generator: {message}"]
+        data = [] if command == "simulate" else ["--data", tmp_path / "d.csv"]
+        truth = ["--truth", tmp_path / "t.csv"] if command == "sweep" else []
+        assert run(command, "--config", cfg, *data, *truth, *seed,
+                   "--out", tmp_path / "o", "--quiet") == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {section}: {message}"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["var", "lorenz"])
@@ -575,19 +622,19 @@ class TestExitCodes:
         ({"var": {"K": 1, "noise_sigma": 1e12}},
          "generator.var: VAR trajectory left [-1e8, 1e8] or became non-finite at step 1"),
         ({"kind": "lorenz", "lorenz": {"F": float("nan")}},
-         "generator: F must be finite, got nan"),
+         "generator.lorenz: F must be finite, got nan"),
         ({"kind": "lorenz", "lorenz": {"dt": float("nan")}},
-         "generator: dt must be finite and > 0, got nan"),
+         "generator.lorenz: dt must be finite and > 0, got nan"),
         ({"kind": "lorenz", "lorenz": {"noise_sigma": float("nan")}},
-         "generator: noise_sigma must be finite and >= 0, got nan"),
+         "generator.lorenz: noise_sigma must be finite and >= 0, got nan"),
         ({"kind": "lorenz", "lorenz": {"burn_in": -10}},
-         "generator: burn_in must be >= 0, got -10"),
-        ({"var": {"burn_in": -10}}, "generator: burn_in must be >= 0, got -10"),
-        ({"var": {"K": 0}}, "generator: K must be >= 1, got 0"),
+         "generator.lorenz: burn_in must be >= 0, got -10"),
+        ({"var": {"burn_in": -10}}, "generator.var: burn_in must be >= 0, got -10"),
+        ({"var": {"K": 0}}, "generator.var: K must be >= 1, got 0"),
         # removed: the bisection to target_radius cancels any common scale
         ({"var": {"magnitude": 0.1}}, "generator.var: unknown key(s) ['magnitude']"),
         ({"var": {"noise_sigma": float("nan")}},
-         "generator: noise_sigma must be finite and > 0, got nan"),
+         "generator.var: noise_sigma must be finite and > 0, got nan"),
         # far beyond any address space: the allocator refuses it at once
         ({"p": 4, "T": 10 ** 12},
          "generator: Unable to allocate 29.1 TiB for an array with shape "

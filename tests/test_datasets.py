@@ -263,8 +263,8 @@ class TestSimulateLorenz:
         ({"burn_in": -10}, "burn_in must be >= 0, got -10"),
         ({"burn_in": 2.5}, "burn_in must be an integer, got 2.5")])
     def test_out_of_range_setting_named(self, setting, message):
-        cfg = LorenzGenConfig(p=5, **{"burn_in": 10, **setting})
         with pytest.raises(ValueError, match=f"^{message}$"):
+            cfg = LorenzGenConfig(p=5, **{"burn_in": 10, **setting})
             simulate_lorenz(cfg, 20, SeededRng(0))
 
     def test_euler_halving_dt_halves_error(self):

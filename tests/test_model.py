@@ -8,8 +8,8 @@ import pytest
 from ngcausal import _kernels as kernels
 from ngcausal.model import (Architecture, ComponentMLP, LaggedDataset,
                             build_lagged, init_model, loss_and_grad, predict)
-from ngcausal.datasets import (LorenzGenConfig, SeededRng, make_sparse_var,
-                               simulate_lorenz)
+from ngcausal.datasets import (LorenzGenConfig, SeededRng, VarGenConfig,
+                               make_sparse_var, simulate_lorenz)
 from ngcausal.evaluation import lambda_grid
 from ngcausal.optim import MIN_STEP, OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec
@@ -126,6 +126,7 @@ class TestBuildLagged:
         for d, orig in zip(loaded, datasets):
             assert np.array_equal(d.inputs, orig.inputs)
             assert np.array_equal(d.targets, orig.targets)
+            assert not d.design.flags.writeable and not d.targets.flags.writeable
 
 
 def _bad_shape(case):
@@ -446,9 +447,17 @@ def _real_cases():
             yield pytest.param(setting, value, f"{name} must be finite{bound}, got {value}",
                                id=f"{setting}-{value}")
         # an int beyond the float range is not finite, not an OverflowError
-        yield pytest.param(setting, 10**400, f"{name} must be finite{bound}, got {10**400}",
-                           id=f"{setting}-10**400")
+        yield pytest.param(setting, 10**400, f"{name} must be finite{bound}, "
+                           "got an integer too large for a float", id=f"{setting}-10**400")
         yield pytest.param(setting, at_bound, message, id=f"{setting}-at-bound")
+
+
+def test_int_for_a_real_setting_is_stored_as_a_float():
+    # the float _real returns is the one stored, as a config file reads it
+    for value in (PenaltySpec("group", 1).lam, Architecture(init_scale=1).init_scale,
+                  OptimizerConfig(rel_tol=1).rel_tol, VarGenConfig(noise_sigma=1).noise_sigma,
+                  LorenzGenConfig(F=1).F):
+        assert type(value) is float and value == 1.0
 
 
 @pytest.mark.parametrize("setting,value,message", _real_cases())
