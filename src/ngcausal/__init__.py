@@ -13,7 +13,7 @@ from .datasets import (LorenzGenConfig, SeededRng, SimulationError,
 from .model import (Architecture, ComponentMLP, DataError, LaggedDataset,
                     build_lagged, init_model, loss_and_grad, predict)
 from .penalties import PenaltySpec, apply_prox, penalty_value
-from .optim import FitResult, OptimizationError, OptimizerConfig, fit
+from .optim import FitResult, OptimizationError, OptimizerConfig, fit, fit_path
 from .evaluation import (DegenerateTruthError, SweepResult, auc, edge_rates,
                          lambda_grid, lambda_max_linear, roc_points, sweep_path)
 
@@ -24,7 +24,7 @@ __all__ = [
     "FitResult", "LaggedDataset", "LorenzGenConfig",
     "OptimizationError", "OptimizerConfig", "PenaltySpec", "SeededRng",
     "SimulationError", "SweepResult", "VarGenConfig",
-    "apply_prox", "auc", "build_lagged", "edge_rates", "fit",
+    "apply_prox", "auc", "build_lagged", "edge_rates", "fit", "fit_path",
     "init_model", "lambda_grid", "lambda_max_linear", "loss_and_grad",
     "make_sparse_var", "penalty_value", "predict", "roc_points",
     "simulate_lorenz", "simulate_var", "standardize", "sweep_path",

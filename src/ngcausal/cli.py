@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 optimization
 failure, 5 I/O failure; ``main`` maps each error class the library raises
-to its code and judges no data itself.  All outputs are deterministic byte
-streams given the same config and seed, independent of --jobs.
+to its code and judges no data itself.  Outputs are deterministic byte
+streams given config, seed and BLAS thread count, independent of --jobs.
 """
 
 import argparse
@@ -79,9 +79,9 @@ def cmd_simulate(args):
     cfg = load_config(args.config)
     # the resolved config saved below records the seed drawn from
     seed = cfg.generator.seed = _resolved_seed(cfg, args)
-    try:  # the config judged every setting but simulate_var's burn_in + T > K
+    try:
         ts, truth = cfg.generator.instance().generate(cfg.generator.T, seed)
-    except (ValueError, MemoryError) as exc:  # MemoryError: T too large to hold
+    except MemoryError as exc:  # T too large to hold
         raise ConfigError(f"generator: {exc}") from exc
     except SimulationError as exc:  # the settings give a diverging trajectory
         raise ConfigError(f"generator.{cfg.generator.kind}: {exc}") from exc

@@ -106,6 +106,13 @@ def make_sparse_var(rng, p, K, edge_prob=0.2, target_radius=0.95, noise_sigma=0.
     return VarProcess(coeffs=coeffs, noise_sigma=cfg.noise_sigma, truth=truth)
 
 
+def _var_rows(T, burn_in, K):
+    """burn_in + T, the rows a VAR trajectory generates; it must exceed K."""
+    if burn_in + T <= K:
+        raise ValueError(f"burn_in + T = {burn_in + T} must exceed the lag order {K}")
+    return burn_in + T
+
+
 def simulate_var(proc, T, rng, burn_in=200, init=None):
     """Iterate the VAR recursion and return the last T rows.
 
@@ -116,9 +123,7 @@ def simulate_var(proc, T, rng, burn_in=200, init=None):
     """
     T, burn_in = _count("T", T), _count("burn_in", burn_in, least=0)
     p, K = proc.p, proc.K
-    total = burn_in + T
-    if total <= K:
-        raise ValueError(f"burn_in + T = {total} must exceed the lag order {K}")
+    total = _var_rows(T, burn_in, K)
     x = np.zeros((total, p))
     if init is not None:
         init = np.asarray(init, dtype=np.float64)

@@ -16,7 +16,7 @@ import numpy as np
 from . import _kernels as kernels
 from .datasets import SeededRng, child_seed
 from .model import DataError, _count, _real, build_lagged, init_model
-from .optim import OptimizationError, fit
+from .optim import OptimizationError, fit_path
 from .penalties import penalty_path
 
 
@@ -148,33 +148,17 @@ class SweepResult:
 
 
 def _series_path(data, i, specs, arch, opt, seed):
-    """Warm-started descent of series i's model on ``data`` down the penalty
-    path ``specs`` (one PenaltySpec per lambda).
-
-    Returns the (n_lambda, p, K) lag profiles of its fits, their (n_lambda,)
-    iteration counts, backtracks, converged flags and final objectives, and
-    the model at the last lambda.  Each fit starts warm from the previous
-    one's FitResult, which is dropped with the path: the model keeps no
-    forward pass.
-    """
-    start = init_model(data.p, data.K, arch, SeededRng(child_seed(seed, i)))
-    n_lam = len(specs)
-    lags = np.empty((n_lam, data.p, data.K))
-    iterations = np.empty(n_lam, dtype=np.int64)
-    backtracks = np.empty(n_lam, dtype=np.int64)
-    converged = np.empty(n_lam, dtype=bool)
-    objectives = np.empty(n_lam)
-    for li, spec in enumerate(specs):
-        try:
-            start = fit(data, spec, start, opt)
-        except OptimizationError as exc:
-            raise OptimizationError(f"series {i} at lambda {spec.lam:.6g}: {exc}") from exc
-        lags[li] = kernels.lag_norms(start.model.weight(0), data.p, data.K)
-        iterations[li] = start.iterations_run
-        backtracks[li] = start.backtracks
-        converged[li] = start.converged
-        objectives[li] = start.objective_trace[-1]
-    return lags, iterations, backtracks, converged, objectives, start.model
+    """Series i's ``fit_path`` down ``specs`` from its seeded initial model:
+    its fits' (n_lambda, p, K) lag profiles and (n_lambda,) iterations,
+    backtracks, converged flags and final objectives, and its last model."""
+    model = init_model(data.p, data.K, arch, SeededRng(child_seed(seed, i)))
+    try:
+        path = fit_path(data, specs, model, opt)
+    except OptimizationError as exc:
+        raise OptimizationError(f"series {i} {exc}") from exc
+    fits = [(kernels.lag_norms(res.model.weight(0), data.p, data.K), res.iterations_run,
+             res.backtracks, res.converged, res.objective_trace[-1]) for res in path]
+    return (*(np.array(column) for column in zip(*fits)), path[-1].model)
 
 
 # the sweep a pool worker fits: (datasets, specs, arch, opt, seed), set once
@@ -196,16 +180,16 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     """Fit every series down a descending lambda grid; assemble per-lambda graphs.
 
     The penalty path is checked (``penalty_path``) and the lagged design
-    built once, before any fit.  Fits for different series are independent
-    and run on a pool of min(jobs, p) processes when that is more than one;
-    each worker receives the datasets once, and each task is a series index.
-    Results are deterministic in (ts, configs, seed) regardless of jobs.  Graph entry
-    (i, j) is the norm of lag-profile row (i, j): zero exactly when every
-    first-layer weight series j feeds into model i is zero.  ``models``
-    holds each series' model at the last lambda, so a one-lambda sweep is a
-    plain fit of every series.  A failing fit raises OptimizationError naming
-    its series and lambda; with several failures, the lowest series index is
-    reported whatever jobs is.
+    built once, before any fit.  Series' paths are independent and run on a
+    pool of min(jobs, p) processes when that is more than one; each worker
+    receives the datasets once, and each task is a series index.  Results
+    depend on (ts, configs, seed) and the BLAS thread count, not on jobs.
+    Graph entry (i, j) is the norm of lag-profile row (i, j): zero exactly
+    when every first-layer weight series j feeds into model i is zero.
+    ``models`` holds each series' model at the last lambda, so a one-lambda
+    sweep is a plain fit of every series.  A failing fit raises
+    OptimizationError naming its series and lambda; with several failures,
+    the lowest series index is reported whatever jobs is.
     """
     lambdas, specs = penalty_path(kind, lambdas)
     jobs = _count("jobs", jobs)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .datasets import LorenzGenConfig, VarGenConfig
+from .datasets import LorenzGenConfig, VarGenConfig, _var_rows
 from .evaluation import _grid_shape
 from .model import ComponentMLP, Architecture, DataError, _count
 from .optim import OptimizerConfig
@@ -89,6 +89,8 @@ class GeneratorSection:
         self.p, self.T = _count("p", self.p), _count("T", self.T)
         self.seed = _count("seed", self.seed, least=0)
         self.instance()  # p as the chosen generator takes it
+        if self.kind == "var":
+            _var_rows(self.T, self.var.burn_in, self.var.K)  # simulate_var's rule
 
     def instance(self):
         """The configured generator object (p copied into it)."""

@@ -176,10 +176,6 @@ class LaggedDataset:
         """The stacked lags: the (N, p*K) view of the design without its ones."""
         return self.design[:, :-1]
 
-    @property
-    def n_rows(self):
-        return self.design.shape[0]
-
 
 def _with_ones(X):
     """A Fortran-ordered copy of the (N, d) array X with a column of ones appended."""

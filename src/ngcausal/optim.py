@@ -17,18 +17,19 @@ step by, and the search restarts at initial_step.  This is the start GISTA
 (Gong et al., ICML 2013) uses, initial_step standing for its largest step,
 so a nonconvex fit leaving a saddle along negative curvature takes long
 steps there: the all-zero first layer a series' model has down a sweep
-until, at some lambda, its first group enters.  A fit starts from a model,
-with its first line search at initial_step, or warm from the previous
-FitResult on the same data: from its model, with its final step clamped to
-[MIN_STEP, initial_step].  Every rejected trial step counts as one
-backtrack; a line search that halves the step below MIN_STEP fails the fit.
+until, at some lambda, its first group enters.  ``fit`` starts from a
+model, with its first line search at initial_step; ``fit_path`` chains fits
+down a lambda path, each warm from the one before: from its model, with its
+final step clamped to [MIN_STEP, initial_step].  Every rejected trial step
+counts as one backtrack; a line search that halves the step below MIN_STEP
+fails the fit.
 
 Nothing the loop already has is computed twice.  A fit reads its data's
 design (``LaggedDataset.design``: the stacked lags and a column of ones
 that carries the first layer's bias) once, at its start; the forward pass of
 each accepted candidate, with its residual, is the next gradient's forward
 pass; the prox returns the penalty of the candidate it builds, so
-penalty_value runs only at the start of a fit; and a warm start takes its
+penalty_value runs only at the start of a fit; and a warm fit takes its
 predecessor's last forward pass instead of running it again.  Scalars stay
 Python floats.  Each of these leaves every result bit for bit what the
 plain loop gives.
@@ -47,12 +48,12 @@ them.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels as kernels
-from .model import _count, _real, loss_and_grad
+from .model import ComponentMLP, _count, _real, loss_and_grad
 from .penalties import apply_prox, penalty_value
 
 BACKTRACK_FACTOR = 0.5
@@ -79,12 +80,7 @@ class OptimizerConfig:
 
 @dataclass
 class FitResult:
-    """A trained model plus the optimization trace that produced it.
-
-    It also keeps, privately, the data it was fit on and the final model's
-    theta, loss and activations: a warm start from it on the same data takes
-    that forward pass instead of running it again.
-    """
+    """A trained model plus the optimization trace that produced it."""
 
     model: object
     objective_trace: np.ndarray
@@ -92,40 +88,43 @@ class FitResult:
     converged: bool
     final_step: float
     backtracks: int          # rejected trial steps, over all iterations
-    _last_pass: tuple = field(default=None, repr=False, compare=False)
+
+
+class _Chain:
+    """What each fit of a path hands the next: the model it ended on, its final
+    step (None before the first fit), and that model's loss and activations."""
+
+    def __init__(self, model):
+        self.model, self.step, self.loss, self.acts = model, None, None, None
 
 
 @np.errstate(over="ignore", invalid="ignore")  # every non-finite value raises below
 def fit(data, spec, start, opt):
-    """Run proximal gradient descent to convergence from a copy of a model.
+    """Run proximal gradient descent to convergence from a copy of the model
+    ``start``, a ComponentMLP, with its first line search at opt.initial_step.
 
-    ``start`` is a ComponentMLP, fit from its first line search at
-    opt.initial_step, or the previous FitResult on this very dataset, fit
-    warm from its model and its final_step clamped to [MIN_STEP,
-    opt.initial_step].  A FitResult of other data, or whose model was
-    changed in place since, raises ValueError.  Stops when the relative
-    objective change drops below opt.rel_tol or after opt.max_iters
-    iterations; the converged flag records which.
+    A model whose p or K differs from the data's raises ValueError.  Stops
+    when the relative objective change drops below opt.rel_tol or after
+    opt.max_iters iterations; the converged flag records which.
     """
     X = data.design
-    if isinstance(start, FitResult):
-        model = start.model
-        fit_data, theta, loss_val, acts = start._last_pass
-        if fit_data is not data:
-            raise ValueError("start is a fit on another dataset")
-        if theta.tobytes() != model.theta.tobytes():
-            raise ValueError("start's model was changed since its fit")
-        step = min(max(start.final_step, MIN_STEP), opt.initial_step)
-    else:
-        model, step = start, opt.initial_step
+    chain = start if isinstance(start, _Chain) else _Chain(start)
+    model = chain.model
+    if chain.step is None:
+        if not isinstance(model, ComponentMLP):
+            raise TypeError(f"start must be a ComponentMLP, got {type(model).__name__}")
         if model.p != data.p or model.K != data.K:
             raise ValueError(
                 f"model expects p={model.p}, K={model.K} but data has "
                 f"p={data.p}, K={data.K}")
+        step = opt.initial_step
         loss_val, acts = kernels.mlp_loss(model.theta, model.dims, model.w_off,
                                           model.b_off, model.arch.activation,
                                           X, data.targets)
         loss_val = float(loss_val)
+    else:
+        step = min(max(chain.step, MIN_STEP), opt.initial_step)
+        loss_val, acts = chain.loss, chain.acts
     model = model.copy()
     obj = loss_val + penalty_value(spec, model)
     if not math.isfinite(obj):
@@ -179,7 +178,21 @@ def fit(data, spec, start, opt):
             break
         obj = new_obj
 
+    chain.model, chain.step, chain.loss, chain.acts = model, step, loss_val, acts
     return FitResult(model=model, objective_trace=np.asarray(trace),
                      iterations_run=iterations, converged=converged,
-                     final_step=step, backtracks=backtracks,
-                     _last_pass=(data, model.theta.copy(), loss_val, acts))
+                     final_step=step, backtracks=backtracks)
+
+
+def fit_path(data, specs, model, opt):
+    """One FitResult per PenaltySpec of the descending path ``specs``: the
+    first fit from ``model``, each later one warm from the fit before it.
+    A failing fit raises OptimizationError naming its lambda."""
+    chain = _Chain(model)
+    results = []
+    for spec in specs:
+        try:
+            results.append(fit(data, spec, chain, opt))
+        except OptimizationError as exc:
+            raise OptimizationError(f"at lambda {spec.lam:.6g}: {exc}") from exc
+    return results

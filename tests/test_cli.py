@@ -577,6 +577,9 @@ class TestExitCodes:
         # the lorenz section is judged under kind var too
         ({"lorenz": {"dt": -3, "burn_in": -1}}, "burn_in must be >= 0, got -1",
          "generator.lorenz", []),
+        # a rule across sections: the VAR's burn_in + T rows must exceed its K
+        ({"T": 3, "var": {"K": 5, "burn_in": 0}},
+         "burn_in + T = 3 must exceed the lag order 5", "generator", []),
         ({"seed": -4}, "seed must be >= 0, got -4", "generator", ["--seed", 3])])
     def test_bad_generator_setting_is_config_error_2(self, tmp_path, capsys, monkeypatch,
                                                       command, generator, message, section,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ngcausal import _kernels as kernels
-from ngcausal import evaluation
+from ngcausal import evaluation, optim
 from ngcausal.datasets import VarGenConfig, standardize
 from ngcausal.evaluation import (DegenerateTruthError, auc, edge_rates,
                                  lambda_grid, lambda_max_linear, roc_points,
@@ -370,7 +370,7 @@ class TestSweepPath:
             raise AssertionError("a fit ran")
 
         assert child_seed(np.int64(1), np.int64(2)) == child_seed(1, 2)
-        monkeypatch.setattr(evaluation, "fit", unreachable)
+        monkeypatch.setattr(optim, "fit", unreachable)
         ts = standardize(VarGenConfig(p=2, K=1, burn_in=50).generate(40, 0)[0])[0]
         with pytest.raises(TypeError, match="1.5"):
             sweep_path(ts, 1, "group", [1.0], Architecture(hidden_sizes=()),

@@ -108,7 +108,6 @@ def test_check_sees_an_unreferenced_definition():
 # library raises DataError where it judges the data, and main maps it to exit 3.
 CLI_VALUE_ERROR_HANDLERS = {
     "_positive_int": "argv parsing: a bad --jobs is a usage error",
-    "cmd_simulate": "generator settings become config errors",
 }
 BROAD = {"ValueError", "Exception", "BaseException"}
 

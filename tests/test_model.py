@@ -39,7 +39,7 @@ class TestBuildLagged:
         # series (a, b, c), K=2: the single row has inputs (b, a), target c
         ts = np.array([[1.0], [2.0], [3.0]])
         data = build_lagged(ts, 2)[0]
-        assert data.n_rows == 1
+        assert len(data.targets) == 1
         assert np.array_equal(data.inputs, [[2.0, 1.0]])
         assert np.array_equal(data.targets, [3.0])
 
@@ -51,7 +51,7 @@ class TestBuildLagged:
 
     def test_row_count(self):
         ts = SeededRng(0).normal(size=(37, 4))
-        assert build_lagged(ts, 5)[2].n_rows == 32
+        assert len(build_lagged(ts, 5)[2].targets) == 32
 
     def test_lag_block_ordering(self):
         # row n = (x_{K+n-1}, ..., x_n): lag-1 block first
@@ -228,15 +228,17 @@ class TestForward:
     @pytest.mark.parametrize("hidden", [(), (5,), (5, 3)])
     def test_predict_is_the_fits_forward_pass(self, activation, hidden):
         # predict appends the ones column and runs the fit's forward kernel:
-        # its output minus the targets is the fit's last residual, bit for bit
+        # its output minus the targets is that kernel's residual on the
+        # design, bit for bit
         ts = SeededRng(4).normal(size=(80, 3))
         data = build_lagged(ts, 2)[1]
         arch = Architecture(hidden_sizes=hidden, activation=activation, init_scale=0.5)
         res = fit(data, PenaltySpec("group", 1.0), init_model(3, 2, arch, SeededRng(5)),
                   OptimizerConfig(max_iters=5))
-        acts = res._last_pass[3]
-        assert np.array_equal(res._last_pass[1], res.model.theta)
-        residual = predict(res.model, data.inputs) - data.targets
+        model = res.model
+        acts = kernels.mlp_loss(model.theta, model.dims, model.w_off, model.b_off,
+                                activation, data.design, data.targets)[1]
+        residual = predict(model, data.inputs) - data.targets
         assert residual.tobytes() == acts[-1][0].tobytes()
 
     def test_matches_batched_predict(self):

@@ -11,7 +11,8 @@ from ngcausal.datasets import VarGenConfig, standardize
 from ngcausal.model import (Architecture, ComponentMLP, build_lagged,
                             init_model, loss_and_grad)
 from ngcausal.datasets import SeededRng
-from ngcausal.optim import MIN_STEP, FitResult, OptimizationError, OptimizerConfig, fit
+from ngcausal.optim import (MIN_STEP, FitResult, OptimizationError, OptimizerConfig,
+                            fit, fit_path)
 from ngcausal.penalties import PenaltySpec, apply_prox, penalty_value
 from oracles import hand_made, reference_fit
 
@@ -30,6 +31,20 @@ def small_dataset(seed, p=3, K=2, T=60):
 def seeded_model(data, arch, seed):
     """The seeded initial model of data's series, as sweep_path builds it."""
     return init_model(data.p, data.K, arch, SeededRng(seed))
+
+
+def patch_path_fits(monkeypatch, opts, handed_step=None):
+    """Run fit_path's k-th fit with opts[k] and, when handed_step is given,
+    hand each next fit that step in place of the last fit's final step."""
+    real_fit = optim.fit
+    opts = iter(opts)
+
+    def path_fit(data, spec, start, _):
+        res = real_fit(data, spec, start, next(opts))
+        if handed_step is not None:
+            start.step = handed_step
+        return res
+    monkeypatch.setattr(optim, "fit", path_fit)
 
 
 def fit_objective(model, data, spec):
@@ -80,7 +95,7 @@ class TestProxStep:
         # zero network on zero targets is an exact stationary point
         data = small_dataset(6)
         # build_lagged's targets are read-only
-        data = dataclasses.replace(data, targets=np.zeros(data.n_rows))
+        data = dataclasses.replace(data, targets=np.zeros(len(data.targets)))
         model = ComponentMLP(3, 2, Architecture(hidden_sizes=(3,)))
         new_model, _ = one_prox_step(model, data, PenaltySpec("group", 0.0), step=1e-3)
         assert np.array_equal(new_model.theta, model.theta)
@@ -129,7 +144,7 @@ class TestFit:
                           init=np.array([[1.0]]))
         data = build_lagged(ts, 1)[0]
         # least-squares oracle for the same design
-        A = np.column_stack([data.inputs[:, 0], np.ones(data.n_rows)])
+        A = np.column_stack([data.inputs[:, 0], np.ones(len(data.targets))])
         coef_ref = np.linalg.lstsq(A, data.targets, rcond=None)[0]
         res = fit(data, PenaltySpec("group", 0.0),
                   seeded_model(data, Architecture(hidden_sizes=()), 0),
@@ -293,27 +308,31 @@ class TestWarmStart:
     def test_converged_restart_takes_one_iteration(self):
         data = small_dataset(20)
         spec = PenaltySpec("group", 3.0)
-        opt = OptimizerConfig()
-        first = fit(data, spec, seeded_model(data, Architecture(hidden_sizes=(3,)), 1), opt)
+        first, again = fit_path(data, [spec, spec],
+                                seeded_model(data, Architecture(hidden_sizes=(3,)), 1),
+                                OptimizerConfig())
         assert first.converged
-        again = fit(data, spec, first, opt)
         assert again.iterations_run == 1
         assert again.converged
 
     @pytest.mark.parametrize("previous_step, first_step",
                              [(1e-5, 1e-5), (1.0, 1e-4), (1e-20, 1e-12), (None, 1e-4)])
-    def test_first_step_is_previous_final_step_capped(self, previous_step, first_step):
+    def test_first_step_is_previous_final_step_capped(self, monkeypatch,
+                                                      previous_step, first_step):
         # steps small enough that the first iteration does not backtrack, so
         # a one-iteration fit ends on its first trial step; None starts from
         # the model itself, at initial_step
         data = small_dataset(23)
         spec = PenaltySpec("group", 1.0)
         opt = OptimizerConfig(initial_step=1e-4, max_iters=30)
-        first = fit(data, spec, seeded_model(data, Architecture(hidden_sizes=(3,)), 1), opt)
-        start = (first.model if previous_step is None
-                 else dataclasses.replace(first, final_step=previous_step))
         one = dataclasses.replace(opt, max_iters=1)
-        assert fit(data, spec, start, one).final_step == first_step
+        model = seeded_model(data, Architecture(hidden_sizes=(3,)), 1)
+        if previous_step is None:
+            first = fit(data, spec, model, opt)
+            assert fit(data, spec, first.model, one).final_step == first_step
+            return
+        patch_path_fits(monkeypatch, [opt, one], handed_step=previous_step)
+        assert fit_path(data, [spec, spec], model, opt)[1].final_step == first_step
 
     def test_matches_cold_start_objective(self):
         # run both to tight convergence on a convex (linear) instance, where
@@ -321,8 +340,8 @@ class TestWarmStart:
         data = small_dataset(21)
         opt = OptimizerConfig(rel_tol=1e-12, max_iters=100_000)
         arch = Architecture(hidden_sizes=())
-        hi = fit(data, PenaltySpec("group", 4.0), seeded_model(data, arch, 2), opt)
-        lo_warm = fit(data, PenaltySpec("group", 2.0), hi, opt)
+        _, lo_warm = fit_path(data, [PenaltySpec("group", 4.0), PenaltySpec("group", 2.0)],
+                              seeded_model(data, arch, 2), opt)
         lo_cold = fit(data, PenaltySpec("group", 2.0), seeded_model(data, arch, 2), opt)
         a, b = lo_warm.objective_trace[-1], lo_cold.objective_trace[-1]
         assert abs(a - b) / max(1.0, abs(b)) < 1e-4
@@ -330,18 +349,19 @@ class TestWarmStart:
     @pytest.mark.parametrize("kind,lam", [("group", 0.0), ("hierarchical", 0.0),
                                           ("group", 1.5), ("hierarchical", 1.5)])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_handed_over_forward_pass_changes_no_bit(self, kind, lam, activation):
+    def test_handed_over_forward_pass_changes_no_bit(self, monkeypatch, kind, lam,
+                                                     activation):
         # the warm start takes the previous fit's last forward pass; the
         # reference loop from the same model at the same first step runs
         # every pass afresh, and restarts at opt.initial_step, not at the
         # first step, after a move with s.y <= 0
         data = small_dataset(24, T=120)
         arch = Architecture(hidden_sizes=(5, 3), activation=activation, init_scale=1.0)
-        first = fit(data, PenaltySpec(kind, 2 * lam), seeded_model(data, arch, 3),
-                    OptimizerConfig(max_iters=40))
-        spec, opt = PenaltySpec(kind, lam), OptimizerConfig()
-        warm = fit(data, spec, first, opt)
-        ref = reference_fit(data, spec, first.model, opt,
+        opt = OptimizerConfig()
+        patch_path_fits(monkeypatch, [OptimizerConfig(max_iters=40), opt])
+        first, warm = fit_path(data, [PenaltySpec(kind, 2 * lam), PenaltySpec(kind, lam)],
+                               seeded_model(data, arch, 3), opt)
+        ref = reference_fit(data, PenaltySpec(kind, lam), first.model, opt,
                             step=min(first.final_step, opt.initial_step))
         assert np.array_equal(warm.objective_trace, ref.trace)
         assert np.array_equal(warm.model.theta, ref.model.theta)
@@ -349,18 +369,13 @@ class TestWarmStart:
         assert warm.iterations_run == len(ref.log)
         assert warm.backtracks == ref.backtracks
 
-    def test_forward_pass_of_other_data_or_model_rejected(self):
-        ts = standardize(VarGenConfig(p=3, K=2, burn_in=50).generate(120, 24)[0])[0]
-        data, other_series = build_lagged(ts, 2)[:2]
-        equal_copy = build_lagged(ts, 2)[0]
+    def test_fit_result_start_rejected(self):
+        # a warm start is fit_path's: fit takes only a model
+        data = small_dataset(22)
         res = fit(data, PenaltySpec("group", 1.0),
                   seeded_model(data, Architecture(hidden_sizes=(2,)), 0),
                   OptimizerConfig(max_iters=20))
-        for other in (other_series, equal_copy, small_dataset(24, T=100)):
-            with pytest.raises(ValueError, match="start is a fit on another dataset"):
-                fit(other, PenaltySpec("group", 1.0), res, OptimizerConfig())
-        res.model.theta[0] += 1.0      # changed in place after the fit
-        with pytest.raises(ValueError, match="start's model was changed since its fit"):
+        with pytest.raises(TypeError, match="^start must be a ComponentMLP, got FitResult$"):
             fit(data, PenaltySpec("group", 1.0), res, OptimizerConfig())
 
     def _mismatch(self, p, K):
@@ -386,13 +401,11 @@ class TestWarmStart:
         data = build_lagged(ts, 2)[0]
         from ngcausal.evaluation import lambda_max_linear, lambda_grid
         lams = lambda_grid(lambda_max_linear(ts, 2), 8, 50.0)
-        opt = OptimizerConfig()
-        counts = []
-        start = seeded_model(data, Architecture(hidden_sizes=()), 0)
-        for lam in lams:
-            start = fit(data, PenaltySpec("group", float(lam)), start, opt)
-            w1 = start.model.weight(0)
-            counts.append(int((kernels.group_norms(w1, 5, 2) > 0).sum()))
+        path = fit_path(data, [PenaltySpec("group", float(lam)) for lam in lams],
+                        seeded_model(data, Architecture(hidden_sizes=()), 0),
+                        OptimizerConfig())
+        counts = [int((kernels.group_norms(res.model.weight(0), 5, 2) > 0).sum())
+                  for res in path]
         # lams descend, so counts must be non-decreasing along the sweep
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 

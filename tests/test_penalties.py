@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from ngcausal import evaluation
+from ngcausal import evaluation, optim
 from ngcausal.datasets import SeededRng, VarGenConfig, standardize
 from ngcausal.evaluation import sweep_path
 from ngcausal.io import ConfigError, config_from_dict
@@ -316,8 +316,8 @@ class TestPenaltyPath:
     def test_sweep_rejects_before_any_fit(self, monkeypatch, jobs, kind, grid, message):
         calls = {"fit": 0, "build_lagged": 0}
 
-        def counted(name):
-            real = getattr(evaluation, name)
+        def counted(owner, name):
+            real = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
@@ -327,8 +327,9 @@ class TestPenaltyPath:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool started")
 
-        for name in calls:
-            monkeypatch.setattr(evaluation, name, counted(name))
+        # optim.fit is the binding fit_path calls and the benchmark counts
+        for owner, name in ((optim, "fit"), (evaluation, "build_lagged")):
+            monkeypatch.setattr(owner, name, counted(owner, name))
         monkeypatch.setattr(evaluation.concurrent.futures, "ProcessPoolExecutor", no_pool)
         ts = standardize(VarGenConfig(p=4, K=1, burn_in=50).generate(80, 0)[0])[0]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
