@@ -13,14 +13,37 @@ so the column group of series ``j`` is ``w1[:, j::p]``, and ``w1`` viewed as
 The MLP kernels store activations unit-major: every layer's output is a
 ``(width, N)`` array, one row per unit and one column per data row.  They
 read a design ``X`` of shape ``(N, p*K + 1)``: the stacked lags and a last
-column of ones, so the first layer is one GEMM of ``[W1 | b1]`` with ``X.T``
-and its bias gradient is the last column of its weight gradient; deeper
+column of ones, so the first layer is one product of ``[W1 | b1]`` with
+``X.T`` and its bias gradient is the last column of its weight gradient; deeper
 layers add their bias along rows.  ``X.T`` is C-contiguous when ``X`` is in
 Fortran order, as :func:`ngcausal.model.build_lagged` builds it.  Any memory
 order gives the same values up to rounding.  Before the one-unit output
 layer the backward pass keeps that layer's weight row aside and scales the
 rows of the next weight gradient by it, instead of scaling every row of
 the ``(width, N)`` delta.
+
+Every product over the data rows runs in row blocks.  The OpenBLAS that
+numpy bundles runs a product of at most 1e6 multiply-adds on one thread, on
+its small-matrix kernel where the CPU has one, and a larger product on its
+general kernel, threaded, whose bits then follow the thread count.  On an
+AVX-512 Xeon (SkylakeX kernels, one thread, 10 hidden units, N = 3,997)
+the first-layer forward product took 51 us at 25 design columns (999,250
+multiply-adds) and 77 us at 26, and the gradient product 77 us and 158 us.
+So a product whose other two sides are m and k takes ``1e6 // (m*k)`` rows
+per block, rounded down to a multiple of 64.  It runs as one product when
+all N rows fit in one block, or when fewer than 832 rows would: a gradient
+product leaves the small path anyway once its (m, k) result has more than
+1,200 entries (10 x 120 fast, 10 x 121 slow), which is where
+``1e6 // (m*k)`` falls below 832, and blocks there measured no faster than
+one product.  A map over rows (:func:`layer_activations`, the backward
+``W.T @ delta``) writes each block into its slice of one output.  Each entry
+sums the same terms, and with block edges at multiples of 64 rows it has
+the bits one product gives (measured: edges at multiples of 8 rows keep
+them, other edges may not).  A reduction over rows (:func:`sum_rows`, the
+weight gradients) adds the blocks' products in block order, which changes
+only the rounding.  Where one block covers all rows, the plain product
+runs, so a fit on N = 997 rows and p*K + 1 = 31 columns has the bits it
+had before blocking.
 
 The norm and prox kernels work on all series at once from one ``(K, p)``
 table of block sums of squares: ``[k, j]`` adds the squares of series
@@ -38,6 +61,46 @@ penalty of its result, computed from the result's table by the formulas
 import numpy as np
 
 _TINY = float(np.nextafter(0.0, 1.0))  # the least positive float
+_BLOCK_MULADDS = 1_000_000  # most multiply-adds in one blocked product
+_BLOCK_ALIGN = 64           # rows per block are a multiple of this
+_MIN_BLOCK_ROWS = 832       # fewer rows per block do not pay: one product
+
+
+def _block_rows(m, k, N):
+    """Data rows per block of a product over N data rows whose other two
+    sides are m and k; N means one product."""
+    if N * m * k <= _BLOCK_MULADDS:
+        return N
+    rows = _BLOCK_MULADDS // (m * k) // _BLOCK_ALIGN * _BLOCK_ALIGN
+    return rows if rows >= _MIN_BLOCK_ROWS else N
+
+
+def _map_rows(A, B):
+    """A @ B for the (k, N) B whose columns are data rows, one block of
+    columns at a time, each written into its slice of one (m, N) output."""
+    m, k = A.shape
+    N = B.shape[1]
+    rows = _block_rows(m, k, N)
+    if rows == N:
+        return A @ B
+    out = np.empty((m, N))
+    for s in range(0, N, rows):
+        np.matmul(A, B[:, s:s + rows], out=out[:, s:s + rows])
+    return out
+
+
+def sum_rows(A, B):
+    """A @ B for the (m, N) A and (N, k) B, summed over the N data rows one
+    block at a time: the blocks' products are added in block order."""
+    m, N = A.shape
+    k = B.shape[1]
+    rows = _block_rows(m, k, N)
+    if rows == N:
+        return A @ B
+    out = A[:, :rows] @ B[:rows]
+    for s in range(rows, N, rows):
+        out += A[:, s:s + rows] @ B[s:s + rows]
+    return out
 
 
 def layer(theta, dims, w_off, b_off, l):
@@ -60,9 +123,9 @@ def layer_activations(theta, dims, w_off, b_off, act, X):
     for l in range(L):
         W, b = layer(theta, dims, w_off, b_off, l)
         if l == 0:
-            z = np.concatenate((W, b[:, None]), axis=1) @ acts[0]
+            z = _map_rows(np.concatenate((W, b[:, None]), axis=1), acts[0])
         else:
-            z = W @ acts[l]
+            z = _map_rows(W, acts[l])
             z += b[:, None]
         if l < L - 1:
             if act == "tanh":
@@ -103,7 +166,7 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts):
         dout, din = W.shape
         # (a_in @ delta.T) is gW.T, faster at large N than delta @ a_in.T
         # when X is in Fortran order
-        G = acts[l] @ delta.T
+        G = sum_rows(acts[l], delta.T)
         if scale is not None:
             G *= scale
         grad[w_off[l]:w_off[l] + W.size].reshape(dout, din)[...] = G[:din].T
@@ -120,7 +183,7 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts):
             scale = W[0] if scale is None else W[0] * scale[0]
             back = delta
         else:
-            back = (W if scale is None else W * scale[:, None]).T @ delta
+            back = _map_rows((W if scale is None else W * scale[:, None]).T, delta)
             scale = None
         h = acts[l]
         if act == "tanh":

@@ -3,7 +3,11 @@
 Exit codes: 0 success, 2 config error, 3 data error, 4 optimization
 failure, 5 I/O failure; ``main`` maps each error class the library raises
 to its code and judges no data itself.  Outputs are deterministic byte
-streams given config, seed and BLAS thread count, independent of --jobs.
+streams given config and seed, independent of --jobs and, with the OpenBLAS
+that numpy bundles, of the BLAS thread count while every product over the
+data rows runs in blocks (a test runs a T=4000 sweep at p=10 with
+OPENBLAS_NUM_THREADS unset, 1 and 2; see the README for the models it does
+not cover; other BLAS libraries are untested).
 """
 
 import argparse

@@ -92,14 +92,15 @@ def lambda_max_linear(ts, K):
     """
     ts = np.asarray(ts, dtype=np.float64)
     # A C-ordered copy keeps the grid bit-equal to the one computed before
-    # build_lagged returned Fortran order: X.T @ R rounds differently for the
-    # two memory orders.  It costs one copy of the design.
+    # build_lagged returned Fortran order, wherever X.T @ R runs as one
+    # product: it rounds differently for the two memory orders.  It costs
+    # one copy of the design.
     X = np.ascontiguousarray(build_lagged(ts, K)[0].inputs)
     p = ts.shape[1]
     Y = ts[K:]
     R = Y - Y.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # raised on below
-        G = X.T @ R                      # (p*K, p)
+        G = kernels.sum_rows(X.T, R)     # (p*K, p)
         norms = np.sqrt((G.reshape(K, p, p) ** 2).sum(axis=0))  # (input j, output i)
     lam_max = 2.0 * float(norms.max()) * (1.0 + 1e-9)
     if not np.isfinite(lam_max):
@@ -183,7 +184,11 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     built once, before any fit.  Series' paths are independent and run on a
     pool of min(jobs, p) processes when that is more than one; each worker
     receives the datasets once, and each task is a series index.  Results
-    depend on (ts, configs, seed) and the BLAS thread count, not on jobs.
+    depend on (ts, configs, seed), not on jobs, nor, with the OpenBLAS that
+    numpy bundles, on the BLAS thread count while the kernels run every
+    product over the data rows in blocks, each on one BLAS thread (tested
+    at T=4000, p=10; a product whose other two sides multiply to more than
+    1,200 runs whole; other BLAS libraries are untested).
     Graph entry (i, j) is the norm of lag-profile row (i, j): zero exactly
     when every first-layer weight series j feeds into model i is zero.
     ``models`` holds each series' model at the last lambda, so a one-lambda

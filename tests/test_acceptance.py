@@ -11,19 +11,24 @@ step rule that preceded the Barzilai-Borwein start).  No fit may stop at
 max_iters, and each VAR penalty's five sweeps must take at most 9,000
 iterations in all.  On VAR(1) data under the same K=3 model, the
 hierarchical penalty must also find the true lag order of the edges it
-recovers more often than the group penalty does.  CHANGES.md records the
-measured values, and the README states the floors and the ceiling as set here.
+recovers more often than the group penalty does.  CLI ``sweep`` outputs
+must not depend on --jobs, nor, at T=4000, on the BLAS thread count.
+CHANGES.md records the measured values, and the README states the floors
+and the ceiling as set here.
 
 Run ``pytest tests/test_acceptance.py -v -s`` for one line per criterion.
 """
 
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import ngcausal
 from ngcausal.cli import main
 from ngcausal.datasets import LorenzGenConfig, VarGenConfig, standardize
 from ngcausal.evaluation import (auc, edge_rates, lambda_grid, lambda_max_linear,
@@ -194,3 +199,33 @@ def test_cli_sweep_bytes_independent_of_jobs(tmp_path):
     print(f"\nCLI sweep: {len(outs[1])} output files, byte-identical for --jobs 1 and 2")
     assert "graphs/graph_05.csv" in outs[1]
     assert outs[1] == outs[2]
+
+
+def test_cli_sweep_bytes_independent_of_blas_threads(tmp_path):
+    # at T=4000 an unblocked product over the data rows, such as the first
+    # layer's, is past OpenBLAS's small-matrix limit, where it runs threaded
+    # and its bits follow the thread count; unset means one thread per core
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "generator": {"kind": "var", "p": 10, "T": 4000, "seed": 1},
+        "model": {"K": 3, "hidden": [10]},
+        "penalty": {"kind": "hierarchical", "grid_size": 4},
+    }))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data), "--quiet"]) == 0
+    src = os.path.dirname(os.path.dirname(ngcausal.__file__))
+    outs = {}
+    for threads in (None, "1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = src
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"sweep_threads_{threads}"
+        subprocess.run([sys.executable, "-m", "ngcausal.cli", "sweep", "--config", str(cfg),
+                        "--data", str(data / "dataset.csv"), "--truth", str(data / "truth.csv"),
+                        "--out", str(out), "--jobs", "1", "--quiet"],
+                       env=env, check=True, timeout=300)
+        outs[threads] = _tree_bytes(out)
+    assert "graphs/graph_03.csv" in outs[None]
+    assert outs[None] == outs["1"] == outs["2"]

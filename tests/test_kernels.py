@@ -5,15 +5,21 @@ kernel returns must equal, to the bit, the one recomputed from the oracle
 norms of its result.  The prox kernels must also agree, to rtol=1e-13 and
 with the same zeros and NaNs, with the second reference that shrinks the
 weights suffix by suffix.
+
+The MLP kernels run their products over the data rows in row blocks: a
+blocked forward pass must equal one product to the bit, a blocked gradient
+must match finite differences and, to 1e-12 relative, the one-product
+gradient, and a product that fits one block must be the plain product.
 """
 
 import numpy as np
 import pytest
 
 from ngcausal import _kernels as kernels
-from oracles import (loop_prox_group, loop_prox_hier, oracle_group_norms,
-                     oracle_lag_norms, oracle_penalty, oracle_prox_group,
-                     oracle_prox_hier)
+from ngcausal.model import Architecture, ComponentMLP, build_lagged
+from oracles import (finite_diff_grad, loop_prox_group, loop_prox_hier,
+                     oracle_group_norms, oracle_lag_norms, oracle_penalty,
+                     oracle_prox_group, oracle_prox_hier)
 
 PROX_CASES = [(kernels.prox_group, oracle_prox_group, "group"),
               (kernels.prox_hier, oracle_prox_hier, "hierarchical")]
@@ -210,3 +216,103 @@ def test_prox_writes_through_a_view_of_theta():
     oracle_prox_hier(want, 2, 2, 0.8)
     kernels.prox_hier(w1, 2, 2, 0.8)
     assert_bit_equal(theta[:12].reshape(3, 4), want)
+
+
+# ------------------------------------------------------------ row blocks
+
+
+def mlp_case(hidden, activation="tanh", N=997, p=10, K=3, seed=0):
+    """A model of the given hidden widths with random weights, and its design
+    and targets: N rows of p series at K lags."""
+    gen = np.random.default_rng(seed)
+    model = ComponentMLP(p, K, Architecture(hidden_sizes=hidden, activation=activation))
+    model.theta[:] = gen.normal(scale=0.3, size=model.n_params)
+    data = build_lagged(gen.normal(size=(N + K, p)), K)[0]
+    return model, data
+
+
+def kernel_loss_grad(model, data, theta=None):
+    theta = model.theta if theta is None else theta
+    args = (theta, model.dims, model.w_off, model.b_off, model.arch.activation, data.design)
+    loss, acts = kernels.mlp_loss(*args, data.targets)
+    grad = np.empty(model.n_params)
+    assert kernels.mlp_loss_grad(*args, grad, acts) == loss
+    return loss, grad, acts
+
+
+def use_small_blocks(monkeypatch):
+    """A budget of 20,000 multiply-adds and a floor of 64 rows: over 997
+    rows, the first layer of width 10 on 31 design columns runs in 15 blocks
+    of 64 rows and one of 37, a (10, 8) layer in 5 blocks of 192 and one of 37."""
+    monkeypatch.setattr(kernels, "_BLOCK_MULADDS", 20_000)
+    monkeypatch.setattr(kernels, "_MIN_BLOCK_ROWS", 64)
+    assert kernels._block_rows(10, 31, 997) == 64
+    assert kernels._block_rows(10, 8, 997) == 192
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_blocked_forward_equals_one_product(monkeypatch, activation):
+    model, data = mlp_case((10, 8), activation)
+    args = (model.theta, model.dims, model.w_off, model.b_off, activation, data.design)
+    one = kernels.layer_activations(*args)
+    use_small_blocks(monkeypatch)
+    blocked = kernels.layer_activations(*args)
+    assert all(np.array_equal(a, b) for a, b in zip(blocked, one))
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_blocked_gradient_matches_one_product_and_differences(monkeypatch, activation):
+    # two hidden layers, so the backward W.T @ delta is blocked as well
+    model, data = mlp_case((10, 8), activation)
+    loss, grad, _ = kernel_loss_grad(model, data)
+    use_small_blocks(monkeypatch)
+    blocked_loss, blocked, _ = kernel_loss_grad(model, data)
+    assert blocked_loss == loss           # the forward pass keeps its bits
+    np.testing.assert_allclose(blocked, grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
+    if activation == "tanh":             # relu's kinks spoil differences
+        fd = finite_diff_grad(lambda th: kernel_loss_grad(model, data, th)[0], model.theta)
+        rel = np.abs(blocked - fd) / np.maximum(1.0, np.maximum(np.abs(blocked), np.abs(fd)))
+        assert rel.max() < 1e-5
+
+
+def test_one_block_is_the_plain_product():
+    # 997 rows of the 31-column design of p=10, K=3: every product of a
+    # width-10 model is within the budget, so each has its unblocked bits
+    model, data = mlp_case((10,))
+    gen = np.random.default_rng(1)
+    A, B = gen.normal(size=(10, 31)), data.design.T
+    assert kernels._block_rows(10, 31, 997) == 997
+    assert np.array_equal(kernels._map_rows(A, B), A @ B)
+    D = gen.normal(size=(10, 997))
+    assert np.array_equal(kernels.sum_rows(B, D.T), B @ D.T)
+    acts = kernel_loss_grad(model, data)[2]
+    W1, b1 = kernels.layer(model.theta, model.dims, model.w_off, model.b_off, 0)
+    assert np.array_equal(acts[1], np.tanh(np.column_stack((W1, b1)) @ B))
+
+
+@pytest.mark.parametrize("m,k,N", [(10, 31, 3997), (10, 31, 1_000_000), (10, 61, 3997),
+                                   (10, 120, 3997), (10, 121, 3997), (10, 151, 3997),
+                                   (1, 1, 10**7), (1_000, 1_001, 50), (2_000, 2_000, 5)])
+def test_block_rule(m, k, N):
+    # one product, or blocks of at least the floor and at most the budget,
+    # with edges at multiples of the alignment
+    rows = kernels._block_rows(m, k, N)
+    if N * m * k <= kernels._BLOCK_MULADDS:
+        assert rows == N
+    elif rows != N:
+        assert kernels._MIN_BLOCK_ROWS <= rows < N
+        assert rows % kernels._BLOCK_ALIGN == 0
+        assert rows * m * k <= kernels._BLOCK_MULADDS
+    # a gradient product with more than 1,200 entries runs whole
+    assert (rows == N) == (N * m * k <= kernels._BLOCK_MULADDS or m * k > 1_200)
+
+
+def test_product_wider_than_budget_runs_whole(monkeypatch):
+    # m*k above the budget: no block could hold a row, so the product runs
+    # whole, with a correct result
+    use_small_blocks(monkeypatch)
+    gen = np.random.default_rng(2)
+    A, B = gen.normal(size=(150, 140)), gen.normal(size=(140, 300))
+    assert kernels._block_rows(150, 140, 300) == 300
+    assert np.array_equal(kernels._map_rows(A, B), A @ B)
+    assert np.array_equal(kernels.sum_rows(B.T, A.T), B.T @ A.T)
