@@ -5,9 +5,10 @@ failure, 5 I/O failure; ``main`` maps each error class the library raises
 to its code and judges no data itself.  Outputs are deterministic byte
 streams given config and seed, independent of --jobs and, with the OpenBLAS
 that numpy bundles, of the BLAS thread count while every product over the
-data rows runs in blocks (a test runs a T=4000 sweep at p=10 with
-OPENBLAS_NUM_THREADS unset, 1 and 2; see the README for the models it does
-not cover; other BLAS libraries are untested).
+data rows runs in blocks: a test runs a T=4000 sweep at p=10 with
+OPENBLAS_NUM_THREADS unset, 1 and 2.  That is measured on OpenBLAS's
+SkylakeX kernels only; its Haswell kernels break it.  See the README for
+the models it does not cover; other BLAS libraries are untested.
 """
 
 import argparse
@@ -17,8 +18,8 @@ import sys
 import numpy as np
 
 from .datasets import SimulationError, standardize
-from .evaluation import (DegenerateTruthError, auc, edge_rates, lambda_grid,
-                         lambda_max_linear, roc_points, sweep_path)
+from .evaluation import (DegenerateTruthError, auc, edge_rates, judge_truth,
+                         lambda_grid, lambda_max_linear, roc_points, sweep_path)
 from .io import (ConfigError, DataError, load_config, read_dataset_csv,
                  read_matrix_csv, read_auc_csv, save_checkpoint, save_config,
                  write_auc_csv, write_dataset_csv, write_edges_csv,
@@ -135,9 +136,8 @@ def cmd_sweep(args):
     if truth.shape != (ts.shape[1], ts.shape[1]):
         raise DataError(f"truth graph {truth.shape} does not match dataset with "
                         f"p={ts.shape[1]}")
-    binary = np.isin(truth, (0.0, 1.0))
-    if not binary.all():
-        raise DataError(f"truth graph entries must be 0 or 1, got {truth[~binary][0]:g}")
+    include_diag = cfg.evaluation.include_diagonal
+    judge_truth(truth, include_diag)  # before any fit: a bad truth wastes no sweep
     T = ts.shape[0]
     ts = _fit_ready(ts, cfg)
     K = cfg.model.K
@@ -155,8 +155,6 @@ def cmd_sweep(args):
     _report_fits(args, sweep)
     _warn_capped(sweep.converged, sweep.lambdas, cfg.optimizer.max_iters)
 
-    # score before writing, so a degenerate truth graph leaves no output
-    include_diag = cfg.evaluation.include_diagonal
     rates = [edge_rates(truth, g, include_diag) for g in sweep.graphs]
     auc_val = auc(roc_points(truth, sweep.graphs, include_diag))
     try:

@@ -27,26 +27,33 @@ class DegenerateTruthError(DataError):
 # --------------------------------------------------------------- ROC and AUC
 
 
-def edge_rates(truth, graph, include_diagonal=True):
-    """(FPR, TPR) of the strict-positivity edge decision against binary truth."""
+def judge_truth(truth, include_diagonal=True):
+    """The mask of a truth graph's scored entries and those entries as
+    booleans.  Raises DataError unless every entry is 0 or 1, and
+    DegenerateTruthError unless the scored entries hold both edge classes."""
     truth = np.asarray(truth)
-    graph = np.asarray(graph)
-    if graph.shape != truth.shape:
-        raise ValueError(f"graph shape {graph.shape} does not match truth {truth.shape}")
-    mask = np.ones(truth.shape, dtype=bool)
-    if not include_diagonal:
-        np.fill_diagonal(mask, False)
+    binary = np.isin(truth, (0.0, 1.0))
+    if not binary.all():
+        raise DataError(f"truth graph entries must be 0 or 1, got {truth[~binary][0]:g}")
+    mask = np.ones(truth.shape, dtype=bool) if include_diagonal else ~np.eye(*truth.shape, dtype=bool)
     actual = truth[mask] > 0
-    pred = graph[mask] > 0
     n_pos = int(actual.sum())
-    n_neg = int((~actual).sum())
+    n_neg = actual.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateTruthError(
             f"truth needs at least one positive and one negative edge "
             f"(got {n_pos} positives, {n_neg} negatives)")
-    tpr = float((pred & actual).sum() / n_pos)
-    fpr = float((pred & ~actual).sum() / n_neg)
-    return fpr, tpr
+    return mask, actual
+
+
+def edge_rates(truth, graph, include_diagonal=True):
+    """(FPR, TPR) of the strict-positivity edge decision; see judge_truth."""
+    mask, actual = judge_truth(truth, include_diagonal)
+    graph = np.asarray(graph)
+    if graph.shape != mask.shape:
+        raise ValueError(f"graph shape {graph.shape} does not match truth {mask.shape}")
+    pred = graph[mask] > 0
+    return float(pred[~actual].mean()), float(pred[actual].mean())
 
 
 def roc_points(truth, estimates, include_diagonal=True):
@@ -91,17 +98,13 @@ def lambda_max_linear(ts, K):
     a few ulps above it, and that group keeps a tiny nonzero weight.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    # A C-ordered copy keeps the grid bit-equal to the one computed before
-    # build_lagged returned Fortran order, wherever X.T @ R runs as one
-    # product: it rounds differently for the two memory orders.  It costs
-    # one copy of the design.
-    X = np.ascontiguousarray(build_lagged(ts, K)[0].inputs)
+    X = build_lagged(ts, K)[0].inputs
     p = ts.shape[1]
     Y = ts[K:]
     R = Y - Y.mean(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):  # raised on below
-        G = kernels.sum_rows(X.T, R)     # (p*K, p)
-        norms = np.sqrt((G.reshape(K, p, p) ** 2).sum(axis=0))  # (input j, output i)
+        G = kernels.sum_rows(R.T, X)     # (p, K*p): [output i, lag k * p + input j]
+        norms = np.sqrt((G.reshape(p, K, p) ** 2).sum(axis=1))  # (output i, input j)
     lam_max = 2.0 * float(norms.max()) * (1.0 + 1e-9)
     if not np.isfinite(lam_max):
         raise DataError(f"penalty scale of the data is not finite ({lam_max}); "
@@ -184,11 +187,11 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     built once, before any fit.  Series' paths are independent and run on a
     pool of min(jobs, p) processes when that is more than one; each worker
     receives the datasets once, and each task is a series index.  Results
-    depend on (ts, configs, seed), not on jobs, nor, with the OpenBLAS that
-    numpy bundles, on the BLAS thread count while the kernels run every
-    product over the data rows in blocks, each on one BLAS thread (tested
-    at T=4000, p=10; a product whose other two sides multiply to more than
-    1,200 runs whole; other BLAS libraries are untested).
+    depend on (ts, configs, seed), not on jobs, nor, with numpy's bundled
+    OpenBLAS on its SkylakeX kernels, on the BLAS thread count while every
+    product over the data rows runs in blocks on one BLAS thread (tested at
+    T=4000, p=10; a product whose other two sides multiply to more than
+    1,200 runs whole; the Haswell kernels break it, other BLAS is untested).
     Graph entry (i, j) is the norm of lag-profile row (i, j): zero exactly
     when every first-layer weight series j feeds into model i is zero.
     ``models`` holds each series' model at the last lambda, so a one-lambda

@@ -17,22 +17,22 @@ step by, and the search restarts at initial_step.  This is the start GISTA
 (Gong et al., ICML 2013) uses, initial_step standing for its largest step,
 so a nonconvex fit leaving a saddle along negative curvature takes long
 steps there: the all-zero first layer a series' model has down a sweep
-until, at some lambda, its first group enters.  ``fit`` starts from a
-model, with its first line search at initial_step; ``fit_path`` chains fits
-down a lambda path, each warm from the one before: from its model, with its
-final step clamped to [MIN_STEP, initial_step].  Every rejected trial step
-counts as one backtrack; a line search that halves the step below MIN_STEP
-fails the fit.
+until, at some lambda, its first group enters.  Every fit starts from a
+``_Chain``: a model, its loss and activations on the data, and a step, which
+is unbounded for a bare model; ``fit_path`` hands one chain down a lambda
+path, each fit warm from the one before, its final step capped at
+initial_step.  Every rejected trial step counts as one backtrack; a line
+search that halves the step below MIN_STEP fails the fit.
 
 Nothing the loop already has is computed twice.  A fit reads its data's
 design (``LaggedDataset.design``: the stacked lags and a column of ones
 that carries the first layer's bias) once, at its start; the forward pass of
 each accepted candidate, with its residual, is the next gradient's forward
 pass; the prox returns the penalty of the candidate it builds, so
-penalty_value runs only at the start of a fit; and a warm fit takes its
-predecessor's last forward pass instead of running it again.  Scalars stay
-Python floats.  Each of these leaves every result bit for bit what the
-plain loop gives.
+penalty_value runs only at the start of a fit; and a path runs one forward
+pass before its first fit, each later fit taking its predecessor's last.
+Scalars stay Python floats.  Each of these leaves every result bit for bit
+what the plain loop gives.
 
 The default rel_tol (1e-4) stops fits deliberately early.  Because only the
 first layer is penalized, prolonged optimization lets the network drain
@@ -57,7 +57,7 @@ from .model import ComponentMLP, _count, _real, loss_and_grad
 from .penalties import apply_prox, penalty_value
 
 BACKTRACK_FACTOR = 0.5
-MIN_STEP = 1e-12  # floor of every step: BB, backtracking and warm start
+MIN_STEP = 1e-12  # floor of every step: BB and backtracking
 
 
 class OptimizationError(RuntimeError):
@@ -91,11 +91,22 @@ class FitResult:
 
 
 class _Chain:
-    """What each fit of a path hands the next: the model it ended on, its final
-    step (None before the first fit), and that model's loss and activations."""
+    """The state every fit starts from and each fit of a path hands the next:
+    a model (a ComponentMLP with the data's p and K), its loss and
+    activations on the data, and the step to start at (unbounded at first)."""
 
-    def __init__(self, model):
-        self.model, self.step, self.loss, self.acts = model, None, None, None
+    @np.errstate(over="ignore", invalid="ignore")  # fit raises on a non-finite objective
+    def __init__(self, model, data):
+        if not isinstance(model, ComponentMLP):
+            raise TypeError(f"start must be a ComponentMLP, got {type(model).__name__}")
+        if model.p != data.p or model.K != data.K:
+            raise ValueError(
+                f"model expects p={model.p}, K={model.K} but data has "
+                f"p={data.p}, K={data.K}")
+        loss, self.acts = kernels.mlp_loss(model.theta, model.dims, model.w_off,
+                                           model.b_off, model.arch.activation,
+                                           data.design, data.targets)
+        self.model, self.loss, self.step = model, float(loss), math.inf
 
 
 @np.errstate(over="ignore", invalid="ignore")  # every non-finite value raises below
@@ -108,24 +119,10 @@ def fit(data, spec, start, opt):
     opt.max_iters iterations; the converged flag records which.
     """
     X = data.design
-    chain = start if isinstance(start, _Chain) else _Chain(start)
-    model = chain.model
-    if chain.step is None:
-        if not isinstance(model, ComponentMLP):
-            raise TypeError(f"start must be a ComponentMLP, got {type(model).__name__}")
-        if model.p != data.p or model.K != data.K:
-            raise ValueError(
-                f"model expects p={model.p}, K={model.K} but data has "
-                f"p={data.p}, K={data.K}")
-        step = opt.initial_step
-        loss_val, acts = kernels.mlp_loss(model.theta, model.dims, model.w_off,
-                                          model.b_off, model.arch.activation,
-                                          X, data.targets)
-        loss_val = float(loss_val)
-    else:
-        step = min(max(chain.step, MIN_STEP), opt.initial_step)
-        loss_val, acts = chain.loss, chain.acts
-    model = model.copy()
+    chain = start if isinstance(start, _Chain) else _Chain(start, data)
+    step = min(chain.step, opt.initial_step)
+    loss_val, acts = chain.loss, chain.acts
+    model = chain.model.copy()
     obj = loss_val + penalty_value(spec, model)
     if not math.isfinite(obj):
         raise OptimizationError("non-finite objective at initialization")
@@ -188,7 +185,7 @@ def fit_path(data, specs, model, opt):
     """One FitResult per PenaltySpec of the descending path ``specs``: the
     first fit from ``model``, each later one warm from the fit before it.
     A failing fit raises OptimizationError naming its lambda."""
-    chain = _Chain(model)
+    chain = _Chain(model, data)
     results = []
     for spec in specs:
         try:

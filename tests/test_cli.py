@@ -9,7 +9,7 @@ from ngcausal import _kernels as kernels
 from ngcausal import cli
 from ngcausal.cli import main
 from ngcausal.io import (load_checkpoint, read_auc_csv, read_dataset_csv,
-                         read_matrix_csv, write_dataset_csv)
+                         read_matrix_csv, write_dataset_csv, write_matrix_csv)
 
 
 def write_config(path, **overrides):
@@ -667,6 +667,42 @@ class TestExitCodes:
                    "--truth", dense, "--out", tmp_path / "x", "--jobs", 1,
                    "--quiet") == 3
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("truth,include_diagonal,counts", [
+        (np.ones((4, 4)), True, "16 positives, 0 negatives"),
+        (np.zeros((4, 4)), True, "0 positives, 16 negatives"),
+        (np.eye(4), False, "0 positives, 12 negatives")],
+        ids=["all-ones", "all-zeros", "diagonal-excluded"])
+    def test_degenerate_truth_is_3_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                                  truth, include_diagonal, counts):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr("ngcausal.evaluation.fit_path", unreachable)
+        cfg = write_config(tmp_path / "c.yaml",
+                           evaluation={"include_diagonal": include_diagonal})
+        run("simulate", "--config", cfg, "--out", tmp_path / "d", "--quiet")
+        path = tmp_path / "t.csv"
+        write_matrix_csv(path, truth, ints=True)
+        capsys.readouterr()
+        assert run("sweep", "--config", cfg, "--data", tmp_path / "d" / "dataset.csv",
+                   "--truth", path, "--out", tmp_path / "x", "--jobs", 1, "--quiet") == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: truth needs at least one positive and one negative edge "
+            f"(got {counts})"]
+        assert not (tmp_path / "x").exists()
+
+    def test_truth_degenerate_off_the_diagonal_only_is_swept(self, tmp_path):
+        # scored with the diagonal, the sweep runs; only auc_excl_diag is NaN
+        cfg = write_config(tmp_path / "c.yaml")
+        run("simulate", "--config", cfg, "--out", tmp_path / "d", "--quiet")
+        path = tmp_path / "t.csv"
+        write_matrix_csv(path, np.eye(4), ints=True)
+        out = tmp_path / "x"
+        assert run("sweep", "--config", cfg, "--data", tmp_path / "d" / "dataset.csv",
+                   "--truth", path, "--out", out, "--jobs", 1, "--quiet") == 0
+        row, = read_auc_csv(out / "auc.csv")
+        assert 0.0 <= row["auc"] <= 1.0 and np.isnan(row["auc_excl_diag"])
 
     @pytest.mark.parametrize("command", ["fit", "sweep"])
     @pytest.mark.parametrize("jobs", ["0", "-3", "two"])

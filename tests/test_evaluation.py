@@ -13,7 +13,8 @@ from ngcausal.datasets import VarGenConfig, standardize
 from ngcausal.evaluation import (DegenerateTruthError, auc, edge_rates,
                                  lambda_grid, lambda_max_linear, roc_points,
                                  sweep_path)
-from ngcausal.model import Architecture, ComponentMLP, build_lagged, init_model
+from ngcausal.model import (Architecture, ComponentMLP, DataError, build_lagged,
+                            init_model)
 from ngcausal.datasets import SeededRng, child_seed
 from ngcausal.optim import OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec
@@ -114,6 +115,20 @@ class TestRocPoints:
             roc_points(np.ones((2, 2)), [np.ones((2, 2))])
         with pytest.raises(DegenerateTruthError):
             roc_points(np.zeros((2, 2)), [np.ones((2, 2))])
+
+    @pytest.mark.parametrize("entry,shown", [(np.nan, "nan"), (7.0, "7")])
+    def test_non_binary_truth_rejected(self, entry, shown):
+        # a NaN edge would be scored as a negative and a 7 as a positive
+        truth = np.array([[1.0, entry], [0.0, 0.0]])
+        message = f"^truth graph entries must be 0 or 1, got {shown}$"
+        with pytest.raises(DataError, match=message):
+            edge_rates(truth, np.ones((2, 2)))
+        with pytest.raises(DataError, match=message):
+            roc_points(truth, [np.ones((2, 2))])
+
+    def test_graph_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"^graph shape \(3, 3\) does not match truth \(2, 2\)$"):
+            edge_rates(np.eye(2), np.ones((3, 3)))
 
     def test_diagonal_excluded_mode(self):
         truth = np.eye(3)

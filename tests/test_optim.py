@@ -316,7 +316,7 @@ class TestWarmStart:
         assert again.converged
 
     @pytest.mark.parametrize("previous_step, first_step",
-                             [(1e-5, 1e-5), (1.0, 1e-4), (1e-20, 1e-12), (None, 1e-4)])
+                             [(1e-5, 1e-5), (1.0, 1e-4), (None, 1e-4)])
     def test_first_step_is_previous_final_step_capped(self, monkeypatch,
                                                       previous_step, first_step):
         # steps small enough that the first iteration does not backtrack, so
