@@ -22,28 +22,34 @@ layer the backward pass keeps that layer's weight row aside and scales the
 rows of the next weight gradient by it, instead of scaling every row of
 the ``(width, N)`` delta.
 
-Every product over the data rows runs in row blocks.  The OpenBLAS that
-numpy bundles runs a product of at most 1e6 multiply-adds on one thread, on
-its small-matrix kernel where the CPU has one, and a larger product on its
-general kernel, threaded, whose bits then follow the thread count.  On an
-AVX-512 Xeon (SkylakeX kernels, one thread, 10 hidden units, N = 3,997)
-the first-layer forward product took 51 us at 25 design columns (999,250
+Every product over the data rows runs in row blocks of at most 1e6
+multiply-adds.  The OpenBLAS that numpy bundles sends a product that size to
+its small-matrix kernel where it has one for the CPU (its SkylakeX kernels
+do, its Haswell kernels do not), and that kernel runs on one thread.  Any
+other product runs on its general kernel, threaded once past OpenBLAS's own
+threshold, and its bits may then follow the thread count.  On an AVX-512
+Xeon (SkylakeX kernels, one thread, 10 hidden units, N = 3,997) the
+first-layer forward product took 51 us at 25 design columns (999,250
 multiply-adds) and 77 us at 26, and the gradient product 77 us and 158 us.
 So a product whose other two sides are m and k takes ``1e6 // (m*k)`` rows
 per block, rounded down to a multiple of 64.  It runs as one product when
-all N rows fit in one block, or when fewer than 832 rows would: a gradient
-product leaves the small path anyway once its (m, k) result has more than
-1,200 entries (10 x 120 fast, 10 x 121 slow), which is where
-``1e6 // (m*k)`` falls below 832, and blocks there measured no faster than
-one product.  A map over rows (:func:`layer_activations`, the backward
-``W.T @ delta``) writes each block into its slice of one output.  Each entry
-sums the same terms, and with block edges at multiples of 64 rows it has
-the bits one product gives (measured: edges at multiples of 8 rows keep
-them, other edges may not).  A reduction over rows (:func:`sum_rows`, the
-weight gradients) adds the blocks' products in block order, which changes
-only the rounding.  Where one block covers all rows, the plain product
-runs, so a fit on N = 997 rows and p*K + 1 = 31 columns has the bits it
-had before blocking.
+all N rows fit the budget, or when no block of 64 rows does: m*k above
+15,625, which a width-10 first layer at K = 3 reaches past p = 520 and the
+grid anchor's (p, p*K) table past p = 72.  The small-matrix kernel also
+refuses a weight-gradient product whose (m, k) result has more than 1,200
+entries (10 x 120 fast, 10 x 121 slow): at width 10 and K = 3, the first
+layer's past p = 39.  Its blocks then run on the general kernel, threaded,
+and their bits may follow the thread count (measured at T = 1,000 to 4,000:
+equal at p = 50, different at p = 60).  The README states what this means
+for the CLI's bytes and time.  A map over rows (:func:`layer_activations`,
+the backward ``W.T @ delta``) writes each block into its slice of one
+output.  Each entry sums the same terms, and with block edges at multiples
+of 64 rows it has the bits one product gives (measured: edges at multiples
+of 8 rows keep them, other edges may not).  A reduction over rows
+(:func:`sum_rows`, the weight gradients) adds the blocks' products in block
+order, which changes only the rounding.  Where one block covers all rows,
+the plain product runs, so a fit on N = 997 rows and p*K + 1 = 31 columns
+has the bits it had before blocking.
 
 The norm and prox kernels work on all series at once from one ``(K, p)``
 table of block sums of squares: ``[k, j]`` adds the squares of series
@@ -63,7 +69,6 @@ import numpy as np
 _TINY = float(np.nextafter(0.0, 1.0))  # the least positive float
 _BLOCK_MULADDS = 1_000_000  # most multiply-adds in one blocked product
 _BLOCK_ALIGN = 64           # rows per block are a multiple of this
-_MIN_BLOCK_ROWS = 832       # fewer rows per block do not pay: one product
 
 
 def _block_rows(m, k, N):
@@ -71,8 +76,7 @@ def _block_rows(m, k, N):
     sides are m and k; N means one product."""
     if N * m * k <= _BLOCK_MULADDS:
         return N
-    rows = _BLOCK_MULADDS // (m * k) // _BLOCK_ALIGN * _BLOCK_ALIGN
-    return rows if rows >= _MIN_BLOCK_ROWS else N
+    return _BLOCK_MULADDS // (m * k) // _BLOCK_ALIGN * _BLOCK_ALIGN or N
 
 
 def _map_rows(A, B):

@@ -3,12 +3,8 @@
 Exit codes: 0 success, 2 config error, 3 data error, 4 optimization
 failure, 5 I/O failure; ``main`` maps each error class the library raises
 to its code and judges no data itself.  Outputs are deterministic byte
-streams given config and seed, independent of --jobs and, with the OpenBLAS
-that numpy bundles, of the BLAS thread count while every product over the
-data rows runs in blocks: a test runs a T=4000 sweep at p=10 with
-OPENBLAS_NUM_THREADS unset, 1 and 2.  That is measured on OpenBLAS's
-SkylakeX kernels only; its Haswell kernels break it.  See the README for
-the models it does not cover; other BLAS libraries are untested.
+streams given config and seed, independent of --jobs; the README's Outputs
+paragraph states when they are independent of the BLAS thread count too.
 """
 
 import argparse
@@ -156,7 +152,7 @@ def cmd_sweep(args):
     _warn_capped(sweep.converged, sweep.lambdas, cfg.optimizer.max_iters)
 
     rates = [edge_rates(truth, g, include_diag) for g in sweep.graphs]
-    auc_val = auc(roc_points(truth, sweep.graphs, include_diag))
+    auc_val = auc([(0.0, 0.0), (1.0, 1.0), *rates])
     try:
         auc_nd = auc(roc_points(truth, sweep.graphs, include_diagonal=False))
     except DegenerateTruthError:

@@ -187,11 +187,8 @@ def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     built once, before any fit.  Series' paths are independent and run on a
     pool of min(jobs, p) processes when that is more than one; each worker
     receives the datasets once, and each task is a series index.  Results
-    depend on (ts, configs, seed), not on jobs, nor, with numpy's bundled
-    OpenBLAS on its SkylakeX kernels, on the BLAS thread count while every
-    product over the data rows runs in blocks on one BLAS thread (tested at
-    T=4000, p=10; a product whose other two sides multiply to more than
-    1,200 runs whole; the Haswell kernels break it, other BLAS is untested).
+    depend on (ts, configs, seed), not on jobs; the README's Outputs
+    paragraph states when they do not depend on the BLAS thread count.
     Graph entry (i, j) is the norm of lag-profile row (i, j): zero exactly
     when every first-layer weight series j feeds into model i is zero.
     ``models`` holds each series' model at the last lambda, so a one-lambda

@@ -12,7 +12,8 @@ max_iters, and each VAR penalty's five sweeps must take at most 9,000
 iterations in all.  On VAR(1) data under the same K=3 model, the
 hierarchical penalty must also find the true lag order of the edges it
 recovers more often than the group penalty does.  CLI ``sweep`` outputs
-must not depend on --jobs, nor, at T=4000, on the BLAS thread count.
+must not depend on --jobs, nor, at T=4000, on the BLAS thread count, and
+neither may the grid anchor at p=30.
 CHANGES.md records the measured values, and the README states the floors
 and the ceiling as set here.
 
@@ -229,3 +230,25 @@ def test_cli_sweep_bytes_independent_of_blas_threads(tmp_path):
         outs[threads] = _tree_bytes(out)
     assert "graphs/graph_03.csv" in outs[None]
     assert outs[None] == outs["1"] == outs["2"]
+
+
+def test_grid_anchor_bits_independent_of_blas_threads():
+    # at p=30, T=4000 the anchor's (p, p*K) correlation table sums 3,997
+    # rows of 2,700 multiply-adds: as one product its bits followed the
+    # thread count on OpenBLAS's SkylakeX and Haswell kernels alike
+    code = ("import numpy as np\n"
+            "from ngcausal.datasets import standardize\n"
+            "from ngcausal.evaluation import lambda_max_linear\n"
+            "ts = standardize(np.random.default_rng(0).normal(size=(4000, 30)))[0]\n"
+            "print(float.hex(lambda_max_linear(ts, 3)))\n")
+    src = os.path.dirname(os.path.dirname(ngcausal.__file__))
+    anchors = {}
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = src
+        env["OPENBLAS_NUM_THREADS"] = threads
+        anchors[threads] = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                          capture_output=True, text=True, timeout=300).stdout
+    assert anchors["1"].startswith("0x1.")
+    assert anchors["1"] == anchors["2"]

@@ -241,11 +241,10 @@ def kernel_loss_grad(model, data, theta=None):
 
 
 def use_small_blocks(monkeypatch):
-    """A budget of 20,000 multiply-adds and a floor of 64 rows: over 997
-    rows, the first layer of width 10 on 31 design columns runs in 15 blocks
-    of 64 rows and one of 37, a (10, 8) layer in 5 blocks of 192 and one of 37."""
+    """A budget of 20,000 multiply-adds: over 997 rows, the first layer of
+    width 10 on 31 design columns runs in 15 blocks of 64 rows and one of 37,
+    a (10, 8) layer in 5 blocks of 192 and one of 37."""
     monkeypatch.setattr(kernels, "_BLOCK_MULADDS", 20_000)
-    monkeypatch.setattr(kernels, "_MIN_BLOCK_ROWS", 64)
     assert kernels._block_rows(10, 31, 997) == 64
     assert kernels._block_rows(10, 8, 997) == 192
 
@@ -292,19 +291,18 @@ def test_one_block_is_the_plain_product():
 
 @pytest.mark.parametrize("m,k,N", [(10, 31, 3997), (10, 31, 1_000_000), (10, 61, 3997),
                                    (10, 120, 3997), (10, 121, 3997), (10, 151, 3997),
+                                   (125, 125, 3997), (125, 126, 3997),
                                    (1, 1, 10**7), (1_000, 1_001, 50), (2_000, 2_000, 5)])
 def test_block_rule(m, k, N):
-    # one product, or blocks of at least the floor and at most the budget,
-    # with edges at multiples of the alignment
+    # one product when all rows fit the budget or no aligned block does;
+    # otherwise blocks within the budget, with edges at multiples of the alignment
+    budget, align = kernels._BLOCK_MULADDS, kernels._BLOCK_ALIGN
     rows = kernels._block_rows(m, k, N)
-    if N * m * k <= kernels._BLOCK_MULADDS:
-        assert rows == N
-    elif rows != N:
-        assert kernels._MIN_BLOCK_ROWS <= rows < N
-        assert rows % kernels._BLOCK_ALIGN == 0
-        assert rows * m * k <= kernels._BLOCK_MULADDS
-    # a gradient product with more than 1,200 entries runs whole
-    assert (rows == N) == (N * m * k <= kernels._BLOCK_MULADDS or m * k > 1_200)
+    assert (rows == N) == (N * m * k <= budget or align * m * k > budget)
+    if rows != N:
+        assert align <= rows < N
+        assert rows % align == 0
+        assert rows * m * k <= budget
 
 
 def test_product_wider_than_budget_runs_whole(monkeypatch):
