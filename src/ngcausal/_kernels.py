@@ -22,34 +22,48 @@ layer the backward pass keeps that layer's weight row aside and scales the
 rows of the next weight gradient by it, instead of scaling every row of
 the ``(width, N)`` delta.
 
+The MLP kernels run in the dtype of the design they are given; there is
+one code path.  On a float32 design (a model with hidden layers reads one,
+see :class:`ngcausal.model.LaggedDataset`) the weights are rounded to
+float32 where they meet it, so the first-layer product, the hidden
+activations, the backward pass through the hidden layers and every
+weight-gradient product run in float32.  The output layer's product is
+cast to float64 before its bias is added; the residual, the loss, the
+output bias gradient and ``grad`` are float64 whatever the design's dtype.
+A linear model reads the float64 design and runs wholly in float64.
+
 Every product over the data rows runs in row blocks of at most 1e6
-multiply-adds.  The OpenBLAS that numpy bundles sends a product that size to
-its small-matrix kernel where it has one for the CPU (its SkylakeX kernels
-do, its Haswell kernels do not), and that kernel runs on one thread.  Any
-other product runs on its general kernel, threaded once past OpenBLAS's own
-threshold, and its bits may then follow the thread count.  On an AVX-512
-Xeon (SkylakeX kernels, one thread, 10 hidden units, N = 3,997) the
-first-layer forward product took 51 us at 25 design columns (999,250
-multiply-adds) and 77 us at 26, and the gradient product 77 us and 158 us.
-So a product whose other two sides are m and k takes ``1e6 // (m*k)`` rows
-per block, rounded down to a multiple of 64.  It runs as one product when
-all N rows fit the budget, or when no block of 64 rows does: m*k above
-15,625, which a width-10 first layer at K = 3 reaches past p = 520 and the
-grid anchor's (p, p*K) table past p = 72.  The small-matrix kernel also
-refuses a weight-gradient product whose (m, k) result has more than 1,200
-entries (10 x 120 fast, 10 x 121 slow): at width 10 and K = 3, the first
-layer's past p = 39.  Its blocks then run on the general kernel, threaded,
-and their bits may follow the thread count (measured at T = 1,000 to 4,000:
-equal at p = 50, different at p = 60).  The README states what this means
-for the CLI's bytes and time.  A map over rows (:func:`layer_activations`,
-the backward ``W.T @ delta``) writes each block into its slice of one
-output.  Each entry sums the same terms, and with block edges at multiples
-of 64 rows it has the bits one product gives (measured: edges at multiples
-of 8 rows keep them, other edges may not).  A reduction over rows
-(:func:`sum_rows`, the weight gradients) adds the blocks' products in block
-order, which changes only the rounding.  Where one block covers all rows,
-the plain product runs, so a fit on N = 997 rows and p*K + 1 = 31 columns
-has the bits it had before blocking.
+multiply-adds, in the operands' dtype.  The OpenBLAS that numpy bundles
+sends a product that size to its small-matrix kernel where it has one for
+the CPU (its SkylakeX kernels do, its Haswell kernels do not), and that
+kernel runs on one thread.  Any other product runs on its general kernel,
+threaded once past OpenBLAS's own threshold, and its bits may then follow
+the thread count.  On an AVX-512 Xeon (SkylakeX kernels, one thread, 10
+hidden units, N = 3,997) the first-layer forward product took 51 us at 25
+design columns (999,250 multiply-adds) and 77 us at 26, and the gradient
+product 77 us and 158 us (float64).  The budget suits float32 as well: at
+31 columns its forward product took 33 us in blocks of 3,200 rows against
+61 us whole, and its gradient product 46 us against 111 us.  So a product
+whose other two sides are m and k takes ``1e6 // (m*k)`` rows per block,
+rounded down to a multiple of 64.  It runs as one product when all N rows
+fit the budget, or when no block of 64 rows does: m*k above 15,625, which a
+width-10 first layer at K = 3 reaches past p = 520 and the grid anchor's
+(p, p*K) table past p = 72.  The small-matrix kernel also refuses a
+weight-gradient product whose (m, k) result has more than 1,200 entries
+(10 x 120 fast, 10 x 121 slow): at width 10 and K = 3, the first layer's
+past p = 39, in float32 as in float64 (at 121 columns float32 blocks took
+323 us against 294 us whole).  Its blocks then run on the general kernel,
+threaded, and their bits may follow the thread count (measured at T = 1,000
+to 4,000: equal at p = 50, different at p = 60).  The README states what
+this means for the CLI's bytes and time.  A map over rows
+(:func:`layer_activations`, the backward ``W.T @ delta``) writes each block
+into its slice of one output.  Each entry sums the same terms, and with
+block edges at multiples of 64 rows it has the bits one product gives
+(measured: edges at multiples of 8 rows keep them, other edges may not).  A
+reduction over rows (:func:`sum_rows`, the weight gradients) adds the
+blocks' products in block order, which changes only the rounding.  Where
+one block covers all rows, the plain product runs, so a fit on N = 997 rows
+and p*K + 1 = 31 columns has the bits it had before blocking.
 
 The norm and prox kernels work on all series at once from one ``(K, p)``
 table of block sums of squares: ``[k, j]`` adds the squares of series
@@ -81,13 +95,14 @@ def _block_rows(m, k, N):
 
 def _map_rows(A, B):
     """A @ B for the (k, N) B whose columns are data rows, one block of
-    columns at a time, each written into its slice of one (m, N) output."""
+    columns at a time, each written into its slice of one (m, N) output of
+    the operands' result dtype."""
     m, k = A.shape
     N = B.shape[1]
     rows = _block_rows(m, k, N)
     if rows == N:
         return A @ B
-    out = np.empty((m, N))
+    out = np.empty((m, N), dtype=np.result_type(A, B))
     for s in range(0, N, rows):
         np.matmul(A, B[:, s:s + rows], out=out[:, s:s + rows])
     return out
@@ -127,9 +142,12 @@ def layer_activations(theta, dims, w_off, b_off, act, X):
     for l in range(L):
         W, b = layer(theta, dims, w_off, b_off, l)
         if l == 0:
-            z = _map_rows(np.concatenate((W, b[:, None]), axis=1), acts[0])
+            z = _map_rows(np.concatenate((W, b[:, None]), axis=1, dtype=X.dtype), acts[0])
         else:
-            z = _map_rows(W, acts[l])
+            z = _map_rows(W.astype(X.dtype, copy=False), acts[l])
+        if l == L - 1:
+            z = z.astype(np.float64, copy=False)   # the output is float64
+        if l > 0:
             z += b[:, None]
         if l < L - 1:
             if act == "tanh":
@@ -159,6 +177,7 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts):
     residual is computed again.
     """
     L = len(dims) - 1
+    dtype = acts[0].dtype   # the design's
     r = acts[-1][0]
     loss = np.dot(r, r)
 
@@ -168,6 +187,13 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts):
     for l in range(L - 1, -1, -1):
         W, _ = layer(theta, dims, w_off, b_off, l)
         dout, din = W.shape
+        if l > 0:
+            # summed in delta's dtype: the output layer's from the float64 residual
+            gb = grad[b_off[l]:b_off[l] + dout]
+            gb[...] = delta.sum(axis=1)
+            if scale is not None:
+                gb *= scale
+        delta = delta.astype(dtype, copy=False)
         # (a_in @ delta.T) is gW.T, faster at large N than delta @ a_in.T
         # when X is in Fortran order
         G = sum_rows(acts[l], delta.T)
@@ -177,17 +203,14 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts):
         if l == 0:
             grad[b_off[0]:b_off[0] + dout] = G[din]   # the design's ones column
             break
-        gb = grad[b_off[l]:b_off[l] + dout]
-        delta.sum(axis=1, out=gb)
-        if scale is not None:
-            gb *= scale
         if dout == 1:
             # W.T @ delta is the outer product of W's one row with delta:
             # that row becomes the scale of the next layer's gradient
             scale = W[0] if scale is None else W[0] * scale[0]
             back = delta
         else:
-            back = _map_rows((W if scale is None else W * scale[:, None]).T, delta)
+            Ws = W if scale is None else W * scale[:, None]
+            back = _map_rows(Ws.T.astype(dtype, copy=False), delta)
             scale = None
         h = acts[l]
         if act == "tanh":

@@ -8,8 +8,10 @@ independent of series j's history.
 
 With no hidden layers the network degenerates to the linear autoregressive
 map (a single weight row plus bias), which is how the linear baseline is fit.
-A LaggedDataset holds the one array a fit reads, the design: the stacked
-lags and a column of ones for the first layer's bias.
+A LaggedDataset holds the design, the stacked lags and a column of ones for
+the first layer's bias, in float64 and as a float32 copy: a model with
+hidden layers runs them in float32 and reads the copy, a linear model runs
+in float64 and reads the design (``LaggedDataset.design_for``).
 Every layer shares the input rules here: ``_count`` for a count setting,
 ``_real`` for a real-valued one and ``DataError`` for unusable data.
 """
@@ -144,16 +146,20 @@ class LaggedDataset:
 
     ``design`` is (N, p*K + 1), N >= 1: design[n] = (x[K+n-1], ..., x[n], 1)
     flattened lag-1 block first, its last column of ones carrying the first
-    layer's bias; targets[n] = x[K+n, i] for its series i.  Its shapes are
-    checked once, when it is built.  The arrays of :func:`build_lagged` are
-    read-only, since every series' dataset holds the same design; an
-    unpickled dataset's arrays are read-only too.
+    layer's bias; targets[n] = x[K+n, i] for its series i.  ``design32``,
+    which a model with hidden layers reads, is the design rounded to
+    float32, or the design itself where a value lies beyond float32's range.
+    Its shapes and the copy's dtype are checked once, when it is built.
+    The arrays of :func:`build_lagged` are read-only, since every series'
+    dataset holds the same two designs; an unpickled dataset's arrays are
+    read-only too.
     """
 
     design: np.ndarray
     targets: np.ndarray
     p: int
     K: int
+    design32: np.ndarray
 
     def __post_init__(self):
         width = _count("p", self.p) * _count("K", self.K) + 1
@@ -165,11 +171,21 @@ class LaggedDataset:
                 f"a LaggedDataset with p={self.p}, K={self.K} needs an (N, {width}) "
                 f"design with N >= 1 and a last column of ones, and (N,) targets; "
                 f"got design {D.shape}, targets {y.shape}")
+        D32 = self.design32
+        if D32 is not D and (D32.shape != D.shape or D32.dtype != np.float32):
+            raise ValueError(f"design32 must be the design or a float32 array of its "
+                             f"shape {D.shape}, got {D32.dtype} {D32.shape}")
 
     def __setstate__(self, state):
         # numpy unpickles a read-only array as writeable
         self.__dict__.update(state)
-        self.design.flags.writeable = self.targets.flags.writeable = False
+        for arr in (self.design, self.design32, self.targets):
+            arr.flags.writeable = False
+
+    def design_for(self, model):
+        """The design ``model``'s kernels read: ``design32`` for a model with
+        hidden layers, ``design`` for a linear one."""
+        return self.design32 if model.arch.hidden_sizes else self.design
 
     @property
     def inputs(self):
@@ -185,10 +201,20 @@ def _with_ones(X):
     return D
 
 
+def _float32(D):
+    """The design D rounded to float32 in Fortran order, or D itself where a
+    value lies beyond float32's range (hidden layers then run in float64)."""
+    top = float(np.finfo(np.float32).max)
+    if max(D.max(initial=0.0), -D.min(initial=0.0)) > top:
+        return D
+    return D.astype(np.float32, order="F")
+
+
 def build_lagged(ts, K):
     """One LaggedDataset per series of a finite (T, p) array, all sharing one
     read-only (T-K, p*K + 1) design in Fortran order whose last column is
-    ones; series i's targets are the read-only view ts[K:, i]."""
+    ones, and its one read-only float32 copy, made here once for every
+    series; series i's targets are the read-only view ts[K:, i]."""
     K = _count("K", K)
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 2 or ts.shape[1] < 1:
@@ -203,23 +229,28 @@ def build_lagged(ts, K):
     for k in range(1, K + 1):
         D[:, (k - 1) * p:k * p] = ts[K - k:T - k]
     D[:, -1] = 1.0
+    D32 = _float32(D)
     Y = ts[K:]
-    D.flags.writeable = Y.flags.writeable = False
-    return [LaggedDataset(design=D, targets=Y[:, i], p=p, K=K) for i in range(p)]
+    D.flags.writeable = D32.flags.writeable = Y.flags.writeable = False
+    return [LaggedDataset(design=D, targets=Y[:, i], p=p, K=K, design32=D32)
+            for i in range(p)]
 
 
 # ------------------------------------------------------------- evaluation
 
 
 def predict(model, X):
-    """Batched forward pass; X is (N, p*K). Returns (N,) predictions, the
-    fit's forward pass on the design X with its column of ones."""
+    """Batched forward pass; X is (N, p*K). Returns (N,) float64 predictions,
+    the fit's forward pass on the design X with its column of ones, read in
+    float32 by a model with hidden layers as ``LaggedDataset.design_for``
+    gives it."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dims[0]:
         raise ValueError(f"inputs must be (N, {model.dims[0]}), got {X.shape}")
+    D = _with_ones(X)
     acts = kernels.layer_activations(model.theta, model.dims, model.w_off,
                                      model.b_off, model.arch.activation,
-                                     _with_ones(X))
+                                     _float32(D) if model.arch.hidden_sizes else D)
     return acts[-1][0]
 
 
@@ -228,12 +259,13 @@ def loss_and_grad(model, data, acts=None):
     plus its exact gradient as a flat vector in theta layout.
 
     ``acts`` are activations that ``kernels.mlp_loss`` returned for this
-    model's current theta on ``data.design``; they stand in for a new
-    forward pass.
+    model's current theta on ``data.design_for(model)``; they stand in for a
+    new forward pass.
     """
     if acts is None:
         acts = kernels.mlp_loss(model.theta, model.dims, model.w_off, model.b_off,
-                                model.arch.activation, data.design, data.targets)[1]
+                                model.arch.activation, data.design_for(model),
+                                data.targets)[1]
     g = np.empty(model.n_params)
     # acts[0] is the transposed design the forward pass read
     val = kernels.mlp_loss_grad(model.theta, model.dims, model.w_off,

@@ -6,9 +6,10 @@ unpenalized parameters just keep the plain gradient step.  Backtracking
 halves the step until the candidate passes the sufficient-decrease test
 on the unpenalized loss L
 
-    L(cand) <= L(theta) + <grad, delta> + ||delta||^2 / (2 * step),
+    L(cand) <= L(theta) + <grad, delta> + ||delta||^2 / (2 * step) + slack,
 
-which guarantees the penalized objective never increases.  Each line search
+which guarantees the penalized objective never increases by more than the
+slack, an allowance for the rounding of L (see below).  Each line search
 after the first starts from the short Barzilai-Borwein step s.y / y.y of the
 last accepted move (s the change in parameters, y the change in the loss
 gradient), floored at MIN_STEP, so the step can grow again after a
@@ -24,13 +25,30 @@ path, each fit warm from the one before, its final step capped at
 initial_step.  Every rejected trial step counts as one backtrack; a line
 search that halves the step below MIN_STEP fails the fit.
 
-Nothing the loop already has is computed twice.  A fit reads its data's
-design (``LaggedDataset.design``: the stacked lags and a column of ones
-that carries the first layer's bias) once, at its start; the forward pass of
-each accepted candidate, with its residual, is the next gradient's forward
-pass; the prox returns the penalty of the candidate it builds, so
-penalty_value runs only at the start of a fit; and a path runs one forward
-pass before its first fit, each later fit taking its predecessor's last.
+A fit reads the design its model takes, ``data.design_for(model)``: the
+stacked lags and a column of ones that carries the first layer's bias, as
+the float32 copy ``LaggedDataset.design32`` for a model with hidden layers,
+whose kernels then run those layers in float32 (see ``_kernels``), and in
+float64 for a linear model.  Theta, the gradient, the prox and its
+penalty, the objective, the BB step and the line-search test stay float64
+either way, so exact-zero groups and suffix patterns keep their meaning.
+The loss of a hidden model carries float32 rounding, measured up to about
+2**-22 of the loss against float64 arithmetic, so its line search is held
+to a slack of 2**-20 * max(1, |L(theta)|), eight units of float32
+rounding.  Measured on the seed-0 VAR sweep (p = 10, T = 1,000, group
+penalty, 6 lambdas, width 10) at rel_tol 1e-8 and 1e-10, the float64
+slack of 1e-12 of the loss halved the step below MIN_STEP within the
+sweep; 2**-26 and 2**-20 ran every fit, and on the gate's data with
+max_iters 5,000 2**-30 failed a Lorenz sweep where 2**-26 did not.  A
+linear model keeps the 1e-12 slack (``SLACK`` holds both), and with it
+every result bit for bit.
+
+Nothing the loop already has is computed twice.  A fit reads its design
+once, at its start; the forward pass of each accepted candidate, with its
+residual, is the next gradient's forward pass; the prox returns the
+penalty of the candidate it builds, so penalty_value runs only at the start
+of a fit; and a path runs one forward pass before its first fit, each later
+fit taking its predecessor's last.
 Scalars stay Python floats.  Each of these leaves every result bit for bit
 what the plain loop gives.
 
@@ -58,6 +76,9 @@ from .penalties import apply_prox, penalty_value
 
 BACKTRACK_FACTOR = 0.5
 MIN_STEP = 1e-12  # floor of every step: BB and backtracking
+# the line search's slack relative to max(1, |loss|), by the dtype of the
+# design the model reads
+SLACK = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 2.0 ** -20}
 
 
 class OptimizationError(RuntimeError):
@@ -105,24 +126,26 @@ class _Chain:
                 f"p={data.p}, K={data.K}")
         loss, self.acts = kernels.mlp_loss(model.theta, model.dims, model.w_off,
                                            model.b_off, model.arch.activation,
-                                           data.design, data.targets)
+                                           data.design_for(model), data.targets)
         self.model, self.loss, self.step = model, float(loss), math.inf
 
 
 @np.errstate(over="ignore", invalid="ignore")  # every non-finite value raises below
 def fit(data, spec, start, opt):
     """Run proximal gradient descent to convergence from a copy of the model
-    ``start``, a ComponentMLP, with its first line search at opt.initial_step.
+    ``start``, a ComponentMLP, with its first line search at opt.initial_step,
+    on the design ``data.design_for(start)``.
 
     A model whose p or K differs from the data's raises ValueError.  Stops
     when the relative objective change drops below opt.rel_tol or after
     opt.max_iters iterations; the converged flag records which.
     """
-    X = data.design
     chain = start if isinstance(start, _Chain) else _Chain(start, data)
     step = min(chain.step, opt.initial_step)
     loss_val, acts = chain.loss, chain.acts
     model = chain.model.copy()
+    X = data.design_for(model)
+    slack_rel = SLACK[X.dtype]
     obj = loss_val + penalty_value(spec, model)
     if not math.isfinite(obj):
         raise OptimizationError("non-finite objective at initialization")
@@ -145,7 +168,7 @@ def fit(data, spec, start, opt):
                 step = max(sy / float(y @ y), MIN_STEP)
             else:
                 step = opt.initial_step
-        slack = 1e-12 * max(1.0, abs(loss_val))
+        slack = slack_rel * max(1.0, abs(loss_val))
         while True:
             cand = model.theta - step * g
             pen = apply_prox(spec, model, cand, step)

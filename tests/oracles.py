@@ -25,6 +25,13 @@ candidate, and ``penalty_value`` on every accepted one.
 
 ``hand_made`` is a ``LaggedDataset`` of given inputs and targets, its
 design the inputs with a column of ones appended.
+
+``reference_loss_grad`` is the MLP loss and gradient written plainly, one
+layer at a time with row-major activations and separate biases, in a given
+precision: in float32 it keeps the kernels' precision contract (hidden
+layers, their activations and every weight-gradient product in float32;
+the output, residual, loss and output bias gradient in float64), in float64
+it is the exact-arithmetic reference up to float64 rounding.
 """
 
 from types import SimpleNamespace
@@ -32,17 +39,46 @@ from types import SimpleNamespace
 import numpy as np
 
 from ngcausal.model import LaggedDataset, loss_and_grad
-from ngcausal.optim import MIN_STEP
+from ngcausal.optim import MIN_STEP, SLACK
 from ngcausal.penalties import apply_prox, penalty_value
 
 
 def hand_made(X, y, p, K):
-    """The dataset of (N, p*K) inputs X and (N,) targets y, its design in
-    the Fortran order of ``build_lagged``'s."""
+    """The dataset of (N, p*K) inputs X and (N,) targets y, its design and
+    the design's float32 copy in the Fortran order of ``build_lagged``'s."""
     X = np.asarray(X, dtype=np.float64)
     design = np.ones((X.shape[0], X.shape[1] + 1), order="F")
     design[:, :-1] = X
-    return LaggedDataset(design=design, targets=y, p=p, K=K)
+    return LaggedDataset(design=design, targets=y, p=p, K=K,
+                         design32=design.astype(np.float32, order="F"))
+
+
+def reference_loss_grad(model, X, y, dtype):
+    """(loss, gradient in theta layout) of ``model`` on (N, p*K) inputs X
+    and (N,) targets y, every hidden layer computed in ``dtype``."""
+    L = len(model.dims) - 1
+    Ws = [model.weight(l).astype(dtype) for l in range(L)]
+    bs = [model.bias(l).astype(dtype) for l in range(L)]
+    a = [np.asarray(X, dtype=dtype)]
+    for l in range(L - 1):
+        z = a[l] @ Ws[l].T + bs[l]
+        a.append(np.tanh(z) if model.arch.activation == "tanh" else np.maximum(z, 0))
+    out = (a[L - 1] @ Ws[L - 1].T).astype(np.float64)[:, 0] + model.bias(L - 1)[0]
+    r = out - y
+    grad = np.empty(model.n_params)
+    d = 2.0 * r[:, None]                              # (N, 1), float64
+    grad[model.b_off[L - 1]] = d.sum()
+    d = d.astype(dtype)
+    for l in range(L - 1, -1, -1):
+        W = Ws[l]
+        grad[model.w_off[l]:model.b_off[l]] = (d.T @ a[l]).ravel()
+        if l < L - 1:
+            grad[model.b_off[l]:model.b_off[l] + W.shape[0]] = d.sum(axis=0)
+        if l > 0:
+            h = a[l]
+            back = d @ W
+            d = back * (1 - h * h) if model.arch.activation == "tanh" else back * (h > 0)
+    return float(r @ r), grad
 
 
 def finite_diff_grad(f, x, h=1e-6):
@@ -187,6 +223,7 @@ def reference_fit(data, spec, model, opt, step=None):
     last one accepted.
     """
     step = opt.initial_step if step is None else step
+    slack = SLACK[data.design_for(model).dtype]
     obj = loss_and_grad(model, data)[0] + penalty_value(spec, model)
     trace = [obj]
     log = []
@@ -212,7 +249,7 @@ def reference_fit(data, spec, model, opt, step=None):
             new_loss = loss_and_grad(probe, data)[0]
             s = probe.theta - model.theta
             if new_loss <= (val + g @ s + (s @ s) / (2.0 * step)
-                            + 1e-12 * max(1.0, abs(val))):
+                            + slack * max(1.0, abs(val))):
                 break
             step *= 0.5
         model = probe

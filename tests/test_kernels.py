@@ -8,8 +8,12 @@ weights suffix by suffix.
 
 The MLP kernels run their products over the data rows in row blocks: a
 blocked forward pass must equal one product to the bit, a blocked gradient
-must match finite differences and, to 1e-12 relative, the one-product
-gradient, and a product that fits one block must be the plain product.
+must match, to 1e-12 relative in float64 and to float32 rounding in
+float32, the one-product gradient, and a product that fits one block must
+be the plain product.  Blocks keep the operands' dtype.  On the float64
+design the gradient must match finite differences; on the float32 design,
+whose loss differences would measure its rounding, the plain references of
+``oracles.py`` in both precisions.
 """
 
 import numpy as np
@@ -19,7 +23,9 @@ from ngcausal import _kernels as kernels
 from ngcausal.model import Architecture, ComponentMLP, build_lagged
 from oracles import (finite_diff_grad, loop_prox_group, loop_prox_hier,
                      oracle_group_norms, oracle_lag_norms, oracle_penalty,
-                     oracle_prox_group, oracle_prox_hier)
+                     oracle_prox_group, oracle_prox_hier, reference_loss_grad)
+
+EPS32 = float(np.finfo(np.float32).eps)
 
 PROX_CASES = [(kernels.prox_group, oracle_prox_group, "group"),
               (kernels.prox_hier, oracle_prox_hier, "hierarchical")]
@@ -231,9 +237,10 @@ def mlp_case(hidden, activation="tanh", N=997, p=10, K=3, seed=0):
     return model, data
 
 
-def kernel_loss_grad(model, data, theta=None):
+def kernel_loss_grad(model, data, theta=None, design="design"):
     theta = model.theta if theta is None else theta
-    args = (theta, model.dims, model.w_off, model.b_off, model.arch.activation, data.design)
+    args = (theta, model.dims, model.w_off, model.b_off, model.arch.activation,
+            getattr(data, design))
     loss, acts = kernels.mlp_loss(*args, data.targets)
     grad = np.empty(model.n_params)
     assert kernels.mlp_loss_grad(*args, grad, acts) == loss
@@ -251,27 +258,42 @@ def use_small_blocks(monkeypatch):
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_blocked_forward_equals_one_product(monkeypatch, activation):
+    # on both designs: hidden layers in the design's dtype, the output in float64
     model, data = mlp_case((10, 8), activation)
-    args = (model.theta, model.dims, model.w_off, model.b_off, activation, data.design)
-    one = kernels.layer_activations(*args)
-    use_small_blocks(monkeypatch)
-    blocked = kernels.layer_activations(*args)
-    assert all(np.array_equal(a, b) for a, b in zip(blocked, one))
+    for X in (data.design, data.design32):
+        args = (model.theta, model.dims, model.w_off, model.b_off, activation, X)
+        one = kernels.layer_activations(*args)
+        with monkeypatch.context() as m:
+            use_small_blocks(m)
+            blocked = kernels.layer_activations(*args)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(blocked, one))
+        assert [a.dtype for a in one] == [X.dtype] * 3 + [np.float64]
 
 
 @pytest.mark.parametrize("activation", ["tanh", "relu"])
 def test_blocked_gradient_matches_one_product_and_differences(monkeypatch, activation):
     # two hidden layers, so the backward W.T @ delta is blocked as well
     model, data = mlp_case((10, 8), activation)
-    loss, grad, _ = kernel_loss_grad(model, data)
-    use_small_blocks(monkeypatch)
-    blocked_loss, blocked, _ = kernel_loss_grad(model, data)
-    assert blocked_loss == loss           # the forward pass keeps its bits
-    np.testing.assert_allclose(blocked, grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max())
-    if activation == "tanh":             # relu's kinks spoil differences
-        fd = finite_diff_grad(lambda th: kernel_loss_grad(model, data, th)[0], model.theta)
-        rel = np.abs(blocked - fd) / np.maximum(1.0, np.maximum(np.abs(blocked), np.abs(fd)))
-        assert rel.max() < 1e-5
+    for design in ("design", "design32"):
+        loss, grad, _ = kernel_loss_grad(model, data, design=design)
+        with monkeypatch.context() as m:
+            use_small_blocks(m)
+            blocked_loss, blocked, _ = kernel_loss_grad(model, data, design=design)
+        assert blocked_loss == loss           # the forward pass keeps its bits
+        scale = np.abs(grad).max()
+        if design == "design32":
+            # float32 blocks add their sums in another order: a few units of
+            # its rounding of the largest entry apart, as from each reference
+            np.testing.assert_allclose(blocked, grad, rtol=0.0, atol=16 * EPS32 * scale)
+            for dtype, units in ((np.float32, 16), (np.float64, 64)):
+                ref = reference_loss_grad(model, data.inputs, data.targets, dtype)[1]
+                np.testing.assert_allclose(blocked, ref, rtol=0.0, atol=units * EPS32 * scale)
+            continue
+        np.testing.assert_allclose(blocked, grad, rtol=1e-12, atol=1e-12 * scale)
+        if activation == "tanh":             # relu's kinks spoil differences
+            fd = finite_diff_grad(lambda th: kernel_loss_grad(model, data, th)[0], model.theta)
+            rel = np.abs(blocked - fd) / np.maximum(1.0, np.maximum(np.abs(blocked), np.abs(fd)))
+            assert rel.max() < 1e-5
 
 
 def test_one_block_is_the_plain_product():
@@ -303,6 +325,30 @@ def test_block_rule(m, k, N):
         assert align <= rows < N
         assert rows % align == 0
         assert rows * m * k <= budget
+
+
+@pytest.mark.parametrize("rows", [997, 64])
+def test_blocks_keep_the_operands_dtype(monkeypatch, rows):
+    # 997: one block, the plain product; 64: blocks of a 20,000 budget.  A
+    # blocked map has the bits of one product of its dtype, and a blocked
+    # sum is within that dtype's rounding of the exact sum
+    if rows == 64:
+        use_small_blocks(monkeypatch)
+    gen = np.random.default_rng(3)
+    A, B, D = gen.normal(size=(10, 31)), gen.normal(size=(31, 997)), gen.normal(size=(10, 997))
+    for dtype in (np.float64, np.float32):
+        a, b, d = A.astype(dtype), B.astype(dtype), D.astype(dtype)
+        assert kernels._block_rows(10, 31, 997) == rows
+        mapped, summed = kernels._map_rows(a, b), kernels.sum_rows(b, d.T)
+        assert mapped.dtype == summed.dtype == dtype
+        assert np.array_equal(mapped, a @ b)
+        if rows == 997:
+            assert np.array_equal(summed, b @ d.T)
+        else:
+            # the classical bound of a sum of 997 rounded products
+            b64, d64 = b.astype(np.float64), d.astype(np.float64)
+            bound = 997 * np.finfo(dtype).eps * (np.abs(b64) @ np.abs(d64.T))
+            assert np.all(np.abs(summed - b64 @ d64.T) <= bound)
 
 
 def test_product_wider_than_budget_runs_whole(monkeypatch):

@@ -13,7 +13,11 @@ from ngcausal.datasets import (LorenzGenConfig, SeededRng, VarGenConfig,
 from ngcausal.evaluation import lambda_grid
 from ngcausal.optim import MIN_STEP, OptimizerConfig, fit
 from ngcausal.penalties import PenaltySpec
-from oracles import finite_diff_grad, hand_made
+from oracles import finite_diff_grad, hand_made, reference_loss_grad
+
+# A model with hidden layers runs them in float32: its values are held to
+# float32 rounding, in units of EPS32, and a linear model's to float64's.
+EPS32 = float(np.finfo(np.float32).eps)
 
 
 def random_instance(seed, p=None, K=None, hidden=None, N=None, activation=None):
@@ -88,10 +92,14 @@ class TestBuildLagged:
         datasets = build_lagged(ts, 2)
         assert len(datasets) == 3
         assert all(d.design is datasets[0].design for d in datasets)
+        assert all(d.design32 is datasets[0].design32 for d in datasets)
+        D32 = datasets[0].design32
+        assert D32.dtype == np.float32 and D32.flags.f_contiguous
+        assert np.array_equal(D32, datasets[0].design.astype(np.float32))
         for i, d in enumerate(datasets):
             assert np.array_equal(d.targets, ts[2:, i])
             assert np.shares_memory(d.targets, ts)   # a view, not a copy
-            for arr in (d.design, d.inputs, d.targets):
+            for arr in (d.design, d.design32, d.inputs, d.targets):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
         assert ts.flags.writeable                      # the caller's array is untouched
@@ -118,15 +126,18 @@ class TestBuildLagged:
         # shares one read-only design that inputs views, so no fit copies it
         datasets = build_lagged(SeededRng(2).normal(size=(50, 3)), 2)
         loaded = pickle.loads(pickle.dumps(datasets))
-        D = loaded[0].design
-        assert all(d.design is D for d in loaded)
+        D, D32 = loaded[0].design, loaded[0].design32
+        assert all(d.design is D and d.design32 is D32 for d in loaded)
         assert all(d.inputs.base is D for d in loaded)
-        assert D.flags.f_contiguous and not D.flags.writeable
+        for arr in (D, D32):
+            assert arr.flags.f_contiguous and not arr.flags.writeable
         assert np.array_equal(D, datasets[0].design)
+        assert D32.dtype == np.float32 and np.array_equal(D32, datasets[0].design32)
         for d, orig in zip(loaded, datasets):
             assert np.array_equal(d.inputs, orig.inputs)
             assert np.array_equal(d.targets, orig.targets)
             assert not d.design.flags.writeable and not d.targets.flags.writeable
+            assert not d.design32.flags.writeable
 
 
 def _bad_shape(case):
@@ -163,7 +174,7 @@ class TestHandMadeDataset:
                    f"got design {design_shape}, targets {targets_shape}")
         D, y = _bad_shape(case)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            LaggedDataset(design=D, targets=y, p=2, K=1)
+            LaggedDataset(design=D, targets=y, p=2, K=1, design32=D.astype(np.float32))
         built = build_lagged(np.ones((51, 2)), 1)[0]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(built, design=D, targets=y)
@@ -175,7 +186,24 @@ class TestHandMadeDataset:
         # the rule of ComponentMLP and build_lagged, before the shapes they set
         D, y = _bad_shape("no rows")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            LaggedDataset(design=D, targets=y, p=p, K=K)
+            LaggedDataset(design=D, targets=y, p=p, K=K, design32=D.astype(np.float32))
+
+    @pytest.mark.parametrize("case,got", [
+        ("float64 copy", "float64 (50, 3)"), ("one row short", "float32 (49, 3)"),
+        ("no ones column", "float32 (50, 2)")])
+    def test_design32_is_a_float32_copy_of_the_design_shape(self, case, got):
+        built = build_lagged(np.random.default_rng(0).normal(size=(51, 2)), 1)[0]
+        D = built.design
+        D32 = {"float64 copy": D.copy(), "one row short": built.design32[1:],
+               "no ones column": built.design32[:, 1:]}[case]
+        message = ("design32 must be the design or a float32 array of its shape "
+                   f"(50, 3), got {got}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(built, design32=D32)
+        # a design beyond float32's range is its own copy: hidden layers read it in float64
+        dataclasses.replace(built, design32=D)
+        big = build_lagged(np.full((6, 2), 1e200), 1)[0]
+        assert big.design32 is big.design
 
 
 class TestMemoryOrder:
@@ -186,11 +214,18 @@ class TestMemoryOrder:
                                       activation=activation)
         out = {}
         for order in "CF":
-            data = dataclasses.replace(data, design=np.asarray(data.design, order=order))
+            data = dataclasses.replace(data, design=np.asarray(data.design, order=order),
+                                       design32=np.asarray(data.design32, order=order))
             assert data.design.flags[order + "_CONTIGUOUS"]
+            assert data.design32.flags[order + "_CONTIGUOUS"]
             out[order] = (*loss_and_grad(model, data), predict(model, data.inputs))
+        # float32 sums in another order round differently by some units of
+        # EPS32 of the largest entry
         for c, f in zip(out["C"], out["F"]):
-            np.testing.assert_allclose(c, f, rtol=1e-12, atol=0.0)
+            if hidden:
+                np.testing.assert_allclose(c, f, rtol=0.0, atol=64 * EPS32 * np.abs(f).max())
+            else:
+                np.testing.assert_allclose(c, f, rtol=1e-12, atol=0.0)
 
 
 def predict_one(model, x):
@@ -237,15 +272,19 @@ class TestForward:
                   OptimizerConfig(max_iters=5))
         model = res.model
         acts = kernels.mlp_loss(model.theta, model.dims, model.w_off, model.b_off,
-                                activation, data.design, data.targets)[1]
+                                activation, data.design_for(model), data.targets)[1]
         residual = predict(model, data.inputs) - data.targets
         assert residual.tobytes() == acts[-1][0].tobytes()
 
     def test_matches_batched_predict(self):
-        # rows do not interact: one row at a time gives the batched values
-        model, data = random_instance(0, N=6)
-        one_by_one = np.array([predict_one(model, x) for x in data.inputs])
-        assert np.allclose(one_by_one, predict(model, data.inputs), rtol=1e-12, atol=1e-14)
+        # rows do not interact: one row at a time gives the batched values,
+        # up to the rounding of a product of another shape
+        for hidden in (None, (), (4, 3)):   # None draws one hidden layer of 2
+            model, data = random_instance(0, N=6, hidden=hidden)
+            one_by_one = np.array([predict_one(model, x) for x in data.inputs])
+            rtol, atol = ((16 * EPS32, 16 * EPS32) if model.arch.hidden_sizes
+                          else (1e-12, 1e-14))
+            assert np.allclose(one_by_one, predict(model, data.inputs), rtol=rtol, atol=atol)
 
 
 class TestLoss:
@@ -264,7 +303,23 @@ class TestLoss:
         model, data = random_instance(seed)
         total = sum((predict_one(model, x) - t) ** 2
                     for x, t in zip(data.inputs, data.targets))
-        assert np.isclose(loss_and_grad(model, data)[0], total, rtol=1e-10, atol=1e-12)
+        # a row's float32 output may round apart from the batch's by an ulp
+        rtol = 64 * EPS32 if model.arch.hidden_sizes else 1e-10
+        assert np.isclose(loss_and_grad(model, data)[0], total, rtol=rtol, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_the_references(self, seed):
+        # the loss against the reference of the kernels' own precision, and
+        # against float64 arithmetic to float32's rounding
+        model, data = random_instance(seed)
+        loss = loss_and_grad(model, data)[0]
+        exact = reference_loss_grad(model, data.inputs, data.targets, np.float64)[0]
+        if not model.arch.hidden_sizes:
+            assert np.isclose(loss, exact, rtol=1e-12, atol=1e-12)
+            return
+        same = reference_loss_grad(model, data.inputs, data.targets, np.float32)[0]
+        assert np.isclose(loss, same, rtol=4 * EPS32, atol=0.0)
+        assert np.isclose(loss, exact, rtol=16 * EPS32, atol=0.0)
 
 
 class TestGrad:
@@ -275,7 +330,17 @@ class TestGrad:
 
     @staticmethod
     def assert_matches_finite_differences(model, data):
+        """A linear model's gradient against central differences; a hidden
+        model's, whose float32 loss differences would measure its rounding
+        noise, against the references of float32 and float64 arithmetic, to
+        some units of float32 rounding of the largest entry."""
         _, g = loss_and_grad(model, data)
+        if model.arch.hidden_sizes:
+            scale = np.abs(g).max()
+            for dtype, units in ((np.float32, 16), (np.float64, 64)):
+                ref = reference_loss_grad(model, data.inputs, data.targets, dtype)[1]
+                np.testing.assert_allclose(g, ref, rtol=0.0, atol=units * EPS32 * scale)
+            return
 
         def f(theta):
             probe = ComponentMLP(model.p, model.K, model.arch, theta=theta.copy())
@@ -315,8 +380,9 @@ class TestGrad:
     def test_zero_input_column_zero_first_layer_grad(self):
         model, data = random_instance(8, p=3, K=2, N=6)
         j = 1
-        data.inputs[:, j::3] = 0.0
-        g = loss_and_grad(model, data)[1]
+        X = data.inputs.copy()
+        X[:, j::3] = 0.0
+        g = loss_and_grad(model, hand_made(X, data.targets, 3, 2))[1]
         gw1 = g[:model.weight(0).size].reshape(model.weight(0).shape)
         assert np.all(gw1[:, j::3] == 0.0)
 
