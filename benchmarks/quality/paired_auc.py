@@ -1,15 +1,14 @@
 """Paired recovery quality of two source trees on the acceptance gate's sweeps.
 
     python3 benchmarks/quality/paired_auc.py --base SRC --change SRC [--label NAME]
-        [--seeds 13] [--p 10] [--T 1000] [--grid 20] [--out DIR]
+        [--seeds 13] [--p 10] [--T 1000] [--out DIR]
 
 SRC is a directory that holds the ``ngcausal`` package (a checkout's
 ``src``).  Each tree runs in its own subprocess with ngcausal imported from
 it and BLAS pinned to one thread, the two at once.  Both sweep the gate's
 three configurations, VAR with the group and with the hierarchical penalty
-and Lorenz-96 (F=5) with the group penalty, at the gate's settings (K=3,
-one tanh layer of width 10, a grid of ``--grid`` lambdas from the data's
-``lambda_max_linear`` down by 100x, the default optimizer) on seeds
+and Lorenz-96 (F=5) with the group penalty, with the gate's sweep,
+``gate_sweep`` (which ``tests/test_acceptance.py`` runs too), on seeds
 0..``--seeds``-1.  Seeds 0-4 are the gate's; seeds from 5 on are held out.
 
 It prints, per configuration and seed, each tree's AUC, iterations,
@@ -37,25 +36,37 @@ METRICS = ("auc", "iterations", "backtracks", "capped")
 BOOTSTRAP = 10_000
 
 
-def run_tree(args):
-    """Child side: every configuration and seed on the ngcausal importable
-    here; prints one JSON object {config: {metric: [per seed]}}."""
-    from ngcausal.datasets import LorenzGenConfig, VarGenConfig, standardize
+def gate_sweep(generator, kind, T, seed, jobs=1):
+    """(AUC, sweep, truth) of the acceptance gate's sweep: ``generator``'s
+    series of T rows at ``seed``, standardized and swept with penalty
+    ``kind`` down a grid of 20 lambdas from its ``lambda_max_linear`` to
+    1/100 of it, by a K=3 model with one tanh layer of width 10 and the
+    default optimizer, initialized from ``seed``."""
+    from ngcausal.datasets import standardize
     from ngcausal.evaluation import auc, lambda_grid, lambda_max_linear, roc_points, sweep_path
     from ngcausal.model import Architecture
     from ngcausal.optim import OptimizerConfig
+
+    ts, truth = generator.generate(T, seed)
+    ts = standardize(ts)[0]
+    lams = lambda_grid(lambda_max_linear(ts, 3), 20, 100.0)
+    sw = sweep_path(ts, 3, kind, lams, Architecture(hidden_sizes=(10,)),
+                    OptimizerConfig(), seed, jobs=jobs)
+    return auc(roc_points(truth, sw.graphs)), sw, truth
+
+
+def run_tree(args):
+    """Child side: every configuration and seed on the ngcausal importable
+    here; prints one JSON object {config: {metric: [per seed]}}."""
+    from ngcausal.datasets import LorenzGenConfig, VarGenConfig
 
     generators = {"var": VarGenConfig(p=args.p, K=3), "lorenz": LorenzGenConfig(p=args.p, F=5.0)}
     results = {}
     for name, (data, kind) in CONFIGS.items():
         rows = {m: [] for m in METRICS}
         for seed in range(args.seeds):
-            ts, truth = generators[data].generate(args.T, seed)
-            ts = standardize(ts)[0]
-            lams = lambda_grid(lambda_max_linear(ts, 3), args.grid, 100.0)
-            sw = sweep_path(ts, 3, kind, lams, Architecture(hidden_sizes=(10,)),
-                            OptimizerConfig(), seed)
-            rows["auc"].append(auc(roc_points(truth, sw.graphs)))
+            area, sw, _ = gate_sweep(generators[data], kind, args.T, seed)
+            rows["auc"].append(area)
             rows["iterations"].append(int(sw.iterations.sum()))
             rows["backtracks"].append(int(sw.backtracks.sum()))
             rows["capped"].append(int((~sw.converged).sum()))
@@ -69,7 +80,7 @@ def start_tree(src, args):
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     argv = [sys.executable, os.path.abspath(__file__), "--run-tree", "--seeds", str(args.seeds),
-            "--p", str(args.p), "--T", str(args.T), "--grid", str(args.grid)]
+            "--p", str(args.p), "--T", str(args.T)]
     return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
 
 
@@ -139,7 +150,6 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, default=13)
     ap.add_argument("--p", type=int, default=10)
     ap.add_argument("--T", type=int, default=1000)
-    ap.add_argument("--grid", type=int, default=20)
     ap.add_argument("--out", default=os.path.dirname(os.path.abspath(__file__)))
     ap.add_argument("--run-tree", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -154,7 +164,7 @@ def main(argv=None):
     print_report(report, args.seeds)
     doc = {"label": args.label,
            "settings": {"seeds": args.seeds, "gate_seeds": GATE_SEEDS, "p": args.p,
-                        "T": args.T, "K": 3, "hidden": [10], "grid": args.grid},
+                        "T": args.T, "K": 3, "hidden": [10], "grid": 20},
            "configs": report}
     path = os.path.join(args.out, f"BENCH_quality_{args.label}.json")
     with open(path, "w") as fh:

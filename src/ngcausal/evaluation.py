@@ -183,11 +183,12 @@ def _pooled_series_path(i):
 def sweep_path(ts, K, kind, lambdas, arch, opt, seed, jobs=1):
     """Fit every series down a descending lambda grid; assemble per-lambda graphs.
 
-    The penalty path is checked (``penalty_path``) and the lagged design,
-    with the float32 copy that hidden layers read, built once, before any
-    fit.  Series' paths are independent and run on a pool of min(jobs, p)
-    processes when that is more than one; each worker receives the datasets
-    once, and each task is a series index.  Results
+    The penalty path is checked (``penalty_path``) and the lagged design
+    built once, before any fit; the float32 copy that hidden layers read is
+    made once per process, by its first fit with hidden layers.  Series'
+    paths are independent and run on a pool of min(jobs, p) processes when
+    that is more than one; each worker receives the datasets once, and each
+    task is a series index.  Results
     depend on (ts, configs, seed), not on jobs; the README's Outputs
     paragraph states when they do not depend on the BLAS thread count.
     Graph entry (i, j) is the norm of lag-profile row (i, j): zero exactly

@@ -9,9 +9,10 @@ independent of series j's history.
 With no hidden layers the network degenerates to the linear autoregressive
 map (a single weight row plus bias), which is how the linear baseline is fit.
 A LaggedDataset holds the design, the stacked lags and a column of ones for
-the first layer's bias, in float64 and as a float32 copy: a model with
-hidden layers runs them in float32 and reads the copy, a linear model runs
-in float64 and reads the design (``LaggedDataset.design_for``).
+the first layer's bias, in float64: a linear model runs in float64 and
+reads it, a model with hidden layers runs them in float32 and reads the
+design's float32 copy, made from it at the first such read
+(``LaggedDataset.design_for``).
 Every layer shares the input rules here: ``_count`` for a count setting,
 ``_real`` for a real-valued one and ``DataError`` for unusable data.
 """
@@ -19,7 +20,7 @@ Every layer shares the input rules here: ``_count`` for a count setting,
 import math
 import numbers
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -140,26 +141,62 @@ def init_model(p, K, arch, rng):
 # ------------------------------------------------------------------ data
 
 
+class _Float32Copy:
+    """The design that hidden layers read: ``design`` rounded to float32 in
+    Fortran order, or ``design`` itself where a value lies beyond float32's
+    range (hidden layers then run in float64).  It is made at the first read
+    by a model with hidden layers, so data only linear models read never
+    has one.  A read-only design's copy is kept, read-only, for every later
+    read and every series' dataset that shares this object; it is not
+    pickled, so each process makes its own once.  A writeable design's copy
+    is made at every read, so it follows writes into the design."""
+
+    def __init__(self, design):
+        self.design, self._copy = design, None
+
+    def for_model(self, model):
+        """The design ``model``'s kernels read: the float32 copy for a model
+        with hidden layers, ``design`` for a linear one."""
+        return self.get() if model.arch.hidden_sizes else self.design
+
+    def get(self):
+        if self._copy is not None:
+            return self._copy
+        D = self.design
+        if max(D.max(initial=0.0), -D.min(initial=0.0)) > float(np.finfo(np.float32).max):
+            copy = D
+        else:
+            copy = D.astype(np.float32, order="F")
+        if not D.flags.writeable:
+            copy.flags.writeable = False
+            self._copy = copy
+        return copy
+
+    def __getstate__(self):
+        return {"design": self.design, "_copy": None}
+
+
 @dataclass(frozen=True)
 class LaggedDataset:
     """One series' stacked-lag design with its one-step-ahead targets.
 
     ``design`` is (N, p*K + 1), N >= 1: design[n] = (x[K+n-1], ..., x[n], 1)
     flattened lag-1 block first, its last column of ones carrying the first
-    layer's bias; targets[n] = x[K+n, i] for its series i.  ``design32``,
-    which a model with hidden layers reads, is the design rounded to
-    float32, or the design itself where a value lies beyond float32's range.
-    Its shapes and the copy's dtype are checked once, when it is built.
-    The arrays of :func:`build_lagged` are read-only, since every series'
-    dataset holds the same two designs; an unpickled dataset's arrays are
-    read-only too.
+    layer's bias; targets[n] = x[K+n, i] for its series i.  A model with
+    hidden layers reads the design's float32 copy ``design32``, made from
+    ``design`` at the first such read (see ``_Float32Copy``); ``copy32``,
+    by which :func:`build_lagged` shares that one copy among every series,
+    is made here from ``design`` unless it is a copy of this very design.
+    Shapes are checked once, when the dataset is built.  The arrays of
+    :func:`build_lagged` are read-only, since every series' dataset holds
+    the same design; an unpickled dataset's arrays are read-only too.
     """
 
     design: np.ndarray
     targets: np.ndarray
     p: int
     K: int
-    design32: np.ndarray
+    copy32: _Float32Copy = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         width = _count("p", self.p) * _count("K", self.K) + 1
@@ -171,21 +208,23 @@ class LaggedDataset:
                 f"a LaggedDataset with p={self.p}, K={self.K} needs an (N, {width}) "
                 f"design with N >= 1 and a last column of ones, and (N,) targets; "
                 f"got design {D.shape}, targets {y.shape}")
-        D32 = self.design32
-        if D32 is not D and (D32.shape != D.shape or D32.dtype != np.float32):
-            raise ValueError(f"design32 must be the design or a float32 array of its "
-                             f"shape {D.shape}, got {D32.dtype} {D32.shape}")
+        if self.copy32 is None or self.copy32.design is not D:
+            object.__setattr__(self, "copy32", _Float32Copy(D))
 
     def __setstate__(self, state):
         # numpy unpickles a read-only array as writeable
         self.__dict__.update(state)
-        for arr in (self.design, self.design32, self.targets):
-            arr.flags.writeable = False
+        self.design.flags.writeable = self.targets.flags.writeable = False
+
+    @property
+    def design32(self):
+        """The design rounded to float32, as a model with hidden layers reads it."""
+        return self.copy32.get()
 
     def design_for(self, model):
         """The design ``model``'s kernels read: ``design32`` for a model with
         hidden layers, ``design`` for a linear one."""
-        return self.design32 if model.arch.hidden_sizes else self.design
+        return self.copy32.for_model(model)
 
     @property
     def inputs(self):
@@ -201,20 +240,12 @@ def _with_ones(X):
     return D
 
 
-def _float32(D):
-    """The design D rounded to float32 in Fortran order, or D itself where a
-    value lies beyond float32's range (hidden layers then run in float64)."""
-    top = float(np.finfo(np.float32).max)
-    if max(D.max(initial=0.0), -D.min(initial=0.0)) > top:
-        return D
-    return D.astype(np.float32, order="F")
-
-
 def build_lagged(ts, K):
     """One LaggedDataset per series of a finite (T, p) array, all sharing one
     read-only (T-K, p*K + 1) design in Fortran order whose last column is
-    ones, and its one read-only float32 copy, made here once for every
-    series; series i's targets are the read-only view ts[K:, i]."""
+    ones, and the one float32 copy of it that the first model with hidden
+    layers to read it makes; series i's targets are the read-only view
+    ts[K:, i]."""
     K = _count("K", K)
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 2 or ts.shape[1] < 1:
@@ -229,10 +260,10 @@ def build_lagged(ts, K):
     for k in range(1, K + 1):
         D[:, (k - 1) * p:k * p] = ts[K - k:T - k]
     D[:, -1] = 1.0
-    D32 = _float32(D)
     Y = ts[K:]
-    D.flags.writeable = D32.flags.writeable = Y.flags.writeable = False
-    return [LaggedDataset(design=D, targets=Y[:, i], p=p, K=K, design32=D32)
+    D.flags.writeable = Y.flags.writeable = False
+    copy32 = _Float32Copy(D)
+    return [LaggedDataset(design=D, targets=Y[:, i], p=p, K=K, copy32=copy32)
             for i in range(p)]
 
 
@@ -247,10 +278,9 @@ def predict(model, X):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dims[0]:
         raise ValueError(f"inputs must be (N, {model.dims[0]}), got {X.shape}")
-    D = _with_ones(X)
     acts = kernels.layer_activations(model.theta, model.dims, model.w_off,
                                      model.b_off, model.arch.activation,
-                                     _float32(D) if model.arch.hidden_sizes else D)
+                                     _Float32Copy(_with_ones(X)).for_model(model))
     return acts[-1][0]
 
 

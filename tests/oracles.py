@@ -44,13 +44,12 @@ from ngcausal.penalties import apply_prox, penalty_value
 
 
 def hand_made(X, y, p, K):
-    """The dataset of (N, p*K) inputs X and (N,) targets y, its design and
-    the design's float32 copy in the Fortran order of ``build_lagged``'s."""
+    """The dataset of (N, p*K) inputs X and (N,) targets y, its design in
+    the Fortran order of ``build_lagged``'s."""
     X = np.asarray(X, dtype=np.float64)
     design = np.ones((X.shape[0], X.shape[1] + 1), order="F")
     design[:, :-1] = X
-    return LaggedDataset(design=design, targets=y, p=p, K=K,
-                         design32=design.astype(np.float32, order="F"))
+    return LaggedDataset(design=design, targets=y, p=p, K=K)
 
 
 def reference_loss_grad(model, X, y, dtype):

@@ -3,8 +3,10 @@
 Fixed-seed sweeps at the README defaults: p=10 series, T=1000 rows, a model
 with K=3 lags and one tanh hidden layer of width 10, a 20-point lambda grid
 anchored at the data's lambda_max, the default optimizer, and
-generator/initialization seeds 0-4.  VAR data is swept with the group and
-the hierarchical penalty, Lorenz-96 data (F=5) with the group penalty.  Each
+generator/initialization seeds 0-4, as ``gate_sweep`` of
+``benchmarks/quality/paired_auc.py`` runs them.  VAR data is swept with
+the group and the hierarchical penalty, Lorenz-96 data (F=5) with the
+group penalty.  Each
 mean AUC must stay above its floor: a measured mean minus 0.02 (the VAR
 ones with the row-major MLP kernels, the Lorenz one with the shrink-only
 step rule that preceded the Barzilai-Borwein start).  No fit may stop at
@@ -31,11 +33,9 @@ import yaml
 
 import ngcausal
 from ngcausal.cli import main
-from ngcausal.datasets import LorenzGenConfig, VarGenConfig, standardize
-from ngcausal.evaluation import (auc, edge_rates, lambda_grid, lambda_max_linear,
-                                 roc_points, sweep_path)
-from ngcausal.model import Architecture
-from ngcausal.optim import OptimizerConfig
+from ngcausal.datasets import LorenzGenConfig, VarGenConfig
+from ngcausal.evaluation import edge_rates
+from paired_auc import gate_sweep
 
 SEEDS = range(5)
 # measured means 0.9157 (group) and 0.8776 (hierarchical), minus 0.02
@@ -56,17 +56,9 @@ LAG_ORDER_FLOOR = 0.524
 
 
 def _sweeps(generator, kind, jobs=1):
-    """Per seed: (AUC, sweep, truth) of a standardized series swept down a
-    grid anchored at its own lambda_max."""
-    runs = []
-    for seed in SEEDS:
-        ts, truth = generator.generate(1000, seed)
-        ts = standardize(ts)[0]
-        lams = lambda_grid(lambda_max_linear(ts, 3), 20, 100.0)
-        sw = sweep_path(ts, 3, kind, lams, Architecture(hidden_sizes=(10,)),
-                        OptimizerConfig(), seed, jobs=jobs)
-        runs.append((auc(roc_points(truth, sw.graphs)), sw, truth))
-    return runs
+    """Per seed: (AUC, sweep, truth) of the gate's sweep of ``generator``'s
+    series with penalty ``kind``."""
+    return [gate_sweep(generator, kind, 1000, seed, jobs) for seed in SEEDS]
 
 
 def _aucs(runs):

@@ -174,7 +174,7 @@ class TestHandMadeDataset:
                    f"got design {design_shape}, targets {targets_shape}")
         D, y = _bad_shape(case)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            LaggedDataset(design=D, targets=y, p=2, K=1, design32=D.astype(np.float32))
+            LaggedDataset(design=D, targets=y, p=2, K=1)
         built = build_lagged(np.ones((51, 2)), 1)[0]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(built, design=D, targets=y)
@@ -186,24 +186,42 @@ class TestHandMadeDataset:
         # the rule of ComponentMLP and build_lagged, before the shapes they set
         D, y = _bad_shape("no rows")
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            LaggedDataset(design=D, targets=y, p=p, K=K, design32=D.astype(np.float32))
+            LaggedDataset(design=D, targets=y, p=p, K=K)
 
-    @pytest.mark.parametrize("case,got", [
-        ("float64 copy", "float64 (50, 3)"), ("one row short", "float32 (49, 3)"),
-        ("no ones column", "float32 (50, 2)")])
-    def test_design32_is_a_float32_copy_of_the_design_shape(self, case, got):
-        built = build_lagged(np.random.default_rng(0).normal(size=(51, 2)), 1)[0]
-        D = built.design
-        D32 = {"float64 copy": D.copy(), "one row short": built.design32[1:],
-               "no ones column": built.design32[:, 1:]}[case]
-        message = ("design32 must be the design or a float32 array of its shape "
-                   f"(50, 3), got {got}")
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            dataclasses.replace(built, design32=D32)
+    def test_design32_follows_the_design(self):
+        # the float32 copy is made from the design, not handed in: a replaced
+        # design is what a model with hidden layers reads
+        gen = np.random.default_rng(0)
+        built = build_lagged(gen.normal(size=(51, 2)), 1)[0]
+        model = init_model(2, 1, Architecture(hidden_sizes=(3,), init_scale=0.5), SeededRng(0))
+        new = hand_made(gen.normal(size=(50, 2)), built.targets, 2, 1)
+        replaced = dataclasses.replace(built, design=new.design)
+        assert replaced.design32.dtype == np.float32
+        assert np.array_equal(replaced.design32, new.design.astype(np.float32))
+        assert loss_and_grad(model, replaced)[0] == loss_and_grad(model, new)[0]
+        assert loss_and_grad(model, replaced)[0] != loss_and_grad(model, built)[0]
+        # another design's copy is not taken
+        other = LaggedDataset(design=new.design, targets=built.targets, p=2, K=1,
+                              copy32=built.copy32)
+        assert np.array_equal(other.design32, new.design.astype(np.float32))
+        # a writeable design's copy follows writes into it
+        new.design[:, 0] = 0.0
+        assert np.all(new.design32[:, 0] == 0.0)
         # a design beyond float32's range is its own copy: hidden layers read it in float64
-        dataclasses.replace(built, design32=D)
         big = build_lagged(np.full((6, 2), 1e200), 1)[0]
         assert big.design32 is big.design
+
+    def test_float32_copy_made_by_the_first_hidden_read(self):
+        # a linear model reads the float64 design, so data only linear
+        # models read never has a float32 copy
+        datasets = build_lagged(SeededRng(2).normal(size=(50, 3)), 2)
+        linear = init_model(3, 2, Architecture(hidden_sizes=()), SeededRng(0))
+        hidden = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(0))
+        for d in datasets:
+            loss_and_grad(linear, d)
+        assert datasets[0].copy32._copy is None
+        loss_and_grad(hidden, datasets[1])
+        assert datasets[0].copy32._copy is datasets[2].design32
 
 
 class TestMemoryOrder:
@@ -214,18 +232,11 @@ class TestMemoryOrder:
                                       activation=activation)
         out = {}
         for order in "CF":
-            data = dataclasses.replace(data, design=np.asarray(data.design, order=order),
-                                       design32=np.asarray(data.design32, order=order))
+            data = dataclasses.replace(data, design=np.asarray(data.design, order=order))
             assert data.design.flags[order + "_CONTIGUOUS"]
-            assert data.design32.flags[order + "_CONTIGUOUS"]
             out[order] = (*loss_and_grad(model, data), predict(model, data.inputs))
-        # float32 sums in another order round differently by some units of
-        # EPS32 of the largest entry
         for c, f in zip(out["C"], out["F"]):
-            if hidden:
-                np.testing.assert_allclose(c, f, rtol=0.0, atol=64 * EPS32 * np.abs(f).max())
-            else:
-                np.testing.assert_allclose(c, f, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(c, f, rtol=1e-12, atol=0.0)
 
 
 def predict_one(model, x):
@@ -380,9 +391,8 @@ class TestGrad:
     def test_zero_input_column_zero_first_layer_grad(self):
         model, data = random_instance(8, p=3, K=2, N=6)
         j = 1
-        X = data.inputs.copy()
-        X[:, j::3] = 0.0
-        g = loss_and_grad(model, hand_made(X, data.targets, 3, 2))[1]
+        data.inputs[:, j::3] = 0.0
+        g = loss_and_grad(model, data)[1]
         gw1 = g[:model.weight(0).size].reshape(model.weight(0).shape)
         assert np.all(gw1[:, j::3] == 0.0)
 

@@ -84,10 +84,10 @@ def test_architecture_is_frozen():
 
 def test_lagged_dataset_fields():
     # no series_index: nothing read the index that build_lagged stored; the
-    # design and its float32 copy are the arrays, and inputs a read-only
-    # view of the design
+    # design is the one array, inputs a read-only view of it, and copy32
+    # makes the design's float32 copy
     assert [f.name for f in dataclasses.fields(ngcausal.LaggedDataset)] == [
-        "design", "targets", "p", "K", "design32"]
+        "design", "targets", "p", "K", "copy32"]
     assert ngcausal.LaggedDataset.__dataclass_params__.frozen
     assert ngcausal.LaggedDataset.inputs.fset is None
 
