@@ -20,7 +20,10 @@ Fortran order, as :func:`ngcausal.model.build_lagged` builds it.  Any memory
 order gives the same values up to rounding.  Before the one-unit output
 layer the backward pass keeps that layer's weight row aside and scales the
 rows of the next weight gradient by it, instead of scaling every row of
-the ``(width, N)`` delta.
+the ``(width, N)`` delta.  The kernels write into the arrays of a
+:class:`Buffers` made once for one theta and one design, or, given none,
+into fresh ones; a fit's two slots each own one (see ``optim``), so its
+iterations allocate no array the size of the data.
 
 The MLP kernels run in the dtype of the design they are given; there is
 one code path.  On a float32 design (a model with hidden layers reads one,
@@ -93,16 +96,17 @@ def _block_rows(m, k, N):
     return _BLOCK_MULADDS // (m * k) // _BLOCK_ALIGN * _BLOCK_ALIGN or N
 
 
-def _map_rows(A, B):
+def _map_rows(A, B, out=None):
     """A @ B for the (k, N) B whose columns are data rows, one block of
-    columns at a time, each written into its slice of one (m, N) output of
-    the operands' result dtype."""
+    columns at a time, each written into its slice of ``out``: an (m, N)
+    array of the operands' result dtype, made here if not given."""
     m, k = A.shape
     N = B.shape[1]
     rows = _block_rows(m, k, N)
     if rows == N:
-        return A @ B
-    out = np.empty((m, N), dtype=np.result_type(A, B))
+        return np.matmul(A, B, out=out)
+    if out is None:
+        out = np.empty((m, N), dtype=np.result_type(A, B))
     for s in range(0, N, rows):
         np.matmul(A, B[:, s:s + rows], out=out[:, s:s + rows])
     return out
@@ -130,62 +134,89 @@ def layer(theta, dims, w_off, b_off, l):
     return W, theta[b_off[l]:b_off[l] + dout]
 
 
-def layer_activations(theta, dims, w_off, b_off, act, X):
+class Buffers:
+    """The arrays the MLP kernels write into, made once for one ``theta``
+    and designs of X's shape and dtype: theta's layer views, each layer's
+    weight in X's dtype (the first as ``[W1 | b1]``), each layer's (width,
+    N) output in X's dtype, the float64 (1, N) output, and the backward
+    pass's arrays, which Buffers made with the same ``backward`` share."""
+
+    def __init__(self, theta, dims, w_off, b_off, X, backward=None):
+        N, dtype = X.shape[0], X.dtype
+        self.layers = [layer(theta, dims, w_off, b_off, l) for l in range(len(dims) - 1)]
+        self.weights = [np.empty((dims[1], dims[0] + 1), dtype)] + [
+            W if W.dtype == dtype else np.empty(W.shape, dtype) for W, _ in self.layers[1:]]
+        self.outputs = [np.empty((d, N), dtype) for d in dims[1:]]
+        self.output = self.outputs[-1] if dtype == np.float64 else np.empty((1, N))
+        # 2 * residual in float64 and in X's dtype; per hidden layer its
+        # delta and, where the layer above is wider than one unit, W.T @ delta
+        self.backward = backward or [np.empty((1, N)), np.empty((1, N), dtype)] + [
+            np.empty((1 + (dout > 1), d, N), dtype) for d, dout in zip(dims[1:-1], dims[2:])]
+
+
+def layer_activations(theta, dims, w_off, b_off, act, X, bufs=None):
     """Activations of every layer, unit-major, for the rows of the design X.
 
     Returns ``[X.T, a_1, ..., a_L]``: the (p*K + 1, N) input view, the
     hidden activations after the nonlinearity, each (width, N), and last
-    the linear output layer of shape (1, N).
+    the linear output layer of shape (1, N), all in ``bufs`` (Buffers made
+    for this theta and X) or, without it, in fresh arrays.
     """
+    bufs = bufs or Buffers(theta, dims, w_off, b_off, X)
     L = len(dims) - 1
     acts = [X.T]
-    for l in range(L):
-        W, b = layer(theta, dims, w_off, b_off, l)
+    for l, ((W, b), Wx, z) in enumerate(zip(bufs.layers, bufs.weights, bufs.outputs)):
         if l == 0:
-            z = _map_rows(np.concatenate((W, b[:, None]), axis=1, dtype=X.dtype), acts[0])
-        else:
-            z = _map_rows(W.astype(X.dtype, copy=False), acts[l])
-        if l == L - 1:
-            z = z.astype(np.float64, copy=False)   # the output is float64
+            Wx[:, :-1] = W
+            Wx[:, -1] = b
+        elif Wx is not W:
+            Wx[...] = W
+        _map_rows(Wx, acts[l], z)
+        a = bufs.output if l == L - 1 else z   # the output is float64
         if l > 0:
-            z += b[:, None]
+            np.add(z, b[:, None], out=a)
+        elif a is not z:
+            a[...] = z
         if l < L - 1:
             if act == "tanh":
                 np.tanh(z, out=z)
             else:
                 np.maximum(z, 0.0, out=z)
-        acts.append(z)
+        acts.append(a)
     return acts
 
 
-def mlp_loss(theta, dims, w_off, b_off, act, X, y):
+def mlp_loss(theta, dims, w_off, b_off, act, X, y, bufs=None):
     """Sum of squared residuals over all rows of the design X, and the
     forward pass that :func:`mlp_loss_grad` takes: the activations of
     :func:`layer_activations` whose last entry holds the (1, N) residual
     ``output - y`` instead of the output."""
-    acts = layer_activations(theta, dims, w_off, b_off, act, X)
+    acts = layer_activations(theta, dims, w_off, b_off, act, X, bufs)
     r = acts[-1][0]
     r -= y
     return np.dot(r, r), acts
 
 
-def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts):
+def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts, bufs=None):
     """Loss plus exact reverse-mode gradient, written into ``grad``.
 
     ``acts`` is the forward pass :func:`mlp_loss` returned for this same
     ``theta`` on the design ``X``, so neither the forward pass nor the
-    residual is computed again.
+    residual is computed again.  The backward pass runs in ``bufs``, as
+    :func:`layer_activations` does.
     """
+    bufs = bufs or Buffers(theta, dims, w_off, b_off, X)
     L = len(dims) - 1
     dtype = acts[0].dtype   # the design's
     r = acts[-1][0]
     loss = np.dot(r, r)
+    two_r, cast, *hidden = bufs.backward
 
     # the gradient at layer l's output is scale[:, None] * delta, or delta
     # itself while scale is None
-    delta, scale = 2.0 * r[None, :], None
+    delta, scale = np.multiply(r[None, :], 2.0, out=two_r), None
     for l in range(L - 1, -1, -1):
-        W, _ = layer(theta, dims, w_off, b_off, l)
+        W, _ = bufs.layers[l]
         dout, din = W.shape
         if l > 0:
             # summed in delta's dtype: the output layer's from the float64 residual
@@ -193,7 +224,9 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts):
             gb[...] = delta.sum(axis=1)
             if scale is not None:
                 gb *= scale
-        delta = delta.astype(dtype, copy=False)
+        if delta.dtype != dtype:
+            cast[...] = delta
+            delta = cast
         # (a_in @ delta.T) is gW.T, faster at large N than delta @ a_in.T
         # when X is in Fortran order
         G = sum_rows(acts[l], delta.T)
@@ -210,23 +243,25 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts):
             back = delta
         else:
             Ws = W if scale is None else W * scale[:, None]
-            back = _map_rows(Ws.T.astype(dtype, copy=False), delta)
+            back = _map_rows(Ws.T.astype(dtype, copy=False), delta, hidden[l - 1][1])
             scale = None
-        h = acts[l]
+        h, d = acts[l], hidden[l - 1][0]
         if act == "tanh":
-            d = h * h
+            np.multiply(h, h, out=d)
             np.subtract(1.0, d, out=d)
             d *= back
         else:
             # relu: h > 0 exactly where the pre-activation was > 0
-            d = np.where(h > 0.0, back, 0.0)
+            d[...] = 0.0
+            np.copyto(d, back, where=h > 0.0)
         delta = d
     return loss
 
 
 def _table(w1, p, K):
     """(K, p) block sums of squares: [k, j] adds w1[h, k*p + j]**2 over h in order."""
-    return np.add.accumulate(w1 * w1, axis=0)[-1].reshape(K, p)
+    sq = w1 * w1
+    return np.add.accumulate(sq, axis=0, out=sq)[-1].reshape(K, p)
 
 
 def _group_norms(table):
@@ -236,11 +271,9 @@ def _group_norms(table):
 
 def _suffix_norms(lag):
     """(K, p) lag-suffix (k..K) norms from the (K, p) lag norms, deepest lag
-    first: n_k = hypot(lag_k, n_{k+1}), with n_{K-1} = lag_{K-1}."""
+    first: n_k = hypot(n_{k+1}, lag_k), with n_{K-1} = lag_{K-1}."""
     n = np.empty(lag.shape)   # C order: the caller's sum adds in memory order
-    r = 0.0
-    for k in range(lag.shape[0] - 1, -1, -1):
-        r = np.hypot(lag[k], r, out=n[k])
+    np.hypot.accumulate(lag[::-1], axis=0, out=n[::-1])
     return n
 
 
@@ -306,10 +339,8 @@ def prox_hier(w1, p, K, thr):
     over lags.  Returns the sum of the result's lag-suffix norms, as
     ``suffix_norm_sum(lag_norms(w1, p, K))`` computes it.
     """
-    lag = np.sqrt(_table(w1, p, K))
-    n = np.empty((K, p))
-    r = 0.0
-    for k in range(K - 1, -1, -1):
-        r = np.maximum(np.hypot(lag[k], r, out=n[k]) - thr, 0.0)
+    n = np.sqrt(_table(w1, p, K))   # the lag norms, n_k from lag_k on
+    for k in range(K - 2, -1, -1):
+        np.hypot(n[k], np.maximum(n[k + 1] - thr, 0.0), out=n[k])
     _scale_blocks(w1, np.multiply.accumulate(_shrink(n, thr), axis=0))
     return _suffix_norms(np.sqrt(_table(w1, p, K))).sum()

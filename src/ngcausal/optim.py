@@ -43,14 +43,19 @@ max_iters 5,000 2**-30 failed a Lorenz sweep where 2**-26 did not.  A
 linear model keeps the 1e-12 slack (``SLACK`` holds both), and with it
 every result bit for bit.
 
-Nothing the loop already has is computed twice.  A fit reads its design
-once, at its start; the forward pass of each accepted candidate, with its
-residual, is the next gradient's forward pass; the prox returns the
-penalty of the candidate it builds, so penalty_value runs only at the start
-of a fit; and a path runs one forward pass before its first fit, each later
-fit taking its predecessor's last.
-Scalars stay Python floats.  Each of these leaves every result bit for bit
-what the plain loop gives.
+Nothing the loop already has is computed twice, nor any array made twice.
+A fit reads its design once, at its start; the forward pass of each
+accepted candidate, with its residual, is the next gradient's forward pass;
+the prox returns the penalty of the candidate it builds, so penalty_value
+runs only at the start of a fit; and a path runs one forward pass before
+its first fit, each later fit taking its predecessor's last.  A chain owns
+two slots, each a model and the ``kernels.Buffers`` of its theta (layer
+views, ``[W1 | b1]`` and every (width, N) array); one holds the current
+model, each trial step is built in place in the other, and an accepted
+step swaps them.  It also owns both gradients and the last move, so an
+iteration allocates no array of the data's size; a fit returns a copy of
+its final model.  Scalars stay Python floats.  Each of these leaves every
+result bit for bit what the plain loop gives.
 
 The default rel_tol (1e-4) stops fits deliberately early.  Because only the
 first layer is penalized, prolonged optimization lets the network drain
@@ -71,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as kernels
-from .model import ComponentMLP, _count, _real, loss_and_grad
+from .model import ComponentMLP, _count, _real
 from .penalties import apply_prox, penalty_value
 
 BACKTRACK_FACTOR = 0.5
@@ -113,8 +118,9 @@ class FitResult:
 
 class _Chain:
     """The state every fit starts from and each fit of a path hands the next:
-    a model (a ComponentMLP with the data's p and K), its loss and
-    activations on the data, and the step to start at (unbounded at first)."""
+    two slots of a model (a ComponentMLP with the data's p and K) and its
+    Buffers, the first holding the model whose loss and activations it keeps;
+    the loop's arrays; and the step to start at (unbounded at first)."""
 
     @np.errstate(over="ignore", invalid="ignore")  # fit raises on a non-finite objective
     def __init__(self, model, data):
@@ -124,10 +130,16 @@ class _Chain:
             raise ValueError(
                 f"model expects p={model.p}, K={model.K} but data has "
                 f"p={data.p}, K={data.K}")
-        loss, self.acts = kernels.mlp_loss(model.theta, model.dims, model.w_off,
-                                           model.b_off, model.arch.activation,
-                                           data.design_for(model), data.targets)
-        self.model, self.loss, self.step = model, float(loss), math.inf
+        X = data.design_for(model)
+        a, b = model.copy(), model.copy()
+        bufs = kernels.Buffers(a.theta, a.dims, a.w_off, a.b_off, X)
+        self.slots = [(a, bufs), (b, kernels.Buffers(b.theta, b.dims, b.w_off, b.b_off, X,
+                                                     bufs.backward))]
+        loss, self.acts = kernels.mlp_loss(a.theta, a.dims, a.w_off, a.b_off,
+                                           a.arch.activation, X, data.targets, bufs)
+        self.grads = np.empty(a.n_params), np.empty(a.n_params)
+        self.delta = np.empty(a.n_params)
+        self.loss, self.step = float(loss), math.inf
 
 
 @np.errstate(over="ignore", invalid="ignore")  # every non-finite value raises below
@@ -143,42 +155,41 @@ def fit(data, spec, start, opt):
     chain = start if isinstance(start, _Chain) else _Chain(start, data)
     step = min(chain.step, opt.initial_step)
     loss_val, acts = chain.loss, chain.acts
-    model = chain.model.copy()
+    (model, bufs), (trial, trial_bufs) = chain.slots
+    (g, g_prev), delta = chain.grads, chain.delta
+    layout = (model.dims, model.w_off, model.b_off, model.arch.activation)
     X = data.design_for(model)
     slack_rel = SLACK[X.dtype]
     obj = loss_val + penalty_value(spec, model)
     if not math.isfinite(obj):
         raise OptimizationError("non-finite objective at initialization")
     trace = [obj]
-    converged = False
+    converged = moved = False
     iterations = backtracks = 0
-    g = delta = None
 
     for iterations in range(1, opt.max_iters + 1):
-        g_prev = g
-        _, g = loss_and_grad(model, data, acts)
+        kernels.mlp_loss_grad(model.theta, *layout, X, g, acts, bufs)
         if not np.isfinite(g).all():
             raise OptimizationError(f"non-finite gradient at iteration {iterations}")
-        if delta is not None:
+        if moved:
             # short Barzilai-Borwein step from the last accepted move, or a
             # restart at initial_step where the move had no positive curvature
-            y = g - g_prev
-            sy = float(delta @ y)
+            y = np.subtract(g, g_prev, out=g_prev)
+            sy = float(delta.dot(y))
             if sy > 0:
-                step = max(sy / float(y @ y), MIN_STEP)
+                step = max(sy / float(y.dot(y)), MIN_STEP)
             else:
                 step = opt.initial_step
         slack = slack_rel * max(1.0, abs(loss_val))
         while True:
-            cand = model.theta - step * g
+            cand = np.subtract(model.theta, np.multiply(g, step, out=trial.theta),
+                               out=trial.theta)
             pen = apply_prox(spec, model, cand, step)
-            new_loss, new_acts = kernels.mlp_loss(cand, model.dims, model.w_off,
-                                                  model.b_off, model.arch.activation,
-                                                  X, data.targets)
+            new_loss, new_acts = kernels.mlp_loss(cand, *layout, X, data.targets, trial_bufs)
             new_loss = float(new_loss)
-            delta = cand - model.theta
-            bound = (loss_val + float(g @ delta)
-                     + float(delta @ delta) / (2.0 * step) + slack)
+            np.subtract(cand, model.theta, out=delta)
+            bound = (loss_val + float(g.dot(delta))
+                     + float(delta.dot(delta)) / (2.0 * step) + slack)
             if new_loss <= bound:
                 break
             step *= BACKTRACK_FACTOR
@@ -187,7 +198,8 @@ def fit(data, spec, start, opt):
                 raise OptimizationError(
                     f"the line search drove the step below MIN_STEP={MIN_STEP} "
                     f"at iteration {iterations}")
-        model.theta[:] = cand
+        (model, bufs), (trial, trial_bufs) = (trial, trial_bufs), (model, bufs)
+        g, g_prev, moved = g_prev, g, True
         loss_val, acts = new_loss, new_acts
         new_obj = new_loss + pen
         if not math.isfinite(new_obj):
@@ -198,8 +210,9 @@ def fit(data, spec, start, opt):
             break
         obj = new_obj
 
-    chain.model, chain.step, chain.loss, chain.acts = model, step, loss_val, acts
-    return FitResult(model=model, objective_trace=np.asarray(trace),
+    chain.slots = [(model, bufs), (trial, trial_bufs)]
+    chain.step, chain.loss, chain.acts = step, loss_val, acts
+    return FitResult(model=model.copy(), objective_trace=np.asarray(trace),
                      iterations_run=iterations, converged=converged,
                      final_step=step, backtracks=backtracks)
 

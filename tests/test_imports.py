@@ -54,6 +54,7 @@ def test_check_sees_an_unused_import():
 # Entry points that users call and the package itself does not.
 ENTRY_POINTS = {
     "predict": "a forward pass of a fitted model on new data",
+    "loss_and_grad": "a model's loss and gradient on a dataset, outside any fit",
     "load_checkpoint": "reads back the checkpoints that `ngcausal fit` writes",
 }
 

@@ -248,11 +248,15 @@ class TestFit:
     @pytest.mark.parametrize("kind,lam", [("group", 0.0), ("hierarchical", 0.0),
                                           ("group", 3.0), ("hierarchical", 3.0)])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
-    def test_trace_equals_loop_with_fresh_gradients(self, kind, lam, activation):
-        # fit reuses each accepted candidate's forward pass; a loop that runs
-        # loss_and_grad afresh every iteration must give the same bits
+    @pytest.mark.parametrize("hidden", [(5, 3), (5,), ()])
+    def test_trace_equals_loop_with_fresh_gradients(self, kind, lam, activation, hidden):
+        # fit reuses each accepted candidate's forward pass and builds every
+        # trial step in its chain's other slot; a loop that runs
+        # loss_and_grad afresh every iteration must give the same bits.
+        # hidden () is a linear model on the float64 design; at (5,) the
+        # output weight becomes the row scale of the first layer's gradient
         data = small_dataset(17, T=120)
-        arch = Architecture(hidden_sizes=(5, 3), activation=activation, init_scale=1.0)
+        arch = Architecture(hidden_sizes=hidden, activation=activation, init_scale=1.0)
         spec = PenaltySpec(kind, lam)
         opt = OptimizerConfig(max_iters=150, initial_step=0.05, rel_tol=1e-9)
         res = fit(data, spec, seeded_model(data, arch, 22), opt)
@@ -376,25 +380,31 @@ class TestWarmStart:
     @pytest.mark.parametrize("kind,lam", [("group", 0.0), ("hierarchical", 0.0),
                                           ("group", 1.5), ("hierarchical", 1.5)])
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("hidden", [(5, 3), (5,), ()])
     def test_handed_over_forward_pass_changes_no_bit(self, monkeypatch, kind, lam,
-                                                     activation):
+                                                     activation, hidden):
         # the warm start takes the previous fit's last forward pass; the
         # reference loop from the same model at the same first step runs
         # every pass afresh, and restarts at opt.initial_step, not at the
-        # first step, after a move with s.y <= 0
+        # first step, after a move with s.y <= 0.  An accepted step swaps
+        # the chain's two slots, and the middle fit takes an odd number of
+        # steps, so the two warm fits start from different slots
         data = small_dataset(24, T=120)
-        arch = Architecture(hidden_sizes=(5, 3), activation=activation, init_scale=1.0)
+        arch = Architecture(hidden_sizes=hidden, activation=activation, init_scale=1.0)
         opt = OptimizerConfig()
-        patch_path_fits(monkeypatch, [OptimizerConfig(max_iters=40), opt])
-        first, warm = fit_path(data, [PenaltySpec(kind, 2 * lam), PenaltySpec(kind, lam)],
-                               seeded_model(data, arch, 3), opt)
-        ref = reference_fit(data, PenaltySpec(kind, lam), first.model, opt,
-                            step=min(first.final_step, opt.initial_step))
-        assert np.array_equal(warm.objective_trace, ref.trace)
-        assert np.array_equal(warm.model.theta, ref.model.theta)
-        assert warm.final_step == ref.step
-        assert warm.iterations_run == len(ref.log)
-        assert warm.backtracks == ref.backtracks
+        opts = [OptimizerConfig(max_iters=40), OptimizerConfig(max_iters=7, rel_tol=1e-15), opt]
+        patch_path_fits(monkeypatch, opts)
+        specs = [PenaltySpec(kind, scale * lam) for scale in (4, 2, 1)]
+        path = fit_path(data, specs, seeded_model(data, arch, 3), opt)
+        assert path[1].iterations_run == 7
+        for before, warm, spec, warm_opt in zip(path, path[1:], specs[1:], opts[1:]):
+            ref = reference_fit(data, spec, before.model, warm_opt,
+                                step=min(before.final_step, opt.initial_step))
+            assert np.array_equal(warm.objective_trace, ref.trace)
+            assert np.array_equal(warm.model.theta, ref.model.theta)
+            assert warm.final_step == ref.step
+            assert warm.iterations_run == len(ref.log)
+            assert warm.backtracks == ref.backtracks
 
     def test_fit_result_start_rejected(self):
         # a warm start is fit_path's: fit takes only a model
@@ -435,6 +445,82 @@ class TestWarmStart:
                   for res in path]
         # lams descend, so counts must be non-decreasing along the sweep
         assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+
+def chain_arrays(chain):
+    """Every array the two slots of a chain hold: each model's theta and
+    the kernels' buffers of each."""
+    for model, bufs in chain.slots:
+        yield model.theta
+        yield from (*bufs.weights, *bufs.outputs, bufs.output, *bufs.backward)
+
+
+class TestSlots:
+    def record(self, monkeypatch):
+        """The chains fit_path makes, and per fit its result with a copy of
+        its theta taken as it was returned."""
+        chains, returned = [], []
+        real_chain, real_fit = optim._Chain, optim.fit
+
+        class Recorded(real_chain):
+            def __init__(self, *args):
+                super().__init__(*args)
+                chains.append(self)
+
+        def recording_fit(*args):
+            res = real_fit(*args)
+            returned.append((res, res.model.theta.copy()))
+            return res
+        monkeypatch.setattr(optim, "_Chain", Recorded)
+        monkeypatch.setattr(optim, "fit", recording_fit)
+        return chains, returned
+
+    def test_path_results_share_no_memory_with_the_chain(self, monkeypatch):
+        # every later fit rewrites both slots; a returned model is its own copy
+        chains, returned = self.record(monkeypatch)
+        data = small_dataset(25, T=120)
+        specs = [PenaltySpec("hierarchical", lam) for lam in (4.0, 2.0, 1.0, 0.5)]
+        path = fit_path(data, specs, seeded_model(data, Architecture(hidden_sizes=(5,)), 4),
+                        OptimizerConfig())
+        (chain,) = chains
+        assert all(res is fitted for (res, _), fitted in zip(returned, path))
+        assert not np.array_equal(path[0].model.theta, path[-1].model.theta)
+        for res, theta in returned:
+            assert not any(np.shares_memory(res.model.theta, a) for a in chain_arrays(chain))
+            assert np.array_equal(res.model.theta, theta)
+
+    def test_sweep_models_share_no_memory_with_the_chains(self, monkeypatch):
+        from ngcausal.evaluation import sweep_path
+        chains, returned = self.record(monkeypatch)
+        ts = standardize(VarGenConfig(p=3, K=2, burn_in=50).generate(120, 26)[0])[0]
+        sw = sweep_path(ts, 2, "group", [2.0, 1.0], Architecture(hidden_sizes=(5,)),
+                        OptimizerConfig(), 0)
+        assert len(chains) == len(sw.models) == 3
+        arrays = [a for chain in chains for a in chain_arrays(chain)]
+        for model, (_, theta) in zip(sw.models, returned[1::2]):
+            assert not any(np.shares_memory(model.theta, a) for a in arrays)
+            assert np.array_equal(model.theta, theta)
+
+    def test_warm_fit_allocates_no_array_of_the_data_size(self):
+        # a trial step is built in the chain's free slot: a warm fit of
+        # width 10 on N = 3,997 float32 rows peaks below one (10, N) float32
+        # array, where a fresh forward pass makes several
+        import tracemalloc
+        data = build_lagged(standardize(VarGenConfig(p=10, K=3).generate(4000, 0)[0])[0], 3)[0]
+        model = seeded_model(data, Architecture(hidden_sizes=(10,)), 0)
+        N = data.design.shape[0]
+        assert N == 3997 and data.design_for(model).dtype == np.float32
+        chain = optim._Chain(model, data)
+        opt = OptimizerConfig(max_iters=30)
+        fit(data, PenaltySpec("hierarchical", 400.0), chain, opt)
+        tracemalloc.start()
+        try:
+            res = fit(data, PenaltySpec("hierarchical", 200.0), chain, opt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations_run > 1 and res.backtracks > 0
+        assert peak < 10 * N * np.dtype(np.float32).itemsize
 
 
 def exact_lasso(X, y, lam):
