@@ -14,11 +14,15 @@ and Lorenz-96 (F=5) with the group penalty, with the gate's sweep,
 It prints, per configuration and seed, each tree's AUC, iterations,
 backtracks and capped fits, and per configuration and seed group the mean
 paired difference (change minus base) of each with a 95% bootstrap
-interval over seeds.  It writes the same as ``BENCH_quality_<label>.json``
-in ``--out`` (default: this directory).
+interval over seeds.  Each sweep is also hashed (sha256 of its lambdas, lag
+profiles, iterations, backtracks, objectives and last models' thetas), and
+per configuration it prints whether the two trees agree bit for bit on
+every seed.  It writes the same as ``BENCH_quality_<label>.json`` in
+``--out`` (default: this directory).
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -55,6 +59,16 @@ def gate_sweep(generator, kind, T, seed, jobs=1):
     return auc(roc_points(truth, sw.graphs)), sw, truth
 
 
+def sweep_digest(sw):
+    """sha256 of a sweep's lambdas, lag profiles, iterations, backtracks,
+    objectives and last models' thetas, as hex."""
+    h = hashlib.sha256()
+    for a in (sw.lambdas, sw.lag_profiles, sw.iterations, sw.backtracks, sw.objectives,
+              *(m.theta for m in sw.models)):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 def run_tree(args):
     """Child side: every configuration and seed on the ngcausal importable
     here; prints one JSON object {config: {metric: [per seed]}}."""
@@ -63,13 +77,14 @@ def run_tree(args):
     generators = {"var": VarGenConfig(p=args.p, K=3), "lorenz": LorenzGenConfig(p=args.p, F=5.0)}
     results = {}
     for name, (data, kind) in CONFIGS.items():
-        rows = {m: [] for m in METRICS}
+        rows = {m: [] for m in (*METRICS, "sha256")}
         for seed in range(args.seeds):
             area, sw, _ = gate_sweep(generators[data], kind, args.T, seed)
             rows["auc"].append(area)
             rows["iterations"].append(int(sw.iterations.sum()))
             rows["backtracks"].append(int(sw.backtracks.sum()))
             rows["capped"].append(int((~sw.converged).sum()))
+            rows["sha256"].append(sweep_digest(sw))
         results[name] = rows
     print(json.dumps(results))
 
@@ -100,15 +115,16 @@ def paired(base, change, rng):
 
 
 def compare(base, change, seeds):
-    """Per configuration: both trees' per-seed values, and per seed group
-    each tree's mean AUC and totals and the paired differences of each
-    metric."""
+    """Per configuration: both trees' per-seed values, whether their sweeps
+    agree bit for bit on every seed, and per seed group each tree's mean
+    AUC and totals and the paired differences of each metric."""
     groups = {"gate": slice(0, GATE_SEEDS), "held_out": slice(GATE_SEEDS, seeds)}
     report = {}
     for name in CONFIGS:
         rng = np.random.default_rng(0)
         b, c = base[name], change[name]
-        report[name] = {"base": b, "change": c, "groups": {}}
+        report[name] = {"base": b, "change": c, "identical": b["sha256"] == c["sha256"],
+                        "groups": {}}
         for group, part in groups.items():
             if not b["auc"][part]:
                 continue
@@ -123,7 +139,9 @@ def compare(base, change, seeds):
 
 def print_report(report, seeds):
     for name, res in report.items():
-        print(f"\n{name}")
+        differ = [s for s in range(seeds) if res["base"]["sha256"][s] != res["change"]["sha256"][s]]
+        print(f"\n{name}: " + ("bit-identical on every seed" if res["identical"]
+                               else f"sweeps differ on seeds {differ}"))
         print("seed   auc base  auc chg   iters base/chg   backtracks base/chg   capped")
         b, c = res["base"], res["change"]
         for s in range(seeds):
