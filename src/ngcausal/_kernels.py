@@ -198,7 +198,7 @@ def mlp_loss(theta, dims, w_off, b_off, act, X, y, bufs=None):
 
 
 def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts, bufs=None):
-    """Loss plus exact reverse-mode gradient, written into ``grad``.
+    """The loss's exact reverse-mode gradient, written into ``grad``.
 
     ``acts`` is the forward pass :func:`mlp_loss` returned for this same
     ``theta`` on the design ``X``, so neither the forward pass nor the
@@ -209,7 +209,6 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts, bufs=None):
     L = len(dims) - 1
     dtype = acts[0].dtype   # the design's
     r = acts[-1][0]
-    loss = np.dot(r, r)
     two_r, cast, *hidden = bufs.backward
 
     # the gradient at layer l's output is scale[:, None] * delta, or delta
@@ -255,7 +254,6 @@ def mlp_loss_grad(theta, dims, w_off, b_off, act, X, grad, acts, bufs=None):
             d[...] = 0.0
             np.copyto(d, back, where=h > 0.0)
         delta = d
-    return loss
 
 
 def _table(w1, p, K):

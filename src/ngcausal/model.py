@@ -10,9 +10,9 @@ With no hidden layers the network degenerates to the linear autoregressive
 map (a single weight row plus bias), which is how the linear baseline is fit.
 A LaggedDataset holds the design, the stacked lags and a column of ones for
 the first layer's bias, in float64: a linear model runs in float64 and
-reads it, a model with hidden layers runs them in float32 and reads the
-design's float32 copy, made from it at the first such read
-(``LaggedDataset.design_for``).
+reads it, a model with hidden layers runs them in float32 and reads it
+rounded to float32 (``LaggedDataset.design_for``), once per lambda path
+(see ``optim``).
 Every layer shares the input rules here: ``_count`` for a count setting,
 ``_real`` for a real-valued one and ``DataError`` for unusable data.
 """
@@ -20,7 +20,7 @@ Every layer shares the input rules here: ``_count`` for a count setting,
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,39 +141,16 @@ def init_model(p, K, arch, rng):
 # ------------------------------------------------------------------ data
 
 
-class _Float32Copy:
-    """The design that hidden layers read: ``design`` rounded to float32 in
-    Fortran order, or ``design`` itself where a value lies beyond float32's
-    range (hidden layers then run in float64).  It is made at the first read
-    by a model with hidden layers, so data only linear models read never
-    has one.  A read-only design's copy is kept, read-only, for every later
-    read and every series' dataset that shares this object; it is not
-    pickled, so each process makes its own once.  A writeable design's copy
-    is made at every read, so it follows writes into the design."""
-
-    def __init__(self, design):
-        self.design, self._copy = design, None
-
-    def for_model(self, model):
-        """The design ``model``'s kernels read: the float32 copy for a model
-        with hidden layers, ``design`` for a linear one."""
-        return self.get() if model.arch.hidden_sizes else self.design
-
-    def get(self):
-        if self._copy is not None:
-            return self._copy
-        D = self.design
-        if max(D.max(initial=0.0), -D.min(initial=0.0)) > float(np.finfo(np.float32).max):
-            copy = D
-        else:
-            copy = D.astype(np.float32, order="F")
-        if not D.flags.writeable:
-            copy.flags.writeable = False
-            self._copy = copy
-        return copy
-
-    def __getstate__(self):
-        return {"design": self.design, "_copy": None}
+def _design_for(model, D):
+    """The design ``model``'s kernels read, of the float64 design ``D``:
+    ``D`` itself for a linear model, and ``D`` rounded to float32 in Fortran
+    order for a model with hidden layers, whose kernels then run those
+    layers in float32.  Where a value of ``D`` lies beyond float32's range,
+    every model reads ``D`` itself."""
+    if (not model.arch.hidden_sizes
+            or max(D.max(initial=0.0), -D.min(initial=0.0)) > float(np.finfo(np.float32).max)):
+        return D
+    return D.astype(np.float32, order="F")
 
 
 @dataclass(frozen=True)
@@ -182,21 +159,17 @@ class LaggedDataset:
 
     ``design`` is (N, p*K + 1), N >= 1: design[n] = (x[K+n-1], ..., x[n], 1)
     flattened lag-1 block first, its last column of ones carrying the first
-    layer's bias; targets[n] = x[K+n, i] for its series i.  A model with
-    hidden layers reads the design's float32 copy ``design32``, made from
-    ``design`` at the first such read (see ``_Float32Copy``); ``copy32``,
-    by which :func:`build_lagged` shares that one copy among every series,
-    is made here from ``design`` unless it is a copy of this very design.
-    Shapes are checked once, when the dataset is built.  The arrays of
-    :func:`build_lagged` are read-only, since every series' dataset holds
-    the same design; an unpickled dataset's arrays are read-only too.
+    layer's bias; targets[n] = x[K+n, i] for its series i.  A model reads
+    the design as ``design_for`` gives it.  Shapes are checked once, when
+    the dataset is built.  The arrays of :func:`build_lagged` are read-only,
+    since every series' dataset holds the same design; an unpickled
+    dataset's arrays are read-only too.
     """
 
     design: np.ndarray
     targets: np.ndarray
     p: int
     K: int
-    copy32: _Float32Copy = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         width = _count("p", self.p) * _count("K", self.K) + 1
@@ -208,23 +181,17 @@ class LaggedDataset:
                 f"a LaggedDataset with p={self.p}, K={self.K} needs an (N, {width}) "
                 f"design with N >= 1 and a last column of ones, and (N,) targets; "
                 f"got design {D.shape}, targets {y.shape}")
-        if self.copy32 is None or self.copy32.design is not D:
-            object.__setattr__(self, "copy32", _Float32Copy(D))
 
     def __setstate__(self, state):
         # numpy unpickles a read-only array as writeable
         self.__dict__.update(state)
         self.design.flags.writeable = self.targets.flags.writeable = False
 
-    @property
-    def design32(self):
-        """The design rounded to float32, as a model with hidden layers reads it."""
-        return self.copy32.get()
-
     def design_for(self, model):
-        """The design ``model``'s kernels read: ``design32`` for a model with
-        hidden layers, ``design`` for a linear one."""
-        return self.copy32.for_model(model)
+        """The design ``model``'s kernels read: ``design`` for a linear model,
+        a float32 copy of it for a model with hidden layers (see
+        ``_design_for``), made afresh at each call."""
+        return _design_for(model, self.design)
 
     @property
     def inputs(self):
@@ -232,20 +199,10 @@ class LaggedDataset:
         return self.design[:, :-1]
 
 
-def _with_ones(X):
-    """A Fortran-ordered copy of the (N, d) array X with a column of ones appended."""
-    D = np.empty((X.shape[0], X.shape[1] + 1), order="F")
-    D[:, :-1] = X
-    D[:, -1] = 1.0
-    return D
-
-
 def build_lagged(ts, K):
     """One LaggedDataset per series of a finite (T, p) array, all sharing one
     read-only (T-K, p*K + 1) design in Fortran order whose last column is
-    ones, and the one float32 copy of it that the first model with hidden
-    layers to read it makes; series i's targets are the read-only view
-    ts[K:, i]."""
+    ones; series i's targets are the read-only view ts[K:, i]."""
     K = _count("K", K)
     ts = np.asarray(ts, dtype=np.float64)
     if ts.ndim != 2 or ts.shape[1] < 1:
@@ -262,9 +219,7 @@ def build_lagged(ts, K):
     D[:, -1] = 1.0
     Y = ts[K:]
     D.flags.writeable = Y.flags.writeable = False
-    copy32 = _Float32Copy(D)
-    return [LaggedDataset(design=D, targets=Y[:, i], p=p, K=K, copy32=copy32)
-            for i in range(p)]
+    return [LaggedDataset(design=D, targets=Y[:, i], p=p, K=K) for i in range(p)]
 
 
 # ------------------------------------------------------------- evaluation
@@ -272,33 +227,26 @@ def build_lagged(ts, K):
 
 def predict(model, X):
     """Batched forward pass; X is (N, p*K). Returns (N,) float64 predictions,
-    the fit's forward pass on the design X with its column of ones, read in
-    float32 by a model with hidden layers as ``LaggedDataset.design_for``
-    gives it."""
+    the fit's forward pass on the design X with its column of ones, read as
+    ``LaggedDataset.design_for`` reads a design."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.dims[0]:
         raise ValueError(f"inputs must be (N, {model.dims[0]}), got {X.shape}")
+    D = np.ones((X.shape[0], X.shape[1] + 1), order="F")
+    D[:, :-1] = X
     acts = kernels.layer_activations(model.theta, model.dims, model.w_off,
                                      model.b_off, model.arch.activation,
-                                     _Float32Copy(_with_ones(X)).for_model(model))
+                                     _design_for(model, D))
     return acts[-1][0]
 
 
-def loss_and_grad(model, data, acts=None):
+def loss_and_grad(model, data):
     """Sum of squared one-step prediction errors over all rows (no penalty),
-    plus its exact gradient as a flat vector in theta layout.
-
-    ``acts`` are activations that ``kernels.mlp_loss`` returned for this
-    model's current theta on ``data.design_for(model)``; they stand in for a
-    new forward pass.
-    """
-    if acts is None:
-        acts = kernels.mlp_loss(model.theta, model.dims, model.w_off, model.b_off,
-                                model.arch.activation, data.design_for(model),
-                                data.targets)[1]
+    plus its exact gradient as a flat vector in theta layout, on the design
+    ``data.design_for(model)``."""
+    layout = (model.theta, model.dims, model.w_off, model.b_off, model.arch.activation)
+    X = data.design_for(model)
+    loss, acts = kernels.mlp_loss(*layout, X, data.targets)
     g = np.empty(model.n_params)
-    # acts[0] is the transposed design the forward pass read
-    val = kernels.mlp_loss_grad(model.theta, model.dims, model.w_off,
-                                model.b_off, model.arch.activation,
-                                acts[0].T, g, acts)
-    return float(val), g
+    kernels.mlp_loss_grad(*layout, X, g, acts)
+    return float(loss), g

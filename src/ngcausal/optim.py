@@ -19,15 +19,16 @@ step by, and the search restarts at initial_step.  This is the start GISTA
 so a nonconvex fit leaving a saddle along negative curvature takes long
 steps there: the all-zero first layer a series' model has down a sweep
 until, at some lambda, its first group enters.  Every fit starts from a
-``_Chain``: a model, its loss and activations on the data, and a step, which
-is unbounded for a bare model; ``fit_path`` hands one chain down a lambda
-path, each fit warm from the one before, its final step capped at
-initial_step.  Every rejected trial step counts as one backtrack; a line
-search that halves the step below MIN_STEP fails the fit.
+``_Chain``: a model, the design it reads, its loss and activations on it,
+and a step, which is unbounded for a bare model; ``fit_path`` hands one
+chain down a lambda path, each fit warm from the one before, its final
+step capped at initial_step.  Every rejected trial step counts as one
+backtrack; a line search that halves the step below MIN_STEP fails the
+fit.
 
-A fit reads the design its model takes, ``data.design_for(model)``: the
-stacked lags and a column of ones that carries the first layer's bias, as
-the float32 copy ``LaggedDataset.design32`` for a model with hidden layers,
+A fit reads the design its model takes, ``data.design_for(model)``, which
+its chain makes once: the stacked lags and a column of ones that carries
+the first layer's bias, rounded to float32 for a model with hidden layers,
 whose kernels then run those layers in float32 (see ``_kernels``), and in
 float64 for a linear model.  Theta, the gradient, the prox and its
 penalty, the objective, the BB step and the line-search test stay float64
@@ -44,18 +45,19 @@ linear model keeps the 1e-12 slack (``SLACK`` holds both), and with it
 every result bit for bit.
 
 Nothing the loop already has is computed twice, nor any array made twice.
-A fit reads its design once, at its start; the forward pass of each
+A path's design is made once, by its chain; the forward pass of each
 accepted candidate, with its residual, is the next gradient's forward pass;
 the prox returns the penalty of the candidate it builds, so penalty_value
 runs only at the start of a fit; and a path runs one forward pass before
 its first fit, each later fit taking its predecessor's last.  A chain owns
-two slots, each a model and the ``kernels.Buffers`` of its theta (layer
-views, ``[W1 | b1]`` and every (width, N) array); one holds the current
-model, each trial step is built in place in the other, and an accepted
-step swaps them.  It also owns both gradients and the last move, so an
-iteration allocates no array of the data's size; a fit returns a copy of
-its final model.  Scalars stay Python floats.  Each of these leaves every
-result bit for bit what the plain loop gives.
+the design its fits read and two slots, each a model and the
+``kernels.Buffers`` of its theta (layer views, ``[W1 | b1]`` and every
+(width, N) array); one holds the current model, each trial step is built
+in place in the other, and an accepted step swaps them.  It also owns
+both gradients and the last move, so an iteration allocates no array of
+the data's size; a fit returns a copy of its final model.  Scalars stay
+Python floats.  Each of these leaves every result bit for bit what the
+plain loop gives.
 
 The default rel_tol (1e-4) stops fits deliberately early.  Because only the
 first layer is penalized, prolonged optimization lets the network drain
@@ -118,9 +120,10 @@ class FitResult:
 
 class _Chain:
     """The state every fit starts from and each fit of a path hands the next:
-    two slots of a model (a ComponentMLP with the data's p and K) and its
-    Buffers, the first holding the model whose loss and activations it keeps;
-    the loop's arrays; and the step to start at (unbounded at first)."""
+    the design ``X`` its models read, ``data.design_for(model)``; two slots
+    of a model (a ComponentMLP with the data's p and K) and its Buffers, the
+    first holding the model whose loss and activations it keeps; the loop's
+    arrays; and the step to start at (unbounded at first)."""
 
     @np.errstate(over="ignore", invalid="ignore")  # fit raises on a non-finite objective
     def __init__(self, model, data):
@@ -130,7 +133,7 @@ class _Chain:
             raise ValueError(
                 f"model expects p={model.p}, K={model.K} but data has "
                 f"p={data.p}, K={data.K}")
-        X = data.design_for(model)
+        self.X = X = data.design_for(model)
         a, b = model.copy(), model.copy()
         bufs = kernels.Buffers(a.theta, a.dims, a.w_off, a.b_off, X)
         self.slots = [(a, bufs), (b, kernels.Buffers(b.theta, b.dims, b.w_off, b.b_off, X,
@@ -146,7 +149,8 @@ class _Chain:
 def fit(data, spec, start, opt):
     """Run proximal gradient descent to convergence from a copy of the model
     ``start``, a ComponentMLP, with its first line search at opt.initial_step,
-    on the design ``data.design_for(start)``.
+    on the design ``data.design_for(start)``, or warm from the chain
+    ``start`` on the design it holds.
 
     A model whose p or K differs from the data's raises ValueError.  Stops
     when the relative objective change drops below opt.rel_tol or after
@@ -158,7 +162,7 @@ def fit(data, spec, start, opt):
     (model, bufs), (trial, trial_bufs) = chain.slots
     (g, g_prev), delta = chain.grads, chain.delta
     layout = (model.dims, model.w_off, model.b_off, model.arch.activation)
-    X = data.design_for(model)
+    X = chain.X
     slack_rel = SLACK[X.dtype]
     obj = loss_val + penalty_value(spec, model)
     if not math.isfinite(obj):

@@ -92,14 +92,10 @@ class TestBuildLagged:
         datasets = build_lagged(ts, 2)
         assert len(datasets) == 3
         assert all(d.design is datasets[0].design for d in datasets)
-        assert all(d.design32 is datasets[0].design32 for d in datasets)
-        D32 = datasets[0].design32
-        assert D32.dtype == np.float32 and D32.flags.f_contiguous
-        assert np.array_equal(D32, datasets[0].design.astype(np.float32))
         for i, d in enumerate(datasets):
             assert np.array_equal(d.targets, ts[2:, i])
             assert np.shares_memory(d.targets, ts)   # a view, not a copy
-            for arr in (d.design, d.design32, d.inputs, d.targets):
+            for arr in (d.design, d.inputs, d.targets):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
         assert ts.flags.writeable                      # the caller's array is untouched
@@ -126,18 +122,15 @@ class TestBuildLagged:
         # shares one read-only design that inputs views, so no fit copies it
         datasets = build_lagged(SeededRng(2).normal(size=(50, 3)), 2)
         loaded = pickle.loads(pickle.dumps(datasets))
-        D, D32 = loaded[0].design, loaded[0].design32
-        assert all(d.design is D and d.design32 is D32 for d in loaded)
+        D = loaded[0].design
+        assert all(d.design is D for d in loaded)
         assert all(d.inputs.base is D for d in loaded)
-        for arr in (D, D32):
-            assert arr.flags.f_contiguous and not arr.flags.writeable
+        assert D.flags.f_contiguous and not D.flags.writeable
         assert np.array_equal(D, datasets[0].design)
-        assert D32.dtype == np.float32 and np.array_equal(D32, datasets[0].design32)
         for d, orig in zip(loaded, datasets):
             assert np.array_equal(d.inputs, orig.inputs)
             assert np.array_equal(d.targets, orig.targets)
             assert not d.design.flags.writeable and not d.targets.flags.writeable
-            assert not d.design32.flags.writeable
 
 
 def _bad_shape(case):
@@ -188,40 +181,28 @@ class TestHandMadeDataset:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LaggedDataset(design=D, targets=y, p=p, K=K)
 
-    def test_design32_follows_the_design(self):
-        # the float32 copy is made from the design, not handed in: a replaced
-        # design is what a model with hidden layers reads
+    def test_design_for_follows_the_design(self):
+        # the design a model reads is made from the dataset's design, not
+        # handed in: a replaced design is what a model with hidden layers reads
         gen = np.random.default_rng(0)
         built = build_lagged(gen.normal(size=(51, 2)), 1)[0]
+        linear = init_model(2, 1, Architecture(hidden_sizes=()), SeededRng(0))
         model = init_model(2, 1, Architecture(hidden_sizes=(3,), init_scale=0.5), SeededRng(0))
+        assert built.design_for(linear) is built.design
+        X = built.design_for(model)
+        assert X.dtype == np.float32 and X.flags.f_contiguous
+        assert np.array_equal(X, built.design.astype(np.float32))
         new = hand_made(gen.normal(size=(50, 2)), built.targets, 2, 1)
         replaced = dataclasses.replace(built, design=new.design)
-        assert replaced.design32.dtype == np.float32
-        assert np.array_equal(replaced.design32, new.design.astype(np.float32))
+        assert np.array_equal(replaced.design_for(model), new.design.astype(np.float32))
         assert loss_and_grad(model, replaced)[0] == loss_and_grad(model, new)[0]
         assert loss_and_grad(model, replaced)[0] != loss_and_grad(model, built)[0]
-        # another design's copy is not taken
-        other = LaggedDataset(design=new.design, targets=built.targets, p=2, K=1,
-                              copy32=built.copy32)
-        assert np.array_equal(other.design32, new.design.astype(np.float32))
-        # a writeable design's copy follows writes into it
+        # a writeable design's float32 copy follows writes into it
         new.design[:, 0] = 0.0
-        assert np.all(new.design32[:, 0] == 0.0)
-        # a design beyond float32's range is its own copy: hidden layers read it in float64
+        assert np.all(new.design_for(model)[:, 0] == 0.0)
+        # a design beyond float32's range is read as itself: hidden layers read it in float64
         big = build_lagged(np.full((6, 2), 1e200), 1)[0]
-        assert big.design32 is big.design
-
-    def test_float32_copy_made_by_the_first_hidden_read(self):
-        # a linear model reads the float64 design, so data only linear
-        # models read never has a float32 copy
-        datasets = build_lagged(SeededRng(2).normal(size=(50, 3)), 2)
-        linear = init_model(3, 2, Architecture(hidden_sizes=()), SeededRng(0))
-        hidden = init_model(3, 2, Architecture(hidden_sizes=(4,)), SeededRng(0))
-        for d in datasets:
-            loss_and_grad(linear, d)
-        assert datasets[0].copy32._copy is None
-        loss_and_grad(hidden, datasets[1])
-        assert datasets[0].copy32._copy is datasets[2].design32
+        assert big.design_for(model) is big.design and big.design_for(linear) is big.design
 
 
 class TestMemoryOrder:

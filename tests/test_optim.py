@@ -323,7 +323,7 @@ class TestFloat32Slack:
         specs = [PenaltySpec("group", float(lam))
                  for lam in lambda_grid(lambda_max_linear(ts, 3), 6, 100.0)]
         data = build_lagged(ts, 3)[2]
-        assert data.design_for(seeded_model(data, Architecture(), 0)) is data.design32
+        assert data.design_for(seeded_model(data, Architecture(), 0)).dtype == np.float32
         opt = OptimizerConfig(rel_tol=1e-8, max_iters=3000)
 
         def path():
@@ -501,12 +501,17 @@ class TestSlots:
             assert not any(np.shares_memory(model.theta, a) for a in arrays)
             assert np.array_equal(model.theta, theta)
 
-    def test_warm_fit_allocates_no_array_of_the_data_size(self):
-        # a trial step is built in the chain's free slot: a warm fit of
-        # width 10 on N = 3,997 float32 rows peaks below one (10, N) float32
-        # array, where a fresh forward pass makes several
+    @pytest.mark.parametrize("made_by", ["build_lagged", "hand"])
+    def test_warm_fit_allocates_no_array_of_the_data_size(self, made_by):
+        # a trial step is built in the chain's free slot, and the chain holds
+        # the float32 design: a warm fit of width 10 on N = 3,997 float32
+        # rows peaks below one (10, N) float32 array, where a fresh forward
+        # pass makes several, on a writeable design as on a read-only one
         import tracemalloc
         data = build_lagged(standardize(VarGenConfig(p=10, K=3).generate(4000, 0)[0])[0], 3)[0]
+        if made_by == "hand":
+            data = hand_made(data.inputs, data.targets, data.p, data.K)
+            assert data.design.flags.writeable
         model = seeded_model(data, Architecture(hidden_sizes=(10,)), 0)
         N = data.design.shape[0]
         assert N == 3997 and data.design_for(model).dtype == np.float32

@@ -84,10 +84,9 @@ def test_architecture_is_frozen():
 
 def test_lagged_dataset_fields():
     # no series_index: nothing read the index that build_lagged stored; the
-    # design is the one array, inputs a read-only view of it, and copy32
-    # makes the design's float32 copy
+    # design is the one array, and inputs a read-only view of it
     assert [f.name for f in dataclasses.fields(ngcausal.LaggedDataset)] == [
-        "design", "targets", "p", "K", "copy32"]
+        "design", "targets", "p", "K"]
     assert ngcausal.LaggedDataset.__dataclass_params__.frozen
     assert ngcausal.LaggedDataset.inputs.fset is None
 
